@@ -43,6 +43,9 @@ fn bench_per_model(c: &mut Criterion) {
     g.bench_function("ser_20k_trials", |b| {
         b.iter(|| tinysdr_rf::sx1276::symbol_error_rate(-10.0, 8, 20_000, 1))
     });
+    g.bench_function("ser_quadrature", |b| {
+        b.iter(|| tinysdr_rf::sx1276::symbol_error_prob(-10.0, 8))
+    });
     g.finish();
 }
 

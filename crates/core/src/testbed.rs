@@ -51,7 +51,7 @@ use tinysdr_dsp::cancel::CancelToken;
 use tinysdr_dsp::stats::Ecdf;
 use tinysdr_ota::aggregate::{LifeProjection, NodeAggregate, NodeMetric, RetainMode};
 use tinysdr_ota::blocks::BlockedUpdate;
-use tinysdr_ota::broadcast::{run_broadcast_keyed, BroadcastConfig, BroadcastReport};
+use tinysdr_ota::broadcast::{run_broadcast, BroadcastConfig, BroadcastReport};
 use tinysdr_ota::checkpoint::{chain_mix, CampaignCheckpoint, CheckpointError, VERSION};
 use tinysdr_ota::json::{EcdfTable, Value};
 use tinysdr_ota::seed::{
@@ -499,11 +499,9 @@ impl Testbed {
                 l
             })
             .collect();
-        let ids: Vec<u64> = self.nodes.iter().map(|n| n.id as u64).collect();
-        let broadcast = run_broadcast_keyed(
+        let broadcast = run_broadcast(
             update,
             &links,
-            &ids,
             &BroadcastConfig {
                 max_rounds: cfg.max_rounds,
                 seed: stream_seed(cfg.repair.seed, STREAM_BROADCAST),

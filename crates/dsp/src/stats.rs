@@ -81,10 +81,27 @@ impl ErrorRate {
         if self.trials == 0 {
             return 1.0;
         }
+        self.wilson(1.96).1
+    }
+
+    /// Wilson score interval `(lo, hi)` for the error rate at two-sided
+    /// normal quantile `z` (1.96 → 95%, 3.2905 → 99.9%); `(0, 1)` for no
+    /// trials.
+    pub fn wilson_interval(&self, z: f64) -> (f64, f64) {
+        if self.trials == 0 {
+            return (0.0, 1.0);
+        }
+        let (center, half) = self.wilson(z);
+        ((center - half).max(0.0), (center + half).min(1.0))
+    }
+
+    /// Wilson score interval as `(center, half-width)`; needs trials.
+    fn wilson(&self, z: f64) -> (f64, f64) {
         let n = self.trials as f64;
         let p = self.rate();
-        let z = 1.96;
-        z * ((p * (1.0 - p) + z * z / (4.0 * n)) / n).sqrt() / (1.0 + z * z / n)
+        let denom = 1.0 + z * z / n;
+        let half = z * ((p * (1.0 - p) + z * z / (4.0 * n)) / n).sqrt() / denom;
+        ((p + z * z / (2.0 * n)) / denom, half)
     }
 }
 
@@ -422,6 +439,25 @@ mod tests {
         let mut big = ErrorRate::new();
         big.record_batch(500, 1000);
         assert!(big.wilson_halfwidth() < small.wilson_halfwidth());
+    }
+
+    #[test]
+    fn wilson_interval_brackets_the_rate_and_stays_in_unit_range() {
+        assert_eq!(ErrorRate::new().wilson_interval(1.96), (0.0, 1.0));
+        let mut r = ErrorRate::new();
+        r.record_batch(30, 100);
+        let (lo, hi) = r.wilson_interval(1.96);
+        assert!(lo < 0.3 && 0.3 < hi);
+        assert!(((hi - lo) / 2.0 - r.wilson_halfwidth()).abs() < 1e-12);
+        // a wider quantile widens the interval
+        let (lo3, hi3) = r.wilson_interval(3.2905);
+        assert!(lo3 < lo && hi < hi3);
+        // zero errors: lower end clamps to 0, upper end stays positive
+        let mut clean = ErrorRate::new();
+        clean.record_batch(0, 1000);
+        let (lo0, hi0) = clean.wilson_interval(3.2905);
+        assert_eq!(lo0, 0.0);
+        assert!(hi0 > 0.0 && hi0 < 0.02);
     }
 
     #[test]

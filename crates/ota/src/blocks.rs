@@ -74,6 +74,15 @@ impl BlockedUpdate {
         self.blocks.iter().map(|b| b.payload.len() + 9).sum() // +framing
     }
 
+    /// Number of `Data` packets that carry [`Self::wire_stream`]: one per
+    /// [`DATA_PAYLOAD`](crate::protocol::DATA_PAYLOAD) bytes, the count
+    /// [`packetize`](crate::protocol::packetize) yields, without building
+    /// the stream.
+    pub fn packet_count(&self) -> usize {
+        self.compressed_len()
+            .div_ceil(crate::protocol::DATA_PAYLOAD)
+    }
+
     /// Assemble the over-the-air byte stream: every compressed block
     /// preceded by its 9-byte header (`index` LE u32, `raw_len` LE u32,
     /// one reserved zero byte). This is the exact stream the session
@@ -346,6 +355,12 @@ mod tests {
             let upd = BlockedUpdate::build(&img);
             let stream = upd.wire_stream();
             assert_eq!(stream.len(), upd.compressed_len(), "{}", img.name);
+            assert_eq!(
+                crate::protocol::packetize(&stream).len(),
+                upd.packet_count(),
+                "{}",
+                img.name
+            );
             let back = BlockedUpdate::unpack_wire_stream(&stream).unwrap();
             assert_eq!(back, img.data, "{}", img.name);
         }

@@ -16,8 +16,8 @@ use rand::{Rng, SeedableRng};
 use tinysdr_power::state::OtaEnergyModel;
 
 use crate::blocks::BlockedUpdate;
-use crate::protocol::{packetize, OtaMessage};
-use crate::seed::{node_stream_seed, STREAM_BROADCAST_PER, STREAM_SESSION};
+use crate::protocol::{ACK_WIRE_LEN, DATA_WIRE_LEN};
+use crate::seed::{node_stream_seed, STREAM_SESSION};
 use crate::session::{LinkModel, ACK_TIMEOUT_S, TURNAROUND_S};
 
 /// Result of one broadcast campaign.
@@ -60,36 +60,18 @@ impl Default for BroadcastConfig {
     }
 }
 
-/// Run a broadcast campaign over per-node links, with the per-node PER
-/// stream keyed by position (`node id == slice index`). Callers whose
-/// links are a subset or reordering of a larger fleet should use
-/// [`run_broadcast_keyed`] so each node keeps its own stream.
+/// Run a broadcast campaign over per-node links. Each node's PER is the
+/// exact [`LinkModel::downlink_per`] of its link; the shared-medium RNG
+/// hands out per-packet loss draws in slice order (one ether, one
+/// sequence of fades), so the engine is deterministic per
+/// `(seed, link order)`.
+///
+/// An empty `links` slice yields an empty, complete report.
 pub fn run_broadcast(
     update: &BlockedUpdate,
     links: &[LinkModel],
     cfg: &BroadcastConfig,
 ) -> BroadcastReport {
-    let ids: Vec<u64> = (0..links.len() as u64).collect();
-    run_broadcast_keyed(update, links, &ids, cfg)
-}
-
-/// [`run_broadcast`] with explicit node ids keying each node's PER
-/// sampling stream. The shared-medium RNG still hands out per-packet
-/// draws in slice order (one ether, one sequence of fades), so the
-/// engine is deterministic per `(seed, link order)`; the ids make the
-/// *per-node* statistics follow the node rather than its position.
-///
-/// An empty `links` slice yields an empty, complete report.
-///
-/// # Panics
-/// Panics if `links` and `node_ids` differ in length.
-pub fn run_broadcast_keyed(
-    update: &BlockedUpdate,
-    links: &[LinkModel],
-    node_ids: &[u64],
-    cfg: &BroadcastConfig,
-) -> BroadcastReport {
-    assert_eq!(links.len(), node_ids.len(), "one id per link");
     // node-side powers: the same shared calibration the unicast session
     // prices with (broadcast nodes do the identical station-keeping)
     let pw = OtaEnergyModel::paper();
@@ -104,40 +86,15 @@ pub fn run_broadcast_keyed(
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    // over-the-air stream, as in the unicast session
-    let mut stream = Vec::with_capacity(update.compressed_len());
-    for b in &update.blocks {
-        stream.extend_from_slice(&b.index.to_le_bytes());
-        stream.extend_from_slice(&b.raw_len.to_le_bytes());
-        stream.push(0);
-        stream.extend_from_slice(&b.payload);
-    }
-    let packets = packetize(&stream);
-    let n_packets = packets.len();
-
-    let data_wire = OtaMessage::Data {
-        seq: 0,
-        chunk: vec![0; 60],
-    }
-    .wire_len();
-    let nack_wire = OtaMessage::Ack { seq: 0 }.wire_len() + 8; // bitmap summary
+    let n_packets = update.packet_count();
+    let data_wire = DATA_WIRE_LEN;
+    let nack_wire = ACK_WIRE_LEN + 8; // bitmap summary
     let params = &links[0].params;
     let t_data = params.airtime_s(data_wire);
     let t_nack = params.airtime_s(nack_wire);
 
-    // per-node PER at the median RSSI (per-packet fading folded in by
-    // sampling around it, as in the unicast session); seeds are mixed
-    // per node so no node's PER sampling aliases the shared-medium RNG
-    let pers: Vec<f64> = links
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            l.downlink_per(
-                data_wire,
-                node_stream_seed(cfg.seed, node_ids[i], STREAM_BROADCAST_PER),
-            )
-        })
-        .collect();
+    // per-node PER at the median RSSI
+    let pers: Vec<f64> = links.iter().map(|l| l.downlink_per(data_wire)).collect();
 
     let mut missing: Vec<Vec<bool>> = links.iter().map(|_| vec![true; n_packets]).collect();
     let mut time = 0.0f64;

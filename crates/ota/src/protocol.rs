@@ -19,6 +19,13 @@ use tinysdr_lora::phy::crc16;
 /// balances the trade-off of protocol overhead versus range").
 pub const DATA_PAYLOAD: usize = 60;
 
+/// Wire size of a full `Data` message: tag, LE u32 `seq`, chunk length
+/// byte, a [`DATA_PAYLOAD`]-byte chunk and the CRC-16.
+pub const DATA_WIRE_LEN: usize = 1 + 4 + 1 + DATA_PAYLOAD + 2;
+
+/// Wire size of an `Ack` message: tag, LE u32 `seq` and the CRC-16.
+pub const ACK_WIRE_LEN: usize = 1 + 4 + 2;
+
 /// Device identifier in the testbed.
 pub type DeviceId = u16;
 
@@ -273,6 +280,8 @@ mod tests {
         };
         assert_eq!(m.wire_len(), 68);
         assert!(m.wire_len() <= 255);
+        assert_eq!(m.wire_len(), DATA_WIRE_LEN);
+        assert_eq!(OtaMessage::Ack { seq: 7 }.wire_len(), ACK_WIRE_LEN);
     }
 
     #[test]

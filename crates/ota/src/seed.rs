@@ -35,8 +35,6 @@ pub const STREAM_SESSION: u64 = 0x5E55_0001;
 pub const STREAM_INTERFERENCE: u64 = 0x1F7E_0002;
 /// Stream tag for the shared broadcast-medium RNG.
 pub const STREAM_BROADCAST: u64 = 0xB0AD_0003;
-/// Stream tag for per-node PER sampling inside the broadcast engine.
-pub const STREAM_BROADCAST_PER: u64 = 0xB0AD_0004;
 
 /// Campaign-level sub-stream seed: one derived RNG stream per `stream`
 /// tag (e.g. the shared broadcast medium). Independent of node count and
@@ -62,12 +60,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    const STREAMS: [u64; 4] = [
-        STREAM_SESSION,
-        STREAM_INTERFERENCE,
-        STREAM_BROADCAST,
-        STREAM_BROADCAST_PER,
-    ];
+    const STREAMS: [u64; 3] = [STREAM_SESSION, STREAM_INTERFERENCE, STREAM_BROADCAST];
 
     #[test]
     fn splitmix_avalanche_changes_roughly_half_the_bits() {

@@ -20,7 +20,7 @@ use tinysdr_rf::phy::PhyModem;
 use tinysdr_rf::sx1276::{self, LoRaParams};
 
 use crate::blocks::BlockedUpdate;
-use crate::protocol::{packetize, OtaMessage};
+use crate::protocol::{ACK_WIRE_LEN, DATA_WIRE_LEN};
 
 /// Node ACK transmit power, dBm. The AP uses a patch antenna ("connected
 /// to a patch antenna transmitting at 14 dBm"), whose gain benefits the
@@ -81,29 +81,21 @@ impl LinkModel {
     }
 
     /// Downlink PER for a `len`-byte packet at the median RSSI.
-    pub fn downlink_per(&self, len: usize, seed: u64) -> f64 {
-        sx1276::packet_error_rate(self.downlink_rssi_dbm, &self.params, len, 4000, seed)
+    pub fn downlink_per(&self, len: usize) -> f64 {
+        sx1276::packet_error_prob(self.downlink_rssi_dbm, &self.params, len)
     }
 
     /// Uplink (ACK) PER at the median RSSI.
-    pub fn uplink_per(&self, len: usize, seed: u64) -> f64 {
-        sx1276::packet_error_rate(self.uplink_rssi_dbm, &self.params, len, 4000, seed)
+    pub fn uplink_per(&self, len: usize) -> f64 {
+        sx1276::packet_error_prob(self.uplink_rssi_dbm, &self.params, len)
     }
 
     /// PER lookup table over integer-dB fading offsets −6..=+6 around
     /// the median, for fast per-packet draws.
-    fn per_table(&self, rssi: f64, len: usize, seed: u64) -> Vec<f64> {
-        (-6..=6)
-            .map(|o| {
-                sx1276::packet_error_rate(
-                    rssi + o as f64,
-                    &self.params,
-                    len,
-                    2000,
-                    seed ^ ((o + 7) as u64),
-                )
-            })
-            .collect()
+    fn per_table(&self, rssi_dbm: f64, len: usize) -> [f64; 13] {
+        std::array::from_fn(|i| {
+            sx1276::packet_error_prob(rssi_dbm + (i as f64 - 6.0), &self.params, len)
+        })
     }
 }
 
@@ -172,17 +164,8 @@ pub fn run_session(update: &BlockedUpdate, link: &LinkModel, cfg: &SessionConfig
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pw = OtaEnergyModel::paper();
 
-    // the over-the-air byte stream: shared with the tinysdr-link ARQ
-    // pipe, so both transports move byte-identical payloads
-    let stream = update.wire_stream();
-    let packets = packetize(&stream);
-
-    let data_wire = OtaMessage::Data {
-        seq: 0,
-        chunk: vec![0; 60],
-    }
-    .wire_len();
-    let ack_wire = OtaMessage::Ack { seq: 0 }.wire_len();
+    let n_packets = update.packet_count();
+    let (data_wire, ack_wire) = (DATA_WIRE_LEN, ACK_WIRE_LEN);
     // packet air time is charged through the PhyModem trait (the same
     // seam the conformance sweeps and the device use); for LoRa the
     // modem's closed form is the Semtech formula, so this is exact
@@ -190,8 +173,8 @@ pub fn run_session(update: &BlockedUpdate, link: &LinkModel, cfg: &SessionConfig
     let t_data = phy.airtime_len_s(data_wire);
     let t_ack = phy.airtime_len_s(ack_wire);
 
-    let per_down = link.per_table(link.downlink_rssi_dbm, data_wire, cfg.seed ^ 0xD0);
-    let per_up = link.per_table(link.uplink_rssi_dbm, ack_wire, cfg.seed ^ 0xAC);
+    let per_down = link.per_table(link.downlink_rssi_dbm, data_wire);
+    let per_up = link.per_table(link.uplink_rssi_dbm, ack_wire);
 
     let mut t = 0.0f64;
     let mut rx_mj = 0.0f64;
@@ -215,7 +198,7 @@ pub fn run_session(update: &BlockedUpdate, link: &LinkModel, cfg: &SessionConfig
     rx_s += t_data;
     tx_s += t_ack;
 
-    'outer: for _pkt in &packets {
+    'outer: for _ in 0..n_packets {
         let mut attempts = 0;
         let mut received = false;
         loop {
@@ -445,12 +428,7 @@ mod tests {
         assert!(!rep.completed);
         assert_eq!(rep.data_packets, 1, "only the first packet was ever aired");
         assert_eq!(rep.retransmissions, 1);
-        let data_wire = crate::protocol::OtaMessage::Data {
-            seq: 0,
-            chunk: vec![0; 60],
-        }
-        .wire_len() as u64;
-        let ack_wire = crate::protocol::OtaMessage::Ack { seq: 0 }.wire_len() as u64;
+        let (data_wire, ack_wire) = (DATA_WIRE_LEN as u64, ACK_WIRE_LEN as u64);
         // handshake (request + Ready) plus the single failed data
         // attempt; no end-of-update exchange on an aborted session
         assert_eq!(rep.bytes_over_air, 2 * data_wire + ack_wire);
@@ -468,7 +446,7 @@ mod tests {
         // the AN1200.13 formula the session engine always used
         let link = strong_link();
         let phy = link.phy();
-        for len in [1usize, OtaMessage::Ack { seq: 0 }.wire_len(), 69, 120] {
+        for len in [1usize, ACK_WIRE_LEN, 69, 120] {
             let via_phy = phy.airtime_len_s(len);
             let via_params = link.params.airtime_s(len);
             assert!(

@@ -10,10 +10,18 @@
 //! * the Semtech airtime formula (AN1200.13) used by the OTA protocol to
 //!   cost packets,
 //! * a statistical chirp-symbol error model (noncoherent `2^SF`-ary
-//!   detection, evaluated by a seeded closed-loop draw) that matches the
-//!   full sample-level demodulator in `tinysdr-lora` and lets the 20-node
-//!   testbed campaign run without per-sample simulation,
+//!   orthogonal detection) that matches the full sample-level
+//!   demodulator in `tinysdr-lora` and lets OTA campaigns run without
+//!   per-sample simulation. The production model is exact:
+//!   [`symbol_error_prob`] and [`packet_error_prob`] evaluate the error
+//!   probability by deterministic Gauss–Legendre quadrature, so every
+//!   caller gets the same noise-free number. The seeded Monte-Carlo
+//!   draws [`symbol_error_rate`] and [`packet_error_rate`] simulate the
+//!   same model symbol by symbol and stay as the statistical reference
+//!   the quadrature is tested against,
 //! * TX/RX/sleep supply power for the OTA energy budget (§5.3).
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,8 +136,203 @@ impl LoRaParams {
     }
 }
 
-/// Statistical chirp-symbol error-rate model for noncoherent `2^SF`-ary
-/// detection.
+/// Gauss–Legendre nodes per quadrature panel. Two panels of 24 nodes
+/// stay within 4e-6 relative error of a 30-digit reference for every
+/// SF 7..=12 and SNR −30..=0 dB with SER ≥ 1e-9; the unit tests gate
+/// 1e-4 against a 20k-panel Simpson rule.
+const GL_NODES: usize = 24;
+
+/// Gauss–Legendre `(node, weight)` pairs on `[−1, 1]`, computed once by
+/// Newton iteration on the Legendre recurrence.
+fn gauss_legendre() -> &'static [(f64, f64); GL_NODES] {
+    static RULE: OnceLock<[(f64, f64); GL_NODES]> = OnceLock::new();
+    RULE.get_or_init(|| {
+        let n = GL_NODES as f64;
+        // P_n(x) and P_n'(x) by the three-term recurrence
+        let legendre = |x: f64| {
+            let (mut p0, mut p1) = (1.0, x);
+            for k in 2..=GL_NODES {
+                let k = k as f64;
+                (p0, p1) = (p1, ((2.0 * k - 1.0) * x * p1 - (k - 1.0) * p0) / k);
+            }
+            (p1, n * (x * p1 - p0) / (x * x - 1.0))
+        };
+        let mut rule = [(0.0, 0.0); GL_NODES];
+        for (i, node) in rule.iter_mut().enumerate() {
+            let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n + 0.5)).cos();
+            for _ in 0..100 {
+                let (p, dp) = legendre(x);
+                let dx = p / dp;
+                x -= dx;
+                if dx.abs() < 1e-15 {
+                    break;
+                }
+            }
+            let (_, dp) = legendre(x);
+            *node = (x, 2.0 / ((1.0 - x * x) * dp * dp));
+        }
+        rule
+    })
+}
+
+/// `∫ f` over `[lo, hi]` with the fixed Gauss–Legendre rule.
+fn gauss_legendre_panel(lo: f64, hi: f64, f: impl Fn(f64) -> f64) -> f64 {
+    let half = 0.5 * (hi - lo);
+    half * gauss_legendre()
+        .iter()
+        .map(|&(x, w)| w * f(lo + half * (x + 1.0)))
+        .sum::<f64>()
+}
+
+/// Cephes Chebyshev coefficients for `I0e` on `[0, 8]` (argument
+/// `x/2 − 2`).
+const I0E_SMALL: [f64; 30] = [
+    -4.4153416464793395e-18,
+    3.3307945188222384e-17,
+    -2.431279846547955e-16,
+    1.715391285555133e-15,
+    -1.1685332877993451e-14,
+    7.676185498604936e-14,
+    -4.856446783111929e-13,
+    2.95505266312964e-12,
+    -1.726826291441556e-11,
+    9.675809035373237e-11,
+    -5.189795601635263e-10,
+    2.6598237246823866e-9,
+    -1.300025009986248e-8,
+    6.046995022541919e-8,
+    -2.670793853940612e-7,
+    1.1173875391201037e-6,
+    -4.4167383584587505e-6,
+    1.6448448070728896e-5,
+    -5.754195010082104e-5,
+    1.8850288509584165e-4,
+    -5.763755745385824e-4,
+    1.6394756169413357e-3,
+    -4.324309995050576e-3,
+    1.0546460394594998e-2,
+    -2.373741480589947e-2,
+    4.930528423967071e-2,
+    -9.490109704804764e-2,
+    1.7162090152220877e-1,
+    -3.046826723431984e-1,
+    6.767952744094761e-1,
+];
+
+/// Cephes Chebyshev coefficients for `√x · I0e(x)` on `(8, ∞)`
+/// (argument `32/x − 2`).
+const I0E_LARGE: [f64; 25] = [
+    -7.233180487874754e-18,
+    -4.830504485944182e-18,
+    4.46562142029676e-17,
+    3.461222867697461e-17,
+    -2.8276239805165836e-16,
+    -3.425485619677219e-16,
+    1.7725601330565263e-15,
+    3.8116806693526224e-15,
+    -9.554846698828307e-15,
+    -4.150569347287222e-14,
+    1.54008621752141e-14,
+    3.8527783827421426e-13,
+    7.180124451383666e-13,
+    -1.7941785315068062e-12,
+    -1.3215811840447713e-11,
+    -3.1499165279632416e-11,
+    1.1889147107846439e-11,
+    4.94060238822497e-10,
+    3.3962320257083865e-9,
+    2.266668990498178e-8,
+    2.0489185894690638e-7,
+    2.8913705208347567e-6,
+    6.889758346916825e-5,
+    3.3691164782556943e-3,
+    8.044904110141088e-1,
+];
+
+/// Clenshaw evaluation of a Cephes-ordered Chebyshev series at `x`.
+fn chebyshev(x: f64, coef: &[f64]) -> f64 {
+    let (mut b0, mut b1, mut b2) = (0.0, 0.0, 0.0);
+    for &c in coef {
+        b2 = b1;
+        b1 = b0;
+        b0 = x * b1 - b2 + c;
+    }
+    0.5 * (b0 - b2)
+}
+
+/// Exponentially scaled modified Bessel function of the first kind,
+/// order zero: `I0e(x) = e^{−|x|}·I0(x)`. The scaling keeps the Rician
+/// density finite for any SNR, where `I0` alone overflows past `x ≈ 713`.
+fn i0e(x: f64) -> f64 {
+    let x = x.abs();
+    if x <= 8.0 {
+        chebyshev(x / 2.0 - 2.0, &I0E_SMALL)
+    } else {
+        chebyshev(32.0 / x - 2.0, &I0E_LARGE) / x.sqrt()
+    }
+}
+
+/// Integrand of [`symbol_error_prob`] at Rician amplitude `r`: the
+/// density of `r = |a + n|` (`n ~ CN(0,1)`) times the probability that
+/// the largest of `m − 1` unit-exponential noise bins beats `r²`,
+/// `1 − (1 − e^{−r²})^{m−1}`, computed without the `1 − x` cancellation.
+fn symbol_error_integrand(r: f64, a: f64, m: f64) -> f64 {
+    let d2 = (r - a) * (r - a);
+    if d2 > 750.0 {
+        // e^{−750} underflows to 0 and every other factor is finite
+        return 0.0;
+    }
+    let miss = -((m - 1.0) * (-(-r * r).exp()).ln_1p()).exp_m1();
+    2.0 * r * (-d2).exp() * i0e(2.0 * r * a) * miss
+}
+
+/// Exact chirp-symbol error probability for noncoherent `2^SF`-ary
+/// orthogonal detection — the model [`symbol_error_rate`] samples.
+///
+/// With `γ = 2^SF · SNR` and `a = √γ`, the signal bin's amplitude `r` is
+/// Rician and a symbol errs when one of the `M − 1 = 2^SF − 1` noise
+/// bins beats `r²`:
+///
+/// `P_e = ∫₀^{a+8} 2r·e^{−(r−a)²}·I0e(2ra) · [1 − (1 − e^{−r²})^{M−1}] dr`
+///
+/// The error probability is integrated directly; `1 − P_c` and the
+/// alternating closed-form sum both cancel catastrophically at M = 256.
+/// The Rician density beyond `a + 8` is below `e^{−64}`. The conditional
+/// error drops from 1 to 0 over a fraction of a unit around
+/// `r₀ = √ln(M − 1)`, so the interval splits there into two
+/// Gauss–Legendre panels whose nodes crowd that step.
+///
+/// # Panics
+/// Panics for spreading factors outside 6..=12.
+pub fn symbol_error_prob(snr_db: f64, sf: u8) -> f64 {
+    assert!((6..=12).contains(&sf), "LoRa SF must be 6..=12, got {sf}");
+    let m = (1u64 << sf) as f64;
+    let a = (m * crate::units::db_to_lin(snr_db)).sqrt();
+    let r0 = (m - 1.0).ln().sqrt();
+    let f = |r| symbol_error_integrand(r, a, m);
+    let pe = gauss_legendre_panel(0.0, r0, f) + gauss_legendre_panel(r0, a + 8.0, f);
+    // the exact value lies in [0, (M−1)/M]; clamp the rounding residue
+    pe.clamp(0.0, (m - 1.0) / m)
+}
+
+/// SNR at the receiver for a given RSSI under this chip's noise figure.
+fn snr_at_db(rssi_dbm: f64, params: &LoRaParams) -> f64 {
+    rssi_dbm - noise_floor_dbm(params.bw_hz, NOISE_FIGURE_DB)
+}
+
+/// Exact packet error probability at a given RSSI: a packet of
+/// `payload_symbols(payload_len)` data symbols fails if any symbol errs
+/// (no FEC credit — conservative, matching the paper's uncoded
+/// chirp-symbol experiments), with [`symbol_error_prob`] per symbol.
+pub fn packet_error_prob(rssi_dbm: f64, params: &LoRaParams, payload_len: usize) -> f64 {
+    let ser = symbol_error_prob(snr_at_db(rssi_dbm, params), params.sf);
+    let n = params.payload_symbols(payload_len) as f64;
+    -(n * (-ser).ln_1p()).exp_m1()
+}
+
+/// Monte-Carlo estimate of the chirp-symbol error rate for noncoherent
+/// `2^SF`-ary detection: the statistical reference for
+/// [`symbol_error_prob`], which production code uses instead.
 ///
 /// Model: after dechirp + FFT, the correct bin holds `|√γ + n|²` with
 /// `γ = Es/N0 = 2^SF · SNR` and `n ~ CN(0,1)`; the other `2^SF − 1` bins
@@ -137,7 +340,8 @@ impl LoRaParams {
 /// A symbol errs when the max noise bin beats the signal bin. This is
 /// the textbook noncoherent orthogonal-signalling model; the sample-level
 /// demodulator in `tinysdr-lora` reproduces it within measurement noise
-/// (see that crate's cross-validation test).
+/// (see the workspace's `statistical_model_matches_sample_level_demod`).
+/// The estimate carries binomial noise of `√(p(1−p)/trials)`.
 pub fn symbol_error_rate(snr_db: f64, sf: u8, trials: u32, seed: u64) -> f64 {
     assert!((6..=12).contains(&sf));
     let m = (1u64 << sf) as f64;
@@ -163,9 +367,10 @@ pub fn symbol_error_rate(snr_db: f64, sf: u8, trials: u32, seed: u64) -> f64 {
     errors as f64 / trials as f64
 }
 
-/// Packet error rate at a given RSSI for this model: a packet of
-/// `n_symbols` data symbols fails if any symbol errs (no FEC credit —
-/// conservative, matching the paper's uncoded chirp-symbol experiments).
+/// Monte-Carlo packet error rate at a given RSSI: [`packet_error_prob`]
+/// with the per-symbol probability estimated by [`symbol_error_rate`].
+/// Kept as the statistical reference; production code uses
+/// [`packet_error_prob`].
 pub fn packet_error_rate(
     rssi_dbm: f64,
     params: &LoRaParams,
@@ -173,8 +378,7 @@ pub fn packet_error_rate(
     trials: u32,
     seed: u64,
 ) -> f64 {
-    let snr_db = rssi_dbm - noise_floor_dbm(params.bw_hz, NOISE_FIGURE_DB);
-    let ser = symbol_error_rate(snr_db, params.sf, trials, seed);
+    let ser = symbol_error_rate(snr_at_db(rssi_dbm, params), params.sf, trials, seed);
     let n = params.payload_symbols(payload_len) as f64;
     1.0 - (1.0 - ser).powf(n)
 }
@@ -281,6 +485,137 @@ mod tests {
         assert!(p5.payload_symbols(40) > p5.payload_symbols(20));
     }
 
+    /// `I0(x)·e^{−x}` by the power series of `I0` (all terms positive,
+    /// so summing them cannot cancel).
+    fn i0e_series(x: f64) -> f64 {
+        let q = x * x / 4.0;
+        let (mut term, mut sum, mut k) = (1.0f64, 1.0f64, 0.0f64);
+        while term > sum * 1e-18 {
+            k += 1.0;
+            term *= q / (k * k);
+            sum += term;
+        }
+        sum * (-x).exp()
+    }
+
+    /// `I0e(x)` by Hankel's asymptotic expansion, exact to rounding for
+    /// large `x` (its smallest term is ≈ `e^{−2x}`).
+    fn i0e_asymptotic(x: f64) -> f64 {
+        let (mut term, mut sum, mut k) = (1.0f64, 1.0f64, 0.0f64);
+        while term.abs() > sum * 1e-18 {
+            k += 1.0;
+            term *= (2.0 * k - 1.0) * (2.0 * k - 1.0) / (8.0 * k * x);
+            sum += term;
+        }
+        sum / (std::f64::consts::TAU * x).sqrt()
+    }
+
+    #[test]
+    fn i0e_matches_series_and_asymptotic_expansion() {
+        let rel = |got: f64, want: f64| ((got - want) / want).abs();
+        assert_eq!(i0e(0.0), 1.0);
+        assert!(rel(i0e(1.0), 0.465_759_607_593_640_4) < 1e-15);
+        assert!(rel(i0e(-1.0), i0e(1.0)) == 0.0, "even function");
+        for i in 1..=4000 {
+            let x = i as f64 * 0.01;
+            let e = rel(i0e(x), i0e_series(x));
+            assert!(e < 1e-14, "x = {x}: relative error {e:e}");
+        }
+        for i in 0..=100 {
+            let x = 40.0 * 10f64.powf(i as f64 * 0.05);
+            let e = rel(i0e(x), i0e_asymptotic(x));
+            assert!(e < 1e-14, "x = {x}: relative error {e:e}");
+        }
+    }
+
+    #[test]
+    fn gauss_legendre_rule_is_exact_for_low_degree_polynomials() {
+        // an n-node rule integrates every polynomial of degree < 2n
+        for k in 0..2 * GL_NODES as i32 {
+            let got = gauss_legendre_panel(0.0, 1.0, |x| x.powi(k));
+            let want = 1.0 / (k + 1) as f64;
+            assert!((got - want).abs() < 1e-14, "x^{k}: {got} vs {want}");
+        }
+    }
+
+    /// High-resolution reference for the quadrature: composite Simpson
+    /// over the same integrand and interval.
+    fn simpson_ser(snr_db: f64, sf: u8, panels: usize) -> f64 {
+        let m = (1u64 << sf) as f64;
+        let a = (m * crate::units::db_to_lin(snr_db)).sqrt();
+        let hi = a + 8.0;
+        let h = hi / panels as f64;
+        let f = |r| symbol_error_integrand(r, a, m);
+        let inner: f64 = (1..panels)
+            .map(|i| f(i as f64 * h) * if i % 2 == 1 { 4.0 } else { 2.0 })
+            .sum();
+        (f(0.0) + inner + f(hi)) * h / 3.0
+    }
+
+    #[test]
+    fn quadrature_matches_high_resolution_simpson() {
+        let mut checked = 0;
+        for sf in 7u8..=12 {
+            for snr in -30..=0 {
+                let snr = snr as f64;
+                let reference = simpson_ser(snr, sf, 20_000);
+                if reference < 1e-9 {
+                    continue;
+                }
+                let q = symbol_error_prob(snr, sf);
+                let e = ((q - reference) / reference).abs();
+                assert!(
+                    e <= 1e-4,
+                    "SF{sf} {snr} dB: quadrature {q:e} vs Simpson {reference:e} (rel {e:e})"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} points above 1e-9");
+    }
+
+    #[test]
+    fn quadrature_agrees_with_monte_carlo_through_the_transition() {
+        // 200k-trial draws of the same model must bracket the exact value
+        // at 99.9% confidence everywhere the SER moves
+        use tinysdr_dsp::stats::ErrorRate;
+        let trials = 200_000u32;
+        for (k, sf) in [7u8, 8, 12].into_iter().enumerate() {
+            let thr = required_snr_db(sf);
+            for (j, off) in [-6.0, -4.0, -2.0, 0.0].into_iter().enumerate() {
+                let snr = thr + off;
+                let mc = symbol_error_rate(snr, sf, trials, 100 + (4 * k + j) as u64);
+                let mut count = ErrorRate::new();
+                count.record_batch((mc * trials as f64).round() as u64, trials as u64);
+                let (lo, hi) = count.wilson_interval(3.2905);
+                let exact = symbol_error_prob(snr, sf);
+                assert!(
+                    (lo..=hi).contains(&exact),
+                    "SF{sf} {snr} dB: exact {exact:.5} outside MC interval [{lo:.5}, {hi:.5}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ser_is_bounded_monotone_and_finite() {
+        for sf in 6u8..=12 {
+            let m = (1u64 << sf) as f64;
+            let mut prev = f64::INFINITY;
+            for i in 0..=1000 {
+                let snr = -60.0 + 0.1 * i as f64;
+                let s = symbol_error_prob(snr, sf);
+                assert!(s.is_finite(), "SF{sf} {snr} dB: {s}");
+                assert!(
+                    (0.0..=(m - 1.0) / m).contains(&s),
+                    "SF{sf} {snr} dB: {s} out of range"
+                );
+                assert!(s <= prev, "SF{sf}: SER rose to {s:e} at {snr} dB from {prev:e}");
+                prev = s;
+            }
+        }
+    }
+
     #[test]
     fn ser_transitions_at_required_snr() {
         // At the datasheet threshold the SER is small; 4 dB above, near
@@ -288,10 +623,10 @@ mod tests {
         // M-ary transition is ~10 dB wide, as in the paper's Fig. 11.
         for sf in [7u8, 8, 10, 12] {
             let thr = required_snr_db(sf);
-            let at = symbol_error_rate(thr, sf, 20_000, 1);
-            let above = symbol_error_rate(thr + 4.0, sf, 20_000, 2);
-            let mid = symbol_error_rate(thr - 6.0, sf, 20_000, 3);
-            let below = symbol_error_rate(thr - 12.0, sf, 20_000, 4);
+            let at = symbol_error_prob(thr, sf);
+            let above = symbol_error_prob(thr + 4.0, sf);
+            let mid = symbol_error_prob(thr - 6.0, sf);
+            let below = symbol_error_prob(thr - 12.0, sf);
             assert!(at < 0.1, "SF{sf} at threshold: {at}");
             assert!(above < 0.01, "SF{sf} above: {above}");
             assert!(mid > 0.1, "SF{sf} mid-transition: {mid}");
@@ -313,8 +648,8 @@ mod tests {
     fn per_collapses_at_sensitivity() {
         let p = LoRaParams::new(8, 125e3, 5);
         let sens = p.sensitivity_dbm();
-        let good = packet_error_rate(sens + 4.0, &p, 3, 20_000, 5);
-        let bad = packet_error_rate(sens - 6.0, &p, 3, 20_000, 6);
+        let good = packet_error_prob(sens + 4.0, &p, 3);
+        let bad = packet_error_prob(sens - 6.0, &p, 3);
         assert!(good < 0.1, "PER above sensitivity {good}");
         assert!(bad > 0.9, "PER below sensitivity {bad}");
     }

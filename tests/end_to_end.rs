@@ -142,8 +142,8 @@ fn ota_update_then_protocol_switch() {
     assert_eq!(dev.fpga.loaded_design(), Some("ble_beacon"));
 }
 
-/// Cross-validation: the statistical SX1276 symbol-error model and the
-/// sample-level demodulator agree through the SNR transition.
+/// Cross-validation: the exact SX1276 symbol-error model (quadrature)
+/// and the sample-level demodulator agree through the SNR transition.
 #[test]
 fn statistical_model_matches_sample_level_demod() {
     use rand::rngs::StdRng;
@@ -163,7 +163,7 @@ fn statistical_model_matches_sample_level_demod() {
         let mut ch = AwgnChannel::new(4.5, (1000 + snr_db as i64) as u64);
         ch.apply(&mut sig, rssi, chirp.fs());
         let measured = demod.symbol_error_rate(&sig, &syms);
-        let model = sx1276::symbol_error_rate(snr_db, 8, 30_000, 9);
+        let model = sx1276::symbol_error_prob(snr_db, 8);
         assert!(
             (measured - model).abs() < 0.12,
             "SNR {snr_db}: sample-level {measured:.3} vs model {model:.3}"
