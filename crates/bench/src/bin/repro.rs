@@ -14,6 +14,9 @@
 //! repro --json waterfall    # canonical JSON report on stdout
 //! ```
 //!
+//! An unknown experiment name or flag prints the usage line and exits
+//! 2, so a typo never passes as an empty run.
+//!
 //! `--json` works for exactly one of `waterfall`, `campaign`,
 //! `energy`, `perf`, or `link` and prints the experiment's canonical JSON
 //! document — the *same* bytes a `tinysdr-testbedd` job of the same
@@ -69,6 +72,39 @@ const QUICK: Effort = Effort {
     bits: 20_000,
 };
 
+const USAGE: &str = "usage: repro [--quick] [--json] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
+
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig2",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15a",
+    "fig15b",
+    "sec51",
+    "sec52",
+    "sec53",
+    "sec6",
+    "ablation",
+    "waterfall",
+    "energy",
+    "campaign",
+    "perf",
+    "link",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -78,8 +114,22 @@ fn main() {
         .filter(|a| !a.starts_with('-'))
         .map(|s| s.as_str())
         .collect();
+    // a typo must not pass as an empty run: unknown names and flags
+    // exit 2 like a missing name does
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(|s| s.as_str())
+        .filter(|a| match a.strip_prefix("--") {
+            Some(flag) => !["quick", "json"].contains(&flag),
+            None => !EXPERIMENTS.contains(a),
+        })
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("repro: unknown argument(s): {}\n{USAGE}", unknown.join(" "));
+        std::process::exit(2);
+    }
     if wanted.is_empty() {
-        eprintln!("usage: repro [--quick] [--json] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--json") {

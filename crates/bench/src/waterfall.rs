@@ -608,11 +608,12 @@ struct CurveJob {
 struct WorkerScratch {
     chain: ChainScratch,
     prep: PreparedPass,
-    rx: Vec<Vec<Complex>>,
+    /// The one capture in flight: each RSSI point is applied into it,
+    /// demodulated and scored before the next point overwrites it.
+    rx: Vec<Complex>,
 }
 
-/// Measure one curve, appending its points to `out` in ascending-RSSI
-/// order.
+/// Measure one curve: its points in ascending-RSSI order.
 ///
 /// The hot-path structure (the tentpole of the perf work, see
 /// `BENCH_waterfall.json`): per pass, [`ImpairmentChain::prepare_pass_into`]
@@ -620,8 +621,9 @@ struct WorkerScratch {
 /// imbalance, CFO, phase noise, the fading draws and the full AWGN
 /// vector — **once**, and every RSSI point replays it with
 /// [`ImpairmentChain::apply_prepared_into`] (scale, fade, add noise,
-/// quantize). Receive goes through [`PhyModem::demodulate_batch`], so a
-/// modem's demod scratch is shared across the curve's captures. Error
+/// quantize) into the worker's single capture buffer, which is
+/// demodulated and scored at once. Streaming the RSSI axis keeps one
+/// capture per worker resident instead of one per grid point. Error
 /// counts accumulate per point over passes in exact integer arithmetic,
 /// so the pass-major loop order leaves the totals bit-identical to the
 /// point-major reference.
@@ -630,8 +632,7 @@ fn run_curve(
     ctxs: &[Ctx],
     job: &CurveJob,
     ws: &mut WorkerScratch,
-    out: &mut Vec<SweepPoint>,
-) {
+) -> Vec<SweepPoint> {
     let sc = &cfg.scenarios[job.s_idx];
     let phy = sc.phy.as_ref();
     let named = &cfg.impairments[job.i_idx];
@@ -645,39 +646,41 @@ fn run_curve(
     // the waterfall is monotone at modest trial counts
     let curve_seed = curve_seed(cfg.seed, job.s_idx, job.i_idx);
     let mut counts = vec![ErrorCount::ZERO; rssis.len()];
-    ws.rx.resize_with(rssis.len(), Vec::new);
     for k in 0..sc.passes {
         let pass_seed = stream_seed(curve_seed, TAG_CHAIN ^ ((k as u64) << 20));
         chain.prepare_pass_into(&ctx.tx, fs, pass_seed, &mut ws.prep, &mut ws.chain);
-        for (rx, &rssi_dbm) in ws.rx.iter_mut().zip(&rssis) {
-            chain.apply_prepared_into(&ws.prep, rssi_dbm, rx);
-        }
-        let captures: Vec<&[Complex]> = ws.rx.iter().map(|r| r.as_slice()).collect();
-        for (count, res) in counts.iter_mut().zip(phy.demodulate_batch(&captures)) {
-            *count += phy.count_errors(&ctx.frame, &res);
+        for (count, &rssi_dbm) in counts.iter_mut().zip(&rssis) {
+            chain.apply_prepared_into(&ws.prep, rssi_dbm, &mut ws.rx);
+            for res in phy.demodulate_batch(&[ws.rx.as_slice()]) {
+                *count += phy.count_errors(&ctx.frame, &res);
+            }
         }
     }
-    for (&rssi_dbm, count) in rssis.iter().zip(&counts) {
-        out.push(SweepPoint {
+    rssis
+        .iter()
+        .zip(&counts)
+        .map(|(&rssi_dbm, count)| SweepPoint {
             scenario: phy.label(),
             impairment: named.label.clone(),
             rssi_dbm,
             errors: count.errors,
             trials: count.trials,
-        });
-    }
+        })
+        .collect()
 }
 
 /// Run a conformance sweep.
 ///
 /// With `cfg.shards == 1` the grid is measured sequentially; with more,
-/// the curve-job list (one job per `scenario × impairment` curve) is
-/// split into contiguous chunks across crossbeam scoped threads, each
-/// worker holding one `WorkerScratch` arena for its whole batch.
-/// Either way the result is **bit-identical** for the same config and
-/// seed — every point's randomness is derived from content, not from
-/// execution order (asserted by `tests/waterfall.rs` and the CI smoke
-/// step).
+/// crossbeam scoped workers claim curves (one per `scenario ×
+/// impairment` pair) from a shared atomic cursor — a worker that drew
+/// cheap curves simply claims more, so one expensive scenario no longer
+/// strands the others idle — each holding one `WorkerScratch` arena for
+/// everything it measures. Workers return `(curve index, points)` and
+/// the points are reassembled by curve index. Either way the result is
+/// **bit-identical** for the same config and seed — every point's
+/// randomness is derived from content, not from execution order
+/// (asserted by `tests/waterfall.rs` and the CI smoke step).
 ///
 /// # Panics
 /// Propagates a panic from any sweep shard: a dead shard must abort
@@ -748,52 +751,38 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
         }
     }
     let total_curves = jobs.len();
-    let done = AtomicUsize::new(0);
+    let cursor = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
 
-    let points: Vec<SweepPoint> = if cfg.shards <= 1 {
+    // claim → cancel check → measure, until the cursor runs off the
+    // list; the token is polled once per claimed curve, so a fuse token
+    // counts curves exactly as the sequential loop always has
+    let worker = || {
         let mut ws = WorkerScratch::default();
-        let mut acc = Vec::new();
-        for j in &jobs {
+        let mut measured: Vec<(usize, Vec<SweepPoint>)> = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(idx) else { break };
+            if aborted.load(Ordering::Relaxed) {
+                break;
+            }
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 aborted.store(true, Ordering::Relaxed);
                 break;
             }
-            run_curve(cfg, &ctxs, j, &mut ws, &mut acc);
-            done.fetch_add(1, Ordering::Relaxed);
+            measured.push((idx, run_curve(cfg, &ctxs, job, &mut ws)));
         }
-        acc
+        measured
+    };
+    let workers = cfg.shards.clamp(1, total_curves.max(1));
+    // finished curves only: a claimed curve is either measured whole or
+    // abandoned before it starts
+    let mut curves: Vec<(usize, Vec<SweepPoint>)> = if workers == 1 {
+        worker()
     } else {
-        let chunk = jobs.len().div_ceil(cfg.shards).max(1);
         thread::scope(|s| {
-            // jobs are chunked contiguously and handles joined in spawn
-            // order, so concatenation preserves the (scenario,
-            // impairment, ascending RSSI) grid order exactly
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .map(|batch| {
-                    let ctxs = &ctxs;
-                    let done = &done;
-                    let aborted = &aborted;
-                    s.spawn(move |_| {
-                        let mut ws = WorkerScratch::default();
-                        let mut acc = Vec::new();
-                        for j in batch {
-                            if aborted.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if cancel.is_some_and(|c| c.is_cancelled()) {
-                                aborted.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            run_curve(cfg, ctxs, j, &mut ws, &mut acc);
-                            done.fetch_add(1, Ordering::Relaxed);
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            let mut acc = Vec::new();
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| worker())).collect();
+            let mut acc = Vec::with_capacity(total_curves);
             for h in handles {
                 // lint: allow(unjustified-panic, a dead shard must abort the sweep or determinism would hide missing points)
                 acc.extend(h.join().expect("waterfall shard panicked"));
@@ -805,11 +794,16 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
     };
     if aborted.load(Ordering::Relaxed) {
         return SweepRun::Cancelled {
-            curves_done: done.load(Ordering::Relaxed),
+            curves_done: curves.len(),
             total_curves,
         };
     }
-    SweepRun::Complete(WaterfallReport { points })
+    // curve index order is (scenario, impairment) order, and each
+    // curve's points ascend in RSSI
+    curves.sort_unstable_by_key(|&(idx, _)| idx);
+    SweepRun::Complete(WaterfallReport {
+        points: curves.into_iter().flat_map(|(_, pts)| pts).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -889,11 +883,59 @@ mod tests {
 
     #[test]
     fn sharded_sweep_is_bit_identical_to_sequential() {
-        let cfg = tiny();
-        let seq = run_waterfall(&cfg);
-        for shards in [2usize, 5] {
-            let par = run_waterfall(&cfg.clone().sharded(shards));
-            assert_eq!(seq, par, "{shards} shards diverged from sequential");
+        for cfg in [tiny(), uneven()] {
+            let curves = cfg.scenarios.len() * cfg.impairments.len();
+            let seq = run_waterfall(&cfg);
+            for shards in [2usize, 3, 5, 7, curves + 5] {
+                let par = run_waterfall(&cfg.clone().sharded(shards));
+                assert_eq!(seq, par, "{shards} shards diverged from sequential");
+            }
+        }
+    }
+
+    /// A deliberately unbalanced grid: two cheap single-point scenarios
+    /// first, one expensive multi-point scenario last — the worst case
+    /// for any static split of the curve list.
+    fn uneven() -> WaterfallConfig {
+        let mut cfg = tiny();
+        cfg.scenarios = vec![
+            Scenario::lora_ser(7, 125e3, 8).with_rssi(RssiGrid::new(-130, -130, 1)),
+            Scenario::zigbee_oqpsk(2, 16).with_rssi(RssiGrid::new(-96, -96, 1)),
+            Scenario::lora_ser(9, 125e3, 48).with_rssi(RssiGrid::new(-136, -124, 4)),
+        ];
+        cfg
+    }
+
+    #[test]
+    fn cursor_schedule_cancels_on_finished_curves_only() {
+        let cfg = uneven();
+        let total = cfg.scenarios.len() * cfg.impairments.len();
+        for shards in [1usize, 2, 3] {
+            // every poll before the fuse's third lets exactly one claimed
+            // curve run to completion, whichever worker made it
+            match run_waterfall_cancellable(
+                &cfg.clone().sharded(shards),
+                &CancelToken::cancelled_after(3),
+            ) {
+                SweepRun::Cancelled {
+                    curves_done,
+                    total_curves,
+                } => {
+                    assert_eq!(curves_done, 2, "{shards} shards");
+                    assert_eq!(total_curves, total);
+                }
+                SweepRun::Complete(_) => panic!("{shards} shards: fuse token completed"),
+            }
+        }
+        // a fuse that outlasts the grid never trips: one poll per curve
+        match run_waterfall_cancellable(
+            &cfg.clone().sharded(2),
+            &CancelToken::cancelled_after(total + 1),
+        ) {
+            SweepRun::Complete(rep) => assert_eq!(rep, run_waterfall(&cfg)),
+            SweepRun::Cancelled { curves_done, .. } => {
+                panic!("cancelled after {curves_done} curves with a long fuse")
+            }
         }
     }
 

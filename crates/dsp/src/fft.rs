@@ -14,9 +14,12 @@ use crate::complex::Complex;
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    log2n: u32,
-    /// Twiddles for the forward transform: `exp(-j 2π k / n)` for `k < n/2`.
-    twiddles: Vec<Complex>,
+    /// Forward twiddles laid out stage by stage: the stage with
+    /// half-width `h` reads `stage_twiddles[h − 1 .. 2h − 1]`, entry `k`
+    /// being `exp(-j 2π k / 2h)` — the value a strided walk of the
+    /// `n/2`-entry table would load (it is copied from it), stored
+    /// contiguously so every stage streams its twiddles in order.
+    stage_twiddles: Vec<Complex>,
     /// Bit-reversal permutation.
     rev: Vec<u32>,
 }
@@ -32,20 +35,26 @@ impl FftPlan {
             "FFT size must be a power of two >= 2, got {n}"
         );
         let log2n = n.trailing_zeros();
-        let twiddles = (0..n / 2)
+        let twiddles: Vec<Complex> = (0..n / 2)
             .map(|k| {
                 let theta = -std::f64::consts::TAU * k as f64 / n as f64;
                 Complex::from_angle(theta)
             })
             .collect();
+        let mut stage_twiddles = Vec::with_capacity(n - 1);
+        let mut half = 1;
+        while half < n {
+            let step = n / (2 * half);
+            stage_twiddles.extend(twiddles.iter().step_by(step).take(half));
+            half *= 2;
+        }
         let mut rev = vec![0u32; n];
         for i in 0..n {
             rev[i] = (rev[i >> 1] >> 1) | (((i & 1) as u32) << (log2n - 1));
         }
         FftPlan {
             n,
-            log2n,
-            twiddles,
+            stage_twiddles,
             rev,
         }
     }
@@ -71,7 +80,7 @@ impl FftPlan {
     pub fn forward(&self, buf: &mut [Complex]) {
         assert_eq!(buf.len(), self.n, "FFT buffer length mismatch");
         self.permute(buf);
-        self.butterflies(buf, false);
+        self.butterflies::<false>(buf);
     }
 
     /// In-place inverse DFT with `1/N` normalization.
@@ -81,7 +90,7 @@ impl FftPlan {
     pub fn inverse(&self, buf: &mut [Complex]) {
         assert_eq!(buf.len(), self.n, "FFT buffer length mismatch");
         self.permute(buf);
-        self.butterflies(buf, true);
+        self.butterflies::<true>(buf);
         let inv = 1.0 / self.n as f64;
         for s in buf.iter_mut() {
             *s = s.scale(inv);
@@ -124,22 +133,26 @@ impl FftPlan {
         }
     }
 
-    fn butterflies(&self, buf: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        for stage in 0..self.log2n {
-            let len = 2usize << stage;
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * step];
-                    let tw = if inverse { tw.conj() } else { tw };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * tw;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+    /// Radix-2 decimation-in-time stages over a bit-reversed buffer.
+    /// Each stage splits every `2h`-block into its halves and walks them
+    /// against the stage's contiguous twiddle run. Each butterfly forms
+    /// `y = b·w`, then `a + y` and `a − y`.
+    fn butterflies<const INVERSE: bool>(&self, buf: &mut [Complex]) {
+        let mut half = 1;
+        while half < self.n {
+            // lint: allow(unchecked-index, the table holds n − 1 entries and half < n)
+            let tw = &self.stage_twiddles[half - 1..2 * half - 1];
+            for block in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let w = if INVERSE { w.conj() } else { w };
+                    let x = *a;
+                    let y = *b * w;
+                    *a = x + y;
+                    *b = x - y;
                 }
             }
+            half *= 2;
         }
     }
 }
@@ -274,6 +287,62 @@ mod tests {
                 acc += xi * Complex::from_angle(theta);
             }
             assert_close(bin, acc, 1e-9);
+        }
+    }
+
+    /// The strided-twiddle radix-2 kernel the per-stage tables replaced:
+    /// one `n/2`-entry table, loaded at stride `n / len` per stage.
+    fn strided_reference(x: &[Complex], inverse: bool) -> Vec<Complex> {
+        let n = x.len();
+        let twiddles: Vec<Complex> = (0..n / 2)
+            .map(|k| Complex::from_angle(-std::f64::consts::TAU * k as f64 / n as f64))
+            .collect();
+        let bits = n.trailing_zeros();
+        let mut buf = x.to_vec();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        for stage in 0..bits {
+            let len = 2usize << stage;
+            let half = len / 2;
+            let step = n / len;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let tw = twiddles[k * step];
+                    let tw = if inverse { tw.conj() } else { tw };
+                    let a = buf[start + k];
+                    let b = buf[start + k + half] * tw;
+                    buf[start + k] = a + b;
+                    buf[start + k + half] = a - b;
+                }
+            }
+        }
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for s in buf.iter_mut() {
+                *s = s.scale(inv);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn stage_tables_are_bit_identical_to_strided_reference() {
+        for bits in 1..=12u32 {
+            let n = 1usize << bits;
+            let x: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.913).sin(), -(i as f64 * 0.271).cos()))
+                .collect();
+            let plan = FftPlan::new(n);
+            let mut fwd = x.clone();
+            plan.forward(&mut fwd);
+            assert_eq!(fwd, strided_reference(&x, false), "forward, n = {n}");
+            let mut inv = x.clone();
+            plan.inverse(&mut inv);
+            assert_eq!(inv, strided_reference(&x, true), "inverse, n = {n}");
         }
     }
 

@@ -17,6 +17,9 @@ pub struct Fir {
     /// Circular delay line.
     delay: Vec<Complex>,
     pos: usize,
+    /// Block-convolution workspace for [`Fir::process_into`]: the last
+    /// `len − 1` inputs followed by the new block, contiguous.
+    work: Vec<Complex>,
 }
 
 impl Fir {
@@ -31,6 +34,7 @@ impl Fir {
             taps,
             delay: vec![Complex::ZERO; n],
             pos: 0,
+            work: Vec::new(),
         }
     }
 
@@ -80,11 +84,57 @@ impl Fir {
     }
 
     /// [`Fir::process`] into a caller-owned buffer (cleared first) —
-    /// bit-identical, with zero allocation once `out` has capacity.
+    /// bit-identical to a [`Fir::push`] loop, with zero allocation once
+    /// `out` and the filter's workspace have capacity.
+    ///
+    /// The block runs as a contiguous convolution over the delay-line
+    /// history followed by `x`, four outputs at a time in independent
+    /// accumulators. Each output still starts from zero and adds its
+    /// taps in `push`'s order (newest sample first), so every sum rounds
+    /// exactly as the streaming path does. The delay line is left
+    /// holding the block's last `len` samples, so streaming continues
+    /// seamlessly with either `push` or another `process_into`.
     pub fn process_into(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
         out.clear();
+        if x.is_empty() {
+            return;
+        }
+        let n = self.taps.len();
+        // history, oldest first: the `n − 1` samples before `pos`
+        // (`delay[pos]` is the oldest and drops out at the next push)
+        self.work.clear();
+        self.work.reserve(n - 1 + x.len());
+        for k in 1..n {
+            // lint: allow(unchecked-index, (pos + k) % n < n = delay.len())
+            self.work.push(self.delay[(self.pos + k) % n]);
+        }
+        self.work.extend_from_slice(x);
         out.reserve(x.len());
-        out.extend(x.iter().map(|&s| self.push(s)));
+        let taps = &self.taps;
+        // output i reads work[i ..= i + n − 1]; tap k weighs work[i + n − 1 − k]
+        for w in self.work.windows(n + 3).step_by(4).take(x.len() / 4) {
+            let mut acc = [Complex::ZERO; 4];
+            for (s, &t) in w.windows(4).rev().zip(taps) {
+                for (a, &v) in acc.iter_mut().zip(s) {
+                    *a += v.scale(t);
+                }
+            }
+            out.extend_from_slice(&acc);
+        }
+        let done = out.len();
+        // lint: allow(unchecked-index, done = 4 * (x.len() / 4) <= x.len() < work.len())
+        for w in self.work[done..].windows(n) {
+            let mut acc = Complex::ZERO;
+            for (&v, &t) in w.iter().rev().zip(taps) {
+                acc += v.scale(t);
+            }
+            out.push(acc);
+        }
+        // the delay line keeps the stream's last n samples, oldest at pos
+        let tail = self.work.len() - n;
+        // lint: allow(unchecked-index, work holds n − 1 + x.len() >= n samples since x is non-empty)
+        self.delay.copy_from_slice(&self.work[tail..]);
+        self.pos = 0;
     }
 
     /// Group delay in samples for a linear-phase (symmetric) design.
@@ -198,6 +248,71 @@ mod tests {
                 }
             }
             assert!((y[n] - expect).abs() < 1e-12);
+        }
+    }
+
+    /// Deterministic, sign-mixed test signal (exercises -0.0 and
+    /// cancellation in the accumulators).
+    fn signal(len: usize, salt: f64) -> Vec<Complex> {
+        (0..len)
+            .map(|i| {
+                let t = i as f64 + salt;
+                Complex::new((t * 0.731).sin() * 3.0, -(t * 0.377).cos())
+            })
+            .collect()
+    }
+
+    fn taps(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|k| ((k as f64 + 1.0) * 0.61).cos() / (k as f64 + 1.5))
+            .collect()
+    }
+
+    /// The reference the block kernel must reproduce bit for bit.
+    fn push_loop(fir: &mut Fir, x: &[Complex]) -> Vec<Complex> {
+        x.iter().map(|&s| fir.push(s)).collect()
+    }
+
+    #[test]
+    fn process_into_is_bit_identical_to_push_loop() {
+        for n in 1..=33usize {
+            for len in (0..=9usize).chain([1031]) {
+                // a primed delay line, so the history prefix matters
+                let mut a = Fir::new(taps(n));
+                let mut b = a.clone();
+                let prime = signal(n + 2, 7.0);
+                push_loop(&mut a, &prime);
+                push_loop(&mut b, &prime);
+                let x = signal(len, n as f64);
+                let mut out = vec![Complex::ONE; 3]; // stale contents are cleared
+                a.process_into(&x, &mut out);
+                assert_eq!(out, push_loop(&mut b, &x), "{n} taps, {len} samples");
+                // both filters now hold the same stream state
+                let probe = signal(5, -3.0);
+                assert_eq!(
+                    push_loop(&mut a, &probe),
+                    push_loop(&mut b, &probe),
+                    "{n} taps, state after {len} samples"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_block_streaming_equals_one_block() {
+        let x = signal(300, 0.5);
+        for n in [1usize, 4, 15, 33] {
+            for cut in [0usize, 1, 3, 14, 150, 299, 300] {
+                let mut whole = Fir::new(taps(n));
+                let mut split = whole.clone();
+                let want = whole.process(&x);
+                let mut got = split.process(&x[..cut]);
+                got.extend(split.process(&x[cut..]));
+                assert_eq!(got, want, "{n} taps, cut at {cut}");
+                // and a push after the block continues the same stream
+                let s = Complex::new(0.25, -1.5);
+                assert_eq!(split.push(s), whole.push(s), "{n} taps, cut at {cut}");
+            }
         }
     }
 

@@ -162,6 +162,14 @@ impl Demodulator {
         self.detect_with_buf(window, reference, &mut buf)
     }
 
+    /// Dechirp → FFT of one symbol window into `buf`.
+    fn spectrum_into(&self, window: &[Complex], reference: &[Complex], buf: &mut Vec<Complex>) {
+        let ns = self.cfg.samples_per_symbol();
+        assert_eq!(window.len(), ns, "window must be one symbol");
+        dechirp_into(window, reference, buf);
+        self.plan.forward(buf);
+    }
+
     /// Dechirp → FFT → peak against a caller-owned working buffer.
     /// Bit-identical to the allocating `detect_with`.
     fn detect_with_buf(
@@ -170,10 +178,8 @@ impl Demodulator {
         reference: &[Complex],
         buf: &mut Vec<Complex>,
     ) -> SymbolDetection {
+        self.spectrum_into(window, reference, buf);
         let ns = self.cfg.samples_per_symbol();
-        assert_eq!(window.len(), ns, "window must be one symbol");
-        dechirp_into(window, reference, buf);
-        self.plan.forward(buf);
         let n = self.cfg.n_chips();
         let osr = self.cfg.osr;
         let mut best = (0u16, f64::MIN);
@@ -193,6 +199,33 @@ impl Demodulator {
             magnitude: best.1,
             mean_magnitude: sum / n as f64,
         }
+    }
+
+    /// The data symbol of one aligned window: `detect_with_buf(w,
+    /// up_ref).symbol` for callers that read nothing else.
+    ///
+    /// At one sample per chip the peak is picked over `|X[k]|²` instead
+    /// of `|X[k]|`, skipping a `hypot` per bin and the unused mean
+    /// magnitude sum. Squaring is monotone, so this is the same argmax
+    /// (first maximum on ties) up to the rounding of the two magnitude
+    /// routines — equivalent rather than bit-identical by construction,
+    /// which the waterfall golden digests and the aligned-detection
+    /// tests gate. Oversampled receivers fold two bins into a magnitude
+    /// *sum*, which squared norms cannot rank, so they keep the full
+    /// scan.
+    fn symbol_with_buf(&self, window: &[Complex], buf: &mut Vec<Complex>) -> u16 {
+        if self.cfg.osr > 1 {
+            return self.detect_with_buf(window, &self.up_ref, buf).symbol;
+        }
+        self.spectrum_into(window, &self.up_ref, buf);
+        let mut best = (0u16, f64::MIN);
+        for (s, v) in buf.iter().enumerate() {
+            let p = v.norm_sqr();
+            if p > best.1 {
+                best = (s as u16, p);
+            }
+        }
+        best.0
     }
 
     /// Detect the symbol in an aligned window (dechirp → FFT → peak).
@@ -253,8 +286,7 @@ impl Demodulator {
                 errors += (sent.len() - i) as u64;
                 break;
             }
-            let det = self.detect_with_buf(&filtered[start..start + ns], &self.up_ref, buf);
-            if det.symbol != tx_sym {
+            if self.symbol_with_buf(&filtered[start..start + ns], buf) != tx_sym {
                 errors += 1;
             }
         }
@@ -280,7 +312,7 @@ impl Demodulator {
         units.extend(
             filtered
                 .chunks_exact(ns)
-                .map(|w| self.detect_with_buf(w, &self.up_ref, buf).symbol),
+                .map(|w| self.symbol_with_buf(w, buf)),
         );
     }
 
@@ -376,33 +408,67 @@ impl Demodulator {
         // final symbol window
         filtered.extend(std::iter::repeat_n(Complex::ZERO, ns));
         let pos = self.find_preamble(filtered, buf)?;
+        let sfd_start = self.find_sfd(filtered, pos, buf)?;
+        self.decode_after_sfd(filtered, sfd_start, buf)
+    }
 
-        // Locate the SFD by total evidence rather than a fragile
-        // window-by-window walk: the two consecutive downchirp windows
-        // maximize (down-energy − up-energy) summed over the pair. The
-        // search span covers the rest of the preamble plus the sync
-        // word from wherever the run-of-3 locked on.
+    /// Locate the SFD by total evidence rather than a fragile
+    /// window-by-window walk: the two consecutive downchirp windows
+    /// maximize (down-energy − up-energy) summed over the pair. The
+    /// search span covers the rest of the preamble plus the sync word
+    /// from wherever the preamble lock at `pos` happened. Returns the
+    /// first SFD window's sample index, or `None` without downchirp
+    /// evidence anywhere.
+    ///
+    /// Consecutive offsets overlap by one window: offset `j`'s second
+    /// window is offset `j + 1`'s first, so its two detections are
+    /// carried over instead of recomputed — the same windows through
+    /// the same kernels, hence the same magnitudes bit for bit.
+    fn find_sfd(&self, filtered: &[Complex], pos: usize, buf: &mut Vec<Complex>) -> Option<usize> {
+        let ns = self.cfg.samples_per_symbol();
         let max_j = self.frame_params.preamble_len + 4;
         let mut best: Option<(usize, f64)> = None;
+        // (down, up) peak magnitudes of the window at `start`
+        let mut carried: Option<(f64, f64)> = None;
         for j in 1..=max_j {
             let start = pos + j * ns;
             if start + 2 * ns > filtered.len() {
                 break;
             }
-            let d0 = self.detect_with_buf(&filtered[start..start + ns], &self.down_ref, buf);
-            let d1 =
-                self.detect_with_buf(&filtered[start + ns..start + 2 * ns], &self.down_ref, buf);
-            let u0 = self.detect_with_buf(&filtered[start..start + ns], &self.up_ref, buf);
-            let u1 = self.detect_with_buf(&filtered[start + ns..start + 2 * ns], &self.up_ref, buf);
-            let score = d0.magnitude + d1.magnitude - u0.magnitude - u1.magnitude;
+            let (d0, u0) = match carried {
+                Some(mags) => mags,
+                None => {
+                    // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
+                    let w0 = &filtered[start..start + ns];
+                    (
+                        self.detect_with_buf(w0, &self.down_ref, buf).magnitude,
+                        self.detect_with_buf(w0, &self.up_ref, buf).magnitude,
+                    )
+                }
+            };
+            // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
+            let w1 = &filtered[start + ns..start + 2 * ns];
+            let d1 = self.detect_with_buf(w1, &self.down_ref, buf).magnitude;
+            let u1 = self.detect_with_buf(w1, &self.up_ref, buf).magnitude;
+            carried = Some((d1, u1));
+            let score = d0 + d1 - u0 - u1;
             if best.map(|(_, s)| score > s).unwrap_or(true) {
                 best = Some((start, score));
             }
         }
         let (sfd_start, score) = best?;
-        if score <= 0.0 {
-            return None; // no downchirp evidence anywhere — not a frame
-        }
+        // no downchirp evidence anywhere — not a frame
+        (score > 0.0).then_some(sfd_start)
+    }
+
+    /// Header and payload decode once the SFD is found at `sfd_start`.
+    fn decode_after_sfd(
+        &self,
+        filtered: &[Complex],
+        sfd_start: usize,
+        buf: &mut Vec<Complex>,
+    ) -> Option<DemodFrame> {
+        let ns = self.cfg.samples_per_symbol();
         // skip the 2.25-symbol SFD
         let payload_start = sfd_start + ns * 2 + ns / 4;
 
@@ -413,7 +479,7 @@ impl Demodulator {
         let mut symbols: Vec<u16> = Vec::new();
         for i in 0..8 {
             let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.detect_with_buf(w, &self.up_ref, buf).symbol);
+            symbols.push(self.symbol_with_buf(w, buf));
         }
         // decode just the header block to learn the payload length
         let payload_len = header_declared_len(&symbols, self.frame_params.code)?;
@@ -423,7 +489,7 @@ impl Demodulator {
         }
         for i in 8..total_syms {
             let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.detect_with_buf(w, &self.up_ref, buf).symbol);
+            symbols.push(self.symbol_with_buf(w, buf));
         }
         let dec = phy::decode(&symbols, self.frame_params.code)?;
         Some(DemodFrame {
@@ -599,6 +665,111 @@ mod tests {
         let DemodScratch { fir, filtered, .. } = &mut s2;
         d.filter_core(&sig, fir, filtered);
         assert_eq!(*filtered, d.filter(&sig));
+    }
+
+    #[test]
+    fn aligned_symbol_scan_matches_full_detection() {
+        // the norm² peak scan must pick detect_symbol's bin on every
+        // window: noisy chirps across each SF's RSSI window, noise-only
+        // windows, and exact all-zero windows (a flat spectrum)
+        let mut rng = StdRng::seed_from_u64(23);
+        for sf in 7..=10u8 {
+            let m = Modulator::standard(sf, 125e3, 1, 1);
+            let d = Demodulator::standard(sf, 125e3, 1, 1);
+            let ns = d.config().samples_per_symbol();
+            let syms: Vec<u16> = (0..16).map(|_| rng.gen_range(0..1 << sf)).collect();
+            let base = m.modulate_symbols(&syms);
+            let anchor = tinysdr_rf::sx1276::sensitivity_dbm(sf, 125e3).round();
+            let mut scratch = d.scratch();
+            let mut units = Vec::new();
+            for (k, offset_db) in (-16..=26).step_by(6).enumerate() {
+                let seed = 100 * sf as u64 + k as u64;
+                let mut rx = base.clone();
+                AwgnChannel::new(4.5, seed).apply(&mut rx, anchor + offset_db as f64, 125e3);
+                rx.extend(AwgnChannel::new(4.5, seed ^ 0xF00).noise_only(2 * ns, 125e3));
+                rx.extend(vec![Complex::ZERO; 3 * ns]);
+                d.detect_aligned_with(&rx, &mut scratch, &mut units);
+                let want: Vec<u16> = d
+                    .filter(&rx)
+                    .chunks_exact(ns)
+                    .map(|w| d.detect_symbol(w).symbol)
+                    .collect();
+                assert_eq!(units, want, "SF{sf} at anchor {offset_db:+} dB");
+                assert_eq!(units.last(), Some(&0), "all-zero window reads bin 0");
+            }
+        }
+    }
+
+    /// Reference SFD search without carried detections: four fresh
+    /// dechirp/FFT detections per offset.
+    fn find_sfd_uncached(
+        d: &Demodulator,
+        filtered: &[Complex],
+        pos: usize,
+        buf: &mut Vec<Complex>,
+    ) -> Option<usize> {
+        let ns = d.cfg.samples_per_symbol();
+        let mut best: Option<(usize, f64)> = None;
+        for j in 1..=d.frame_params.preamble_len + 4 {
+            let start = pos + j * ns;
+            if start + 2 * ns > filtered.len() {
+                break;
+            }
+            let (w0, w1) = (
+                &filtered[start..start + ns],
+                &filtered[start + ns..start + 2 * ns],
+            );
+            let score = d.detect_with_buf(w0, &d.down_ref, buf).magnitude
+                + d.detect_with_buf(w1, &d.down_ref, buf).magnitude
+                - d.detect_with_buf(w0, &d.up_ref, buf).magnitude
+                - d.detect_with_buf(w1, &d.up_ref, buf).magnitude;
+            if best.map(|(_, s)| score > s).unwrap_or(true) {
+                best = Some((start, score));
+            }
+        }
+        let (sfd_start, score) = best?;
+        (score > 0.0).then_some(sfd_start)
+    }
+
+    fn demodulate_uncached(d: &Demodulator, rx: &[Complex]) -> Option<DemodFrame> {
+        let ns = d.cfg.samples_per_symbol();
+        let DemodScratch { fir, filtered, buf } = &mut d.scratch();
+        d.filter_core(rx, fir, filtered);
+        filtered.extend(std::iter::repeat_n(Complex::ZERO, ns));
+        let pos = d.find_preamble(filtered, buf)?;
+        let sfd_start = find_sfd_uncached(d, filtered, pos, buf)?;
+        d.decode_after_sfd(filtered, sfd_start, buf)
+    }
+
+    #[test]
+    fn cached_sfd_search_matches_uncached_reference() {
+        let m = Modulator::standard(8, 125e3, 1, 1);
+        let d = Demodulator::standard(8, 125e3, 1, 1);
+        let sig = m.modulate(b"offset test");
+        let mut decoded = 0;
+        let mut check = |rx: &[Complex], what: &str| {
+            let got = d.demodulate(rx);
+            decoded += usize::from(got.is_some());
+            assert_eq!(got, demodulate_uncached(&d, rx), "{what}");
+        };
+        for delay in [1usize, 17, 100, 255, 300] {
+            check(&apply_delay(&sig, delay), &format!("delay {delay}"));
+        }
+        for (k, rssi) in [-100.0, -118.0, -122.0, -124.0, -126.0, -128.0, -132.0]
+            .into_iter()
+            .enumerate()
+        {
+            for trial in 0..3u64 {
+                let mut rx = apply_delay(&sig, 37 * trial as usize);
+                AwgnChannel::new(4.5, 60 + 10 * k as u64 + trial).apply(&mut rx, rssi, 125e3);
+                check(&rx, &format!("{rssi} dBm, trial {trial}"));
+            }
+        }
+        check(
+            &AwgnChannel::new(4.5, 3).noise_only(256 * 40, 125e3),
+            "pure noise",
+        );
+        assert!(decoded >= 10, "only {decoded} captures decoded");
     }
 
     #[test]

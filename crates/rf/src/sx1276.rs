@@ -610,7 +610,10 @@ mod tests {
                     (0.0..=(m - 1.0) / m).contains(&s),
                     "SF{sf} {snr} dB: {s} out of range"
                 );
-                assert!(s <= prev, "SF{sf}: SER rose to {s:e} at {snr} dB from {prev:e}");
+                assert!(
+                    s <= prev,
+                    "SF{sf}: SER rose to {s:e} at {snr} dB from {prev:e}"
+                );
                 prev = s;
             }
         }
