@@ -18,10 +18,7 @@ const SEED: u64 = 7;
 fn bench_campaign(c: &mut Criterion) {
     let tb = Testbed::with_nodes(NODES, 42);
     let upd = BlockedUpdate::build(&FirmwareImage::mcu("campaign_fw", 16_000, 1));
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let threads = tinysdr_bench::bench_shards();
 
     let mut g = c.benchmark_group("ota_campaign");
     g.sample_size(10);

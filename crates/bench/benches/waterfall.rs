@@ -10,10 +10,7 @@ use tinysdr_bench::waterfall::{run_waterfall, WaterfallConfig};
 fn bench_waterfall(c: &mut Criterion) {
     let cfg = WaterfallConfig::quick(7);
     let points = run_waterfall(&cfg).points.len() as u64;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let threads = tinysdr_bench::bench_shards();
 
     let mut g = c.benchmark_group("waterfall");
     g.sample_size(10);

@@ -53,7 +53,7 @@
 
 use tinysdr_bench::phy_experiments as phy;
 use tinysdr_bench::system_experiments as sys;
-use tinysdr_bench::{print_facts, print_series, verdict, Series};
+use tinysdr_bench::{bench_shards, print_facts, print_series, verdict, Series};
 
 struct Effort {
     packets: u32,
@@ -340,10 +340,7 @@ fn run_json(wanted: &[&str], quick: bool) {
             } else {
                 WaterfallConfig::full(0xBEEF)
             };
-            let shards = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2);
+            let shards = bench_shards();
             run_waterfall(&cfg.sharded(shards)).to_json()
         }
         "campaign" => {
@@ -378,10 +375,7 @@ fn run_waterfall_cmd(quick: bool, seed: u64) {
     } else {
         WaterfallConfig::full(seed)
     };
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = bench_shards();
     let rep = run_waterfall(&cfg.clone().sharded(shards));
     if quick {
         let seq = run_waterfall(&cfg);

@@ -13,15 +13,18 @@
 //!    [`RetainMode::Sketch`]; the report memory of the two is compared
 //!    to demonstrate (and assert) that report state is independent of
 //!    node count.
-//! 3. **Trajectory point** — the measurement lands in
-//!    `BENCH_campaign.json`, the first point of the campaign-scaling
-//!    trajectory the ROADMAP wants tracked across commits.
+//! 3. **Trajectory point** — the measurement is appended to
+//!    `BENCH_campaign.json` through [`crate::trajectory::record`], so
+//!    the campaign-scaling history is tracked across commits.
 
 use tinysdr_core::testbed::{CampaignConfig, CampaignReport, CheckpointConfig, Testbed};
-use tinysdr_ota::aggregate::RetainMode;
+use tinysdr_ota::aggregate::{NodeMetric, RetainMode};
 use tinysdr_ota::blocks::BlockedUpdate;
 use tinysdr_ota::image::FirmwareImage;
 use tinysdr_ota::json::Value;
+
+use crate::bench_shards;
+use crate::trajectory::record;
 
 /// The firmware image every campaign node downloads: a mid-size MCU
 /// update (the paper's smallest update class, so million-node runs
@@ -30,13 +33,6 @@ use tinysdr_ota::json::Value;
 /// bit-identical-report contract.
 pub fn bench_update() -> BlockedUpdate {
     BlockedUpdate::build(&FirmwareImage::mcu("fleet_fw", 8_000, 2))
-}
-
-fn bench_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2)
 }
 
 /// The campaign configuration behind [`campaign_json`]: sharded to the
@@ -160,67 +156,58 @@ pub fn campaign_json(nodes: usize, seed: u64) -> Value {
         .to_json()
 }
 
-/// Format one f64 for the JSON writer (plain decimal, no locale).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Write the `BENCH_campaign.json` trajectory point (hand-rolled JSON:
-/// the workspace has no serializer dependency, by design).
-fn write_trajectory(
-    path: &str,
-    mode: &str,
+/// The `BENCH_campaign.json` point of one run: the full campaign's
+/// scale, rate and distribution summary, plus the reference run's
+/// report memory for the flat-memory comparison.
+fn trajectory_point(
     small: &CampaignReport,
     full: &CampaignReport,
     wall_s: f64,
-) -> std::io::Result<()> {
+) -> Vec<(String, Value)> {
     let time = full.time_dist();
     let energy = full.energy_dist();
-    let point = format!(
-        concat!(
-            "    {{\n",
-            "      \"mode\": \"{mode}\",\n",
-            "      \"nodes\": {nodes},\n",
-            "      \"completed\": {completed},\n",
-            "      \"wall_s\": {wall_s},\n",
-            "      \"sessions_per_s\": {rate},\n",
-            "      \"report_memory_bytes\": {{\"small\": {mem_s}, \"full\": {mem_f}}},\n",
-            "      \"small_nodes\": {small_nodes},\n",
-            "      \"time_min\": {{\"p50\": {t50}, \"p90\": {t90}, \"p99\": {t99}}},\n",
-            "      \"energy_mj\": {{\"p50\": {e50}, \"p90\": {e90}}},\n",
-            "      \"total_energy_j\": {tot_j},\n",
-            "      \"total_bytes\": {tot_b}\n",
-            "    }}"
+    let quantiles = |dist: &NodeMetric, qs: &[(&str, f64)]| {
+        Value::Obj(
+            qs.iter()
+                .map(|&(k, q)| (k.into(), Value::num(dist.quantile(q).unwrap_or(f64::NAN))))
+                .collect(),
+        )
+    };
+    vec![
+        ("nodes".into(), Value::num(full.len() as f64)),
+        ("completed".into(), Value::num(full.completed() as f64)),
+        ("wall_s".into(), Value::num(wall_s)),
+        (
+            "sessions_per_s".into(),
+            Value::num(full.len() as f64 / wall_s.max(1e-9)),
         ),
-        mode = mode,
-        nodes = full.len(),
-        completed = full.completed(),
-        wall_s = jnum(wall_s),
-        rate = jnum(full.len() as f64 / wall_s.max(1e-9)),
-        mem_s = small.memory_bytes(),
-        mem_f = full.memory_bytes(),
-        small_nodes = small.len(),
-        t50 = jnum(time.quantile(0.50).unwrap_or(f64::NAN)),
-        t90 = jnum(time.quantile(0.90).unwrap_or(f64::NAN)),
-        t99 = jnum(time.quantile(0.99).unwrap_or(f64::NAN)),
-        e50 = jnum(energy.quantile(0.50).unwrap_or(f64::NAN)),
-        e90 = jnum(energy.quantile(0.90).unwrap_or(f64::NAN)),
-        tot_j = jnum(full.total_energy_mj() / 1000.0),
-        tot_b = full.total_bytes(),
-    );
-    let doc = format!(
-        "{{\n  \"schema\": 1,\n  \"experiment\": \"campaign\",\n  \"points\": [\n{point}\n  ]\n}}\n"
-    );
-    std::fs::write(path, doc)
+        (
+            "report_memory_bytes".into(),
+            Value::Obj(vec![
+                ("small".into(), Value::num(small.memory_bytes() as f64)),
+                ("full".into(), Value::num(full.memory_bytes() as f64)),
+            ]),
+        ),
+        ("small_nodes".into(), Value::num(small.len() as f64)),
+        (
+            "time_min".into(),
+            quantiles(time, &[("p50", 0.50), ("p90", 0.90), ("p99", 0.99)]),
+        ),
+        (
+            "energy_mj".into(),
+            quantiles(energy, &[("p50", 0.50), ("p90", 0.90)]),
+        ),
+        (
+            "total_energy_j".into(),
+            Value::num(full.total_energy_mj() / 1000.0),
+        ),
+        ("total_bytes".into(), Value::num(full.total_bytes() as f64)),
+    ]
 }
 
 /// The `repro campaign` entry point. Runs the contract gates, then the
 /// scale measurement (`nodes_full` nodes; 1M in the non-quick run),
-/// asserts flat report memory, and writes `BENCH_campaign.json`.
+/// asserts flat report memory, and appends to `BENCH_campaign.json`.
 #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
 pub fn campaign(nodes_full: usize, seed: u64, quick: bool) {
     println!("== Campaign scale: streaming aggregation + work stealing + checkpoints ==\n");
@@ -265,10 +252,14 @@ pub fn campaign(nodes_full: usize, seed: u64, quick: bool) {
         full.total_energy_mj() / 1e6,
     );
 
-    let mode = if quick { "quick" } else { "full" };
     let out = "BENCH_campaign.json";
-    match write_trajectory(out, mode, &small, &full, wall_s) {
-        Ok(()) => println!("trajectory point written to {out}"),
+    match record(
+        out,
+        "campaign",
+        quick,
+        trajectory_point(&small, &full, wall_s),
+    ) {
+        Ok(()) => println!("trajectory point appended to {out}"),
         Err(e) => println!("could not write {out}: {e}"),
     }
 }

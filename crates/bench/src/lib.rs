@@ -22,7 +22,19 @@ pub mod link;
 pub mod perf;
 pub mod phy_experiments;
 pub mod system_experiments;
+pub mod trajectory;
 pub mod waterfall;
+
+/// Worker threads for the sharded benchmark runs: the machine's
+/// parallelism, at least 2 so the sharded path is exercised even on a
+/// single core. Reports are shard-invariant, so this never changes an
+/// output; trajectory points record it as `cores`.
+pub fn bench_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .max(2)
+}
 
 /// A labelled series of `(x, y)` points — one curve of a figure.
 #[derive(Debug, Clone)]

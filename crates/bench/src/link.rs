@@ -23,7 +23,8 @@
 //!    the PR 5 session engine prices travels over 1, 2 and 3 real ARQ
 //!    hops ([`tinysdr_link::transfer::ota_transfer`]); each row reports
 //!    delivery, CRC-verified image bytes, duration and the per-node
-//!    energy split. The trajectory lands in `BENCH_link.json`.
+//!    energy split. The point is appended to `BENCH_link.json`
+//!    through [`crate::trajectory::record`].
 
 use crossbeam::thread;
 use tinysdr_ble::modem::BleBerPhy;
@@ -40,6 +41,9 @@ use tinysdr_ota::json::Value;
 use tinysdr_ota::seed::splitmix64;
 use tinysdr_rf::impairments::ImpairmentChain;
 use tinysdr_rf::phy::PhyModem;
+
+use crate::bench_shards;
+use crate::trajectory::record;
 
 /// The modem carrying every `repro link` experiment: BLE GFSK at the
 /// radio's native 4 MS/s — the registry PHY with the shortest airtimes,
@@ -99,13 +103,6 @@ fn effort(quick: bool) -> Effort {
             image_len: 20_000,
         }
     }
-}
-
-fn bench_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2)
 }
 
 /// A representative data frame (full 60-byte chunk) for PER
@@ -525,25 +522,13 @@ pub fn link_json(seed: u64, quick: bool) -> Value {
     ])
 }
 
-/// Format one f64 for the JSON writer (plain decimal, no locale;
-/// negative zero normalized so empty sums don't print `-0.000000`).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{:.6}", if x == 0.0 { 0.0 } else { x })
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Write the `BENCH_link.json` trajectory point (hand-rolled JSON: the
-/// workspace has no serializer dependency, by design).
-fn write_trajectory(
-    path: &str,
-    mode: &str,
+/// The `BENCH_link.json` point of one run: wall time, the curve's
+/// best goodput and knee, and the compact curve and multi-hop rows.
+fn trajectory_point(
     curve: &[GoodputPoint],
     rows: &[MultiHopRow],
     wall_s: f64,
-) -> std::io::Result<()> {
+) -> Vec<(String, Value)> {
     let best = curve
         .iter()
         .filter(|p| p.window8.completed)
@@ -554,20 +539,19 @@ fn write_trajectory(
         .filter(|p| p.window8.completed)
         .map(|p| p.rssi_dbm)
         .fold(f64::INFINITY, f64::min);
-    let gp: Vec<String> = curve
+    let goodput = curve
         .iter()
         .map(|p| {
-            format!(
-                "      {{\"rssi_dbm\": {}, \"data_loss\": {}, \"ack_loss\": {}, \"sw_bps\": {}, \"w8_bps\": {}}}",
-                jnum(p.rssi_dbm),
-                jnum(p.data_loss),
-                jnum(p.ack_loss),
-                jnum(p.stop_and_wait.goodput_bps),
-                jnum(p.window8.goodput_bps),
-            )
+            Value::Obj(vec![
+                ("rssi_dbm".into(), Value::num(p.rssi_dbm)),
+                ("data_loss".into(), Value::num(p.data_loss)),
+                ("ack_loss".into(), Value::num(p.ack_loss)),
+                ("sw_bps".into(), Value::num(p.stop_and_wait.goodput_bps)),
+                ("w8_bps".into(), Value::num(p.window8.goodput_bps)),
+            ])
         })
         .collect();
-    let mh: Vec<String> = rows
+    let multihop = rows
         .iter()
         .map(|r| {
             let relay_mj: f64 = r
@@ -579,45 +563,24 @@ fn write_trajectory(
                 .filter(|n| n.label.starts_with("relay"))
                 .map(|n| n.energy.total_mj())
                 .sum();
-            format!(
-                "      {{\"hops\": {}, \"image_ok\": {}, \"duration_s\": {}, \"goodput_bps\": {}, \"relay_energy_mj\": {}}}",
-                r.hops,
-                r.report.image_ok,
-                jnum(r.report.link.duration_s),
-                jnum(r.report.link.goodput_bps),
-                jnum(relay_mj),
-            )
+            Value::Obj(vec![
+                ("hops".into(), Value::num(r.hops as f64)),
+                ("image_ok".into(), Value::Bool(r.report.image_ok)),
+                ("duration_s".into(), Value::num(r.report.link.duration_s)),
+                ("goodput_bps".into(), Value::num(r.report.link.goodput_bps)),
+                // `+ 0.0` turns the empty sum's -0.0 into 0
+                ("relay_energy_mj".into(), Value::num(relay_mj + 0.0)),
+            ])
         })
         .collect();
-    let doc = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": 1,\n",
-            "  \"experiment\": \"link\",\n",
-            "  \"points\": [\n",
-            "    {{\n",
-            "      \"mode\": \"{mode}\",\n",
-            "      \"wall_s\": {wall_s},\n",
-            "      \"best_goodput_bps\": {best},\n",
-            "      \"lowest_completing_rssi_dbm\": {knee},\n",
-            "      \"goodput\": [\n{gp}\n      ],\n",
-            "      \"multihop\": [\n{mh}\n      ]\n",
-            "    }}\n",
-            "  ]\n",
-            "}}\n"
-        ),
-        mode = mode,
-        wall_s = jnum(wall_s),
-        best = jnum(best),
-        knee = if knee.is_finite() {
-            jnum(knee)
-        } else {
-            "null".into()
-        },
-        gp = gp.join(",\n"),
-        mh = mh.join(",\n"),
-    );
-    std::fs::write(path, doc)
+    vec![
+        ("wall_s".into(), Value::num(wall_s)),
+        ("best_goodput_bps".into(), Value::num(best)),
+        // non-finite (no completing point) serializes as null
+        ("lowest_completing_rssi_dbm".into(), Value::num(knee)),
+        ("goodput".into(), Value::Arr(goodput)),
+        ("multihop".into(), Value::Arr(multihop)),
+    ]
 }
 
 /// The `repro link` entry point: gates, goodput-vs-RSSI, multi-hop
@@ -685,10 +648,9 @@ pub fn link(seed: u64, quick: bool) {
         );
     }
 
-    let mode = if quick { "quick" } else { "full" };
     let out = "BENCH_link.json";
-    match write_trajectory(out, mode, &curve, &rows, wall_s) {
-        Ok(()) => println!("\ntrajectory point written to {out}"),
+    match record(out, "link", quick, trajectory_point(&curve, &rows, wall_s)) {
+        Ok(()) => println!("\ntrajectory point appended to {out}"),
         Err(e) => println!("\ncould not write {out}: {e}"),
     }
 }

@@ -13,11 +13,11 @@
 //!    curve-major engine was restructured for) and the three modem
 //!    modulate/demodulate workloads, measured with the scratch-reusing
 //!    APIs in steady state.
-//! 3. **Trajectory points** — the measurements land in
-//!    `BENCH_waterfall.json` and `BENCH_modem.json` next to the
-//!    recorded pre-refactor reference point, so the speedup the
-//!    restructure bought stays visible (and, in the full run, gated)
-//!    across commits.
+//! 3. **Trajectory points** — the measurements are appended to
+//!    `BENCH_waterfall.json` and `BENCH_modem.json` through
+//!    [`crate::trajectory::record`]. The `pre-batching` points in those
+//!    files' history are the pre-refactor reference; the full run gates
+//!    the waterfall speedup against the recorded `wall_ms`.
 
 use tinysdr_ble::gfsk::{GfskDemodulator, GfskModulator, GfskScratch};
 use tinysdr_ble::modem::BleBerPhy;
@@ -32,31 +32,31 @@ use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::modem::ZigbeePhy;
 
+use crate::trajectory::record;
 use crate::waterfall::{run_waterfall, WaterfallConfig};
 
-/// Pre-refactor reference: wall time of the quick waterfall grid
-/// (`WaterfallConfig::quick(7)`, 57 points, sequential), measured with
-/// the criterion shim at the commit preceding the batched-hot-path
-/// restructure on the recording machine. The restructure is gated
-/// against this number.
-const PRE_WATERFALL_WALL_MS: f64 = 168.774259;
-/// Grid points of the pre-refactor waterfall measurement.
-const PRE_WATERFALL_POINTS: usize = 57;
-
-/// Pre-refactor modem throughput, Msamples/s, from the same recorded
-/// criterion run (`benches/modem.rs` workloads, allocating scalar
-/// paths). 802.15.4 had no bench before this change, hence `NAN`
-/// (serialized as `null`).
-const PRE_LORA_MOD_MSPS: f64 = 357.679;
-const PRE_LORA_DEMOD_MSPS: f64 = 20.380;
-const PRE_BLE_MOD_MSPS: f64 = 56.778;
-const PRE_BLE_DEMOD_MSPS: f64 = 28.629;
-const PRE_ZIGBEE_MOD_MSPS: f64 = f64::NAN;
-const PRE_ZIGBEE_DEMOD_MSPS: f64 = f64::NAN;
-
 /// The speedup floor `repro perf` (full mode) enforces on the quick
-/// waterfall grid, sequential, versus [`PRE_WATERFALL_WALL_MS`].
+/// waterfall grid, sequential, versus the recorded pre-batching point.
 const REQUIRED_WATERFALL_SPEEDUP: f64 = 1.5;
+
+/// The waterfall trajectory, whose `pre-batching` point is the gate's
+/// baseline.
+const WATERFALL_TRAJECTORY: &str = "BENCH_waterfall.json";
+
+/// The finite `wall_ms` of the `pre-batching` point in the waterfall
+/// trajectory at `path`: the quick grid measured sequentially at the
+/// commit preceding the batched-hot-path restructure. `None` if the
+/// file, the point or a finite time is missing.
+fn pre_batching_wall_ms(path: &str) -> Option<f64> {
+    let doc = Value::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    doc.get("points")?
+        .as_arr()?
+        .iter()
+        .find(|p| p.get("label").and_then(Value::as_str) == Some("pre-batching"))?
+        .get("wall_ms")?
+        .as_f64()
+        .filter(|ms| ms.is_finite())
+}
 
 /// Gate 1a: the buffered chain paths are bit-identical to `apply` —
 /// `apply_into` with reused scratch, and the prepared-pass replay that
@@ -188,27 +188,36 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Canonical JSON form (`kind: "perf"`, `schema: 1`).
-    pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("kind".into(), Value::str("perf")),
-            ("schema".into(), Value::num(1.0)),
+    /// The three modem families, keyed as in [`PerfReport::to_json`]
+    /// and the `BENCH_modem.json` points.
+    fn modem_fields(&self) -> Vec<(String, Value)> {
+        vec![
             ("lora_sf8_frame".into(), self.lora.to_json()),
             ("ble_beacon".into(), self.ble.to_json()),
             ("zigbee_16b_frame".into(), self.zigbee.to_json()),
-            (
-                "waterfall_grid_points".into(),
-                Value::num(self.waterfall_grid_points as f64),
-            ),
-            (
-                "waterfall_wall_ms".into(),
-                if self.waterfall_wall_ms.is_finite() {
-                    Value::num(self.waterfall_wall_ms)
-                } else {
-                    Value::Null
-                },
-            ),
-        ])
+        ]
+    }
+
+    /// Canonical JSON form (`kind: "perf"`, `schema: 1`).
+    pub fn to_json(&self) -> Value {
+        let mut fields = vec![
+            ("kind".into(), Value::str("perf")),
+            ("schema".into(), Value::num(1.0)),
+        ];
+        fields.extend(self.modem_fields());
+        fields.push((
+            "waterfall_grid_points".into(),
+            Value::num(self.waterfall_grid_points as f64),
+        ));
+        fields.push((
+            "waterfall_wall_ms".into(),
+            if self.waterfall_wall_ms.is_finite() {
+                Value::num(self.waterfall_wall_ms)
+            } else {
+                Value::Null
+            },
+        ));
+        Value::Obj(fields)
     }
 
     /// Rebuild a report from [`PerfReport::to_json`] output; `None` if
@@ -309,67 +318,6 @@ fn measure_waterfall(iters: u32) -> (usize, f64) {
     (points, best)
 }
 
-/// Format one f64 for the JSON writer (plain decimal, no locale;
-/// non-finite serializes as `null`).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// One point of the waterfall perf trajectory.
-fn waterfall_point(label: &str, points: usize, wall_ms: f64, speedup: f64) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{label}\",\n",
-            "      \"grid\": \"quick\",\n",
-            "      \"shards\": 1,\n",
-            "      \"grid_points\": {points},\n",
-            "      \"wall_ms\": {wall_ms},\n",
-            "      \"points_per_s\": {rate},\n",
-            "      \"speedup_vs_pre\": {speedup}\n",
-            "    }}"
-        ),
-        label = label,
-        points = points,
-        wall_ms = jnum(wall_ms),
-        rate = jnum(points as f64 / (wall_ms / 1e3)),
-        speedup = jnum(speedup),
-    )
-}
-
-/// One point of the modem perf trajectory.
-fn modem_point(label: &str, lora: &ModemPoint, ble: &ModemPoint, zigbee: &ModemPoint) -> String {
-    let fam = |name: &str, p: &ModemPoint, last: bool| {
-        format!(
-            "      \"{name}\": {{\"modulate_msps\": {}, \"demodulate_msps\": {}}}{}\n",
-            jnum(p.mod_msps),
-            jnum(p.demod_msps),
-            if last { "" } else { "," }
-        )
-    };
-    format!(
-        "    {{\n      \"label\": \"{label}\",\n{}{}{}    }}",
-        fam("lora_sf8_frame", lora, false),
-        fam("ble_beacon", ble, false),
-        fam("zigbee_16b_frame", zigbee, true),
-    )
-}
-
-/// Write a two-point (`pre`, `post`) trajectory file in the
-/// `BENCH_campaign.json` schema (hand-rolled JSON: the workspace has no
-/// serializer dependency, by design).
-fn write_trajectory(path: &str, experiment: &str, points: &[String]) -> std::io::Result<()> {
-    let body = points.join(",\n");
-    let doc = format!(
-        "{{\n  \"schema\": 1,\n  \"experiment\": \"{experiment}\",\n  \"points\": [\n{body}\n  ]\n}}\n"
-    );
-    std::fs::write(path, doc)
-}
-
 /// Run the bit-identity gates and the timed workloads, returning the
 /// measurements without printing anything — the shared engine behind
 /// `repro perf`, `repro perf --json`, and the testbed daemon's `perf`
@@ -398,12 +346,23 @@ pub fn measure_perf(quick: bool) -> PerfReport {
 }
 
 /// The `repro perf` entry point: bit-identity gates, timed modem and
-/// waterfall runs, and the two trajectory files. `quick` keeps the
-/// repetition counts CI-sized and skips the wall-clock gate (shared
-/// runners are not the recording machine); the full run enforces
-/// `REQUIRED_WATERFALL_SPEEDUP` (1.5×) against the recorded pre point.
+/// waterfall runs, and one point appended to each of the two
+/// trajectory files. `quick` keeps the repetition counts CI-sized and
+/// skips the wall-clock gate (shared runners are not the recording
+/// machine); the full run enforces `REQUIRED_WATERFALL_SPEEDUP` (1.5×)
+/// against the `pre-batching` point recorded in `BENCH_waterfall.json`.
+///
+/// # Panics
+/// In full mode, if that point is missing or the gate fails.
 pub fn perf(quick: bool) {
     println!("== Hot-path perf: allocation-free batched DSP, gated trajectories ==\n");
+    let pre_ms = pre_batching_wall_ms(WATERFALL_TRAJECTORY);
+    assert!(
+        quick || pre_ms.is_some(),
+        "waterfall perf gate: {WATERFALL_TRAJECTORY} has no pre-batching point with a \
+         finite wall_ms, so the full run has no baseline to gate against"
+    );
+    let pre_ms = pre_ms.unwrap_or(f64::NAN);
     let report = measure_perf(quick);
     println!("gate: apply_into == prepared replay == apply, bit-identical (all nine stages)");
     println!("gate: modulate_batch/demodulate_batch == scalar loops, bit-identical (3 PHYs)");
@@ -420,53 +379,42 @@ pub fn perf(quick: bool) {
         zigbee.demod_msps
     );
 
-    let points = report.waterfall_grid_points as usize;
+    let points = report.waterfall_grid_points as f64;
     let wall_ms = report.waterfall_wall_ms;
-    let speedup = PRE_WATERFALL_WALL_MS / wall_ms;
+    let speedup = pre_ms / wall_ms;
     println!(
         "waterfall quick grid: {points} points in {wall_ms:.1} ms ({:.0} points/s) — \
-         {speedup:.2}x vs the recorded pre-refactor {PRE_WATERFALL_WALL_MS:.1} ms",
-        points as f64 / (wall_ms / 1e3),
+         {speedup:.2}x vs the recorded pre-batching {pre_ms:.1} ms",
+        points / (wall_ms / 1e3),
     );
 
-    let pre_modem = modem_point(
-        "pre-batching",
-        &ModemPoint {
-            mod_msps: PRE_LORA_MOD_MSPS,
-            demod_msps: PRE_LORA_DEMOD_MSPS,
-        },
-        &ModemPoint {
-            mod_msps: PRE_BLE_MOD_MSPS,
-            demod_msps: PRE_BLE_DEMOD_MSPS,
-        },
-        &ModemPoint {
-            mod_msps: PRE_ZIGBEE_MOD_MSPS,
-            demod_msps: PRE_ZIGBEE_DEMOD_MSPS,
-        },
-    );
-    let post_modem = modem_point("post-batching", lora, ble, zigbee);
-    match write_trajectory("BENCH_modem.json", "modem_perf", &[pre_modem, post_modem]) {
-        Ok(()) => println!("trajectory points written to BENCH_modem.json"),
-        Err(e) => println!("could not write BENCH_modem.json: {e}"),
-    }
-
-    let pre_wf = waterfall_point(
-        "pre-batching",
-        PRE_WATERFALL_POINTS,
-        PRE_WATERFALL_WALL_MS,
-        1.0,
-    );
-    let post_wf = waterfall_point("post-batching", points, wall_ms, speedup);
-    match write_trajectory("BENCH_waterfall.json", "waterfall_perf", &[pre_wf, post_wf]) {
-        Ok(()) => println!("trajectory points written to BENCH_waterfall.json"),
-        Err(e) => println!("could not write BENCH_waterfall.json: {e}"),
+    let label = ("label".to_string(), Value::str("post-batching"));
+    let mut modem = vec![label.clone()];
+    modem.extend(report.modem_fields());
+    let waterfall = vec![
+        label,
+        ("grid".into(), Value::str("quick")),
+        ("shards".into(), Value::num(1.0)),
+        ("grid_points".into(), Value::num(points)),
+        ("wall_ms".into(), Value::num(wall_ms)),
+        ("points_per_s".into(), Value::num(points / (wall_ms / 1e3))),
+        ("speedup_vs_pre".into(), Value::num(speedup)),
+    ];
+    for (path, experiment, fields) in [
+        ("BENCH_modem.json", "modem_perf", modem),
+        (WATERFALL_TRAJECTORY, "waterfall_perf", waterfall),
+    ] {
+        match record(path, experiment, quick, fields) {
+            Ok(()) => println!("trajectory point appended to {path}"),
+            Err(e) => println!("could not write {path}: {e}"),
+        }
     }
 
     if !quick {
         assert!(
             speedup >= REQUIRED_WATERFALL_SPEEDUP,
             "waterfall perf gate: {speedup:.2}x < required {REQUIRED_WATERFALL_SPEEDUP}x \
-             vs the recorded pre-refactor measurement"
+             vs the recorded pre-batching measurement"
         );
         println!("perf gate: {speedup:.2}x >= {REQUIRED_WATERFALL_SPEEDUP}x, holds");
     }
@@ -523,6 +471,13 @@ mod tests {
         assert!(doc.contains("\"zigbee_16b_frame\":{\"modulate_msps\":null"));
         let parsed = PerfReport::from_json(&Value::parse(&doc).unwrap()).unwrap();
         assert!(parsed.zigbee.mod_msps.is_nan() && parsed.zigbee.demod_msps.is_nan());
+    }
+
+    #[test]
+    fn committed_waterfall_trajectory_holds_the_gate_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_waterfall.json");
+        let pre_ms = pre_batching_wall_ms(path).expect("pre-batching point with a finite wall_ms");
+        assert!(pre_ms > 0.0, "{pre_ms}");
     }
 
     #[test]

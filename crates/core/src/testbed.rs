@@ -476,11 +476,6 @@ impl Testbed {
         Self::run_campaign_blocks(&self.nodes, update, cfg, Some(ckpt), Some(cancel))
     }
 
-    /// Back-compat convenience: sequential unicast campaign.
-    pub fn ota_campaign(&self, update: &BlockedUpdate, seed: u64) -> CampaignReport {
-        self.run_campaign(update, &CampaignConfig::sequential(seed))
-    }
-
     /// Run the §7 broadcast strategy: one shared broadcast with
     /// NACK-driven repair rounds, then targeted unicast repair sessions
     /// (through the sharded unicast engine) for any node the broadcast
@@ -579,8 +574,14 @@ impl InOrderMerger {
             return;
         }
         self.pending.insert(idx, out);
+        // never merge past the stop point: blocks that arrived out of
+        // order must not turn a stopped run into a complete one
+        let stop_at = self.ckpt.as_ref().and_then(|ck| ck.cfg.stop_after_blocks);
         let mut progressed = false;
-        while let Some(out) = self.pending.remove(&self.next_block) {
+        while stop_at.is_none_or(|n| self.next_block < n) {
+            let Some(out) = self.pending.remove(&self.next_block) else {
+                break;
+            };
             self.acc.agg.merge(&out.agg);
             self.acc.reports.extend(out.reports);
             self.next_block += 1;
@@ -1334,7 +1335,7 @@ mod tests {
         let tb = Testbed::campus(11);
         let img = FirmwareImage::mcu("m", 20_000, 5);
         let upd = BlockedUpdate::build(&img);
-        let reports = tb.ota_campaign(&upd, 3);
+        let reports = tb.run_campaign(&upd, &CampaignConfig::sequential(3));
         // correlate RSSI with duration: weakest third vs strongest third
         let mut by_rssi: Vec<_> = tb
             .nodes
@@ -1468,6 +1469,33 @@ mod tests {
         for (tag, mj) in &e_tags {
             assert!((s_tags[tag] - mj).abs() < 1e-9 * mj.abs().max(1.0), "{tag}");
         }
+    }
+
+    #[test]
+    fn merger_stops_at_stop_after_when_later_blocks_arrive_first() {
+        let block = || BlockOut {
+            agg: NodeAggregate::new(RetainMode::Exact, None),
+            reports: Vec::new(),
+        };
+        let path = std::env::temp_dir().join("tinysdr_testbed_merger_stop.ckpt");
+        let mut m = InOrderMerger {
+            next_block: 0,
+            acc: block(),
+            pending: BTreeMap::new(),
+            ckpt: Some(CkptState {
+                cfg: CheckpointConfig::new(&path, 8).stop_after(2),
+                fingerprint: 0,
+                total_blocks: 5,
+                last_written: 0,
+            }),
+            failed: None,
+            stopped: false,
+        };
+        for idx in [1, 2, 3, 4, 0] {
+            m.offer(idx, block());
+        }
+        assert!(m.stopped);
+        assert_eq!(m.next_block, 2, "merged past the stop point");
     }
 
     #[test]

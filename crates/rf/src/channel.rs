@@ -1,5 +1,4 @@
-//! Channel models: calibrated AWGN, carrier/timing offsets, and
-//! packet-level fault injection.
+//! Channel models: calibrated AWGN and carrier/timing offsets.
 //!
 //! The paper's sensitivity sweeps (Figs. 10–12, 15) step the received
 //! signal strength while the receiver's noise stays fixed by physics:
@@ -143,43 +142,6 @@ pub fn superpose(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
         .collect()
 }
 
-/// smoltcp-style fault injection for packet-level links (the OTA testbed
-/// campaign uses this on top of the RSSI-derived PER).
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    /// Probability a packet is dropped outright.
-    pub drop_chance: f64,
-    /// Probability one random byte of a surviving packet is corrupted.
-    pub corrupt_chance: f64,
-    rng: StdRng,
-}
-
-impl FaultInjector {
-    /// Create an injector; probabilities are clamped to `[0, 1]`.
-    pub fn new(drop_chance: f64, corrupt_chance: f64, seed: u64) -> Self {
-        FaultInjector {
-            drop_chance: drop_chance.clamp(0.0, 1.0),
-            corrupt_chance: corrupt_chance.clamp(0.0, 1.0),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Pass a packet through the faulty link. Returns `None` if dropped,
-    /// otherwise the (possibly corrupted) payload.
-    pub fn transmit(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        if self.rng.gen::<f64>() < self.drop_chance {
-            return None;
-        }
-        let mut out = packet.to_vec();
-        if !out.is_empty() && self.rng.gen::<f64>() < self.corrupt_chance {
-            let idx = self.rng.gen_range(0..out.len());
-            let bit = 1u8 << self.rng.gen_range(0..8);
-            out[idx] ^= bit;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,32 +271,6 @@ mod tests {
         assert_eq!(d.len(), 5);
         assert_eq!(d[0], Complex::ZERO);
         assert_eq!(d[2], Complex::ONE);
-    }
-
-    #[test]
-    fn fault_injector_statistics() {
-        let mut fi = FaultInjector::new(0.3, 0.0, 123);
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            if fi.transmit(&[1, 2, 3]).is_none() {
-                dropped += 1;
-            }
-        }
-        let rate = dropped as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "drop rate {rate}");
-    }
-
-    #[test]
-    fn fault_injector_corruption_is_single_bit() {
-        let mut fi = FaultInjector::new(0.0, 1.0, 5);
-        let orig = vec![0u8; 16];
-        let got = fi.transmit(&orig).unwrap();
-        let diff: u32 = orig
-            .iter()
-            .zip(&got)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff, 1);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! tinysdr-testbedd --bench [--root DIR]                            queue throughput -> BENCH_testbedd.json
 //! ```
 //!
+//! An unknown flag, a flag missing its value, or a non-numeric
+//! `--workers` prints the usage to stderr and exits 2 before anything
+//! binds a port.
+//!
 //! `--smoke` boots the daemon on an ephemeral loopback port, submits a
 //! small campaign over real HTTP, waits for completion, verifies the
 //! stored report is byte-identical to a direct
@@ -20,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use tinysdr_bench::trajectory::record;
 use tinysdr_dsp::cancel::CancelToken;
 use tinysdr_ota::json::Value;
 use tinysdr_testbedd::clock::{Clock, SystemClock};
@@ -29,31 +34,82 @@ use tinysdr_testbedd::runner::worker_loop;
 use tinysdr_testbedd::spec::{JobSpec, JobState};
 use tinysdr_testbedd::store::ArtifactStore;
 
+const USAGE: &str = "usage:\n\
+\x20 tinysdr-testbedd [--root DIR] [--addr HOST:PORT] [--workers N]\n\
+\x20 tinysdr-testbedd --smoke [--root DIR]\n\
+\x20 tinysdr-testbedd --bench [--root DIR]\n";
+
+/// What the command line asks for.
+enum Mode {
+    Serve,
+    Smoke,
+    Bench,
+}
+
+/// The parsed command line.
+struct Cli {
+    mode: Mode,
+    root: Option<String>,
+    addr: Option<String>,
+    workers: Option<usize>,
+}
+
+/// Parse the arguments after the program name. `Ok(None)` is
+/// `--help`; `Err` names the first argument that is not understood.
+fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
+    let mut cli = Cli {
+        mode: Mode::Serve,
+        root: None,
+        addr: None,
+        workers: None,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--smoke" => cli.mode = Mode::Smoke,
+            "--bench" => cli.mode = Mode::Bench,
+            "--root" => cli.root = Some(value()?),
+            "--addr" => cli.addr = Some(value()?),
+            "--workers" => {
+                let n = value()?;
+                cli.workers = Some(
+                    n.parse()
+                        .map_err(|_| format!("--workers {n}: not a count"))?,
+                );
+            }
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok(Some(cli))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!(
-            "tinysdr-testbedd: testbed campaign scheduler daemon\n\
-             \n\
-             usage:\n\
-             \x20 tinysdr-testbedd [--root DIR] [--addr HOST:PORT] [--workers N]\n\
-             \x20 tinysdr-testbedd --smoke [--root DIR]\n\
-             \x20 tinysdr-testbedd --bench [--root DIR]\n"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let root = flag_value(&args, "--root")
+    let cli = match parse_args(&args) {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            print!("tinysdr-testbedd: testbed campaign scheduler daemon\n\n{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprint!("tinysdr-testbedd: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let root = cli
+        .root
         .map(PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join("tinysdr-testbedd"));
-    if args.iter().any(|a| a == "--smoke") {
-        return smoke(&root);
+    match cli.mode {
+        Mode::Smoke => return smoke(&root),
+        Mode::Bench => return bench(&root),
+        Mode::Serve => {}
     }
-    if args.iter().any(|a| a == "--bench") {
-        return bench(&root);
-    }
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:8070".to_string());
+    let addr = cli.addr.unwrap_or_else(|| "127.0.0.1:8070".to_string());
     let mut cfg = DaemonConfig::new(root);
-    if let Some(n) = flag_value(&args, "--workers").and_then(|w| w.parse().ok()) {
+    if let Some(n) = cli.workers {
         cfg.workers = n;
     }
     let listener = match TcpListener::bind(&addr) {
@@ -77,14 +133,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `--flag value` lookup.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// One request/response exchange against the daemon (the API is
@@ -187,12 +235,11 @@ fn smoke(root: &Path) -> ExitCode {
     }
 }
 
-/// Queue throughput across worker counts; writes `BENCH_testbedd.json`
-/// in the current directory.
+/// Queue throughput across worker counts; appends one full point per
+/// worker count to `BENCH_testbedd.json` in the current directory.
 #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
 fn bench(root: &Path) -> ExitCode {
     const JOBS: usize = 48;
-    let mut points = Vec::new();
     for workers in [1usize, 2, 4] {
         let run_root = root.join(format!("bench-w{workers}"));
         std::fs::remove_dir_all(&run_root).ok();
@@ -240,27 +287,18 @@ fn bench(root: &Path) -> ExitCode {
             "bench: workers={workers} jobs={JOBS} wall={wall_s:.3}s rate={:.1} jobs/s wait={queue_wait_ms_mean:.1}ms",
             JOBS as f64 / wall_s
         );
-        points.push(Value::Obj(vec![
+        let point = vec![
             ("workers".into(), Value::num(workers as f64)),
             ("jobs".into(), Value::num(JOBS as f64)),
             ("wall_s".into(), Value::num(wall_s)),
             ("jobs_per_s".into(), Value::num(JOBS as f64 / wall_s)),
             ("queue_wait_ms_mean".into(), Value::num(queue_wait_ms_mean)),
-        ]));
-    }
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::num(1.0)),
-        ("experiment".into(), Value::str("testbedd_queue")),
-        ("points".into(), Value::Arr(points)),
-    ]);
-    match std::fs::write("BENCH_testbedd.json", doc.write_pretty()) {
-        Ok(()) => {
-            println!("bench: wrote BENCH_testbedd.json");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
+        ];
+        if let Err(e) = record("BENCH_testbedd.json", "testbedd_queue", false, point) {
             eprintln!("bench: write: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
     }
+    println!("bench: appended to BENCH_testbedd.json");
+    ExitCode::SUCCESS
 }

@@ -16,6 +16,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use tinysdr_bench::bench_shards;
 use tinysdr_bench::campaign::{bench_campaign_config, bench_update};
 use tinysdr_bench::perf::measure_perf;
 use tinysdr_bench::system_experiments::energy_campaign_cancellable;
@@ -173,10 +174,7 @@ fn run_waterfall_job(
     } else {
         WaterfallConfig::full(seed)
     };
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = bench_shards();
     match run_waterfall_cancellable(&cfg.sharded(shards), cancel) {
         SweepRun::Complete(report) => {
             match store.save_json(&rec.id, "report.json", &report.to_json()) {

@@ -160,10 +160,7 @@ fn submit_run_cancel_and_artifact_lifecycle_over_tcp() {
         &format!("/v1/jobs/{waterfall}/artifacts/report.json"),
         "",
     );
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = tinysdr_bench::bench_shards();
     let direct = tinysdr_bench::waterfall::run_waterfall(
         &tinysdr_bench::waterfall::WaterfallConfig::quick(0xBEEF).sharded(shards),
     );

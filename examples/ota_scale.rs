@@ -50,10 +50,7 @@ fn main() {
     let t_seq = t0.elapsed();
 
     // --- sharded engine, same seed ---
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = tinysdr_bench::bench_shards();
     let t0 = Instant::now();
     let par = tb.run_campaign(&update, &CampaignConfig::sharded(7, shards));
     let t_par = t0.elapsed();

@@ -28,10 +28,7 @@ fn main() {
     println!("=== PHY conformance waterfalls ===\n");
     println!("(every scenario sweeps through the same &dyn PhyModem engine)\n");
 
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = tinysdr_bench::bench_shards();
 
     // --- the quick conformance grid, sequential vs sharded ---
     let cfg = WaterfallConfig::quick(42);

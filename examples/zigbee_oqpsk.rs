@@ -74,10 +74,7 @@ fn main() {
     );
 
     // --- the conformance waterfall measures it like any other PHY ---
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = tinysdr_bench::bench_shards();
     let mut cfg = WaterfallConfig::quick(42).sharded(shards);
     cfg.scenarios = vec![Scenario::zigbee_oqpsk(2, 2_000).with_rssi(RssiGrid::new(-106, -88, 2))];
     let rep = run_waterfall(&cfg);
