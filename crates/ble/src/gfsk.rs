@@ -10,6 +10,7 @@
 //! Fig. 12 BER curve.
 
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::correlate::TemplateBank;
 use tinysdr_dsp::gaussian::GaussianFilter;
 
 /// BLE 4.0 bit rate, bit/s.
@@ -118,8 +119,9 @@ impl GfskScratch {
 #[derive(Debug, Clone)]
 pub struct GfskDemodulator {
     sps: usize,
-    /// The 8 three-bit GFSK waveforms, index = (b₋₁ << 2)|(b₀ << 1)|b₊₁.
-    templates: Vec<Vec<Complex>>,
+    /// The 8 three-bit GFSK waveforms, index = (b₋₁ << 2)|(b₀ << 1)|b₊₁,
+    /// as a lock-step correlation bank.
+    templates: TemplateBank<8>,
 }
 
 impl GfskDemodulator {
@@ -127,13 +129,16 @@ impl GfskDemodulator {
     pub fn new(sps: usize) -> Self {
         assert!(sps >= 2);
         let m = GfskModulator::new(sps);
-        let templates = (0..8u8)
+        let templates: Vec<Vec<Complex>> = (0..8u8)
             .map(|p| {
                 let bits = [(p >> 2) & 1, (p >> 1) & 1, p & 1];
                 m.modulate(&bits)
             })
             .collect();
-        GfskDemodulator { sps, templates }
+        GfskDemodulator {
+            sps,
+            templates: TemplateBank::new(&templates),
+        }
     }
 
     /// Instantaneous frequency estimate: arg(x\[n\]·conj(x\[n−1\])).
@@ -173,22 +178,10 @@ impl GfskDemodulator {
             let slice = &x[start..slice_end];
             // at the left edge the center bit sits in the first position
             let center_shift = if i == 0 { 0 } else { 1 };
-            let mut best = (0u8, f64::MIN);
-            for (p, t) in self.templates.iter().enumerate() {
-                // the window never outruns the 3-bit template
-                // (`slice.len() <= 3*sps == t.len()`), so a plain zip
-                // accumulates the exact same products in the same order
-                let mut c = Complex::ZERO;
-                for (&s, &tv) in slice.iter().zip(t) {
-                    c += s * tv.conj();
-                }
-                let m = c.norm_sqr();
-                if m > best.1 {
-                    let bit = ((p as u8) >> (2 - center_shift)) & 1;
-                    best = (bit, m);
-                }
-            }
-            out.push(best.0);
+            // the window never outruns the 3-bit templates
+            // (`slice.len() <= 3*sps`), so every sample is correlated
+            let (p, _) = self.templates.best(slice);
+            out.push(((p as u8) >> (2 - center_shift)) & 1);
         }
     }
 
@@ -327,6 +320,63 @@ mod tests {
             assert_eq!(wave, m.modulate(&bits), "{n} bits");
             d.demodulate_into(&wave, &mut rx);
             assert_eq!(rx, d.demodulate(&wave), "{n} bits");
+        }
+    }
+
+    /// Today's receiver loop, one serial accumulation per template: the
+    /// reference the lock-step bank must reproduce.
+    fn demodulate_per_template(sps: usize, x: &[Complex]) -> Vec<u8> {
+        let m = GfskModulator::new(sps);
+        let templates: Vec<Vec<Complex>> = (0..8u8)
+            .map(|p| m.modulate(&[(p >> 2) & 1, (p >> 1) & 1, p & 1]))
+            .collect();
+        (0..x.len() / sps)
+            .map(|i| {
+                let start = i.saturating_sub(1) * sps;
+                let slice = &x[start..(start + 3 * sps).min(x.len())];
+                let center_shift = if i == 0 { 0 } else { 1 };
+                let mut best = (0u8, f64::MIN);
+                for (p, t) in templates.iter().enumerate() {
+                    let mut c = Complex::ZERO;
+                    for (&s, &tv) in slice.iter().zip(t) {
+                        c += s * tv.conj();
+                    }
+                    let m = c.norm_sqr();
+                    if m > best.1 {
+                        best = (((p as u8) >> (2 - center_shift)) & 1, m);
+                    }
+                }
+                best.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lock_step_correlator_matches_the_per_template_loop() {
+        // noisy captures around the sensitivity knee, with lengths that
+        // end on a bit boundary and mid-bit (the short final slice), down
+        // to a single bit (only the left-edge window)
+        for sps in [2usize, 4, 8] {
+            let m = GfskModulator::new(sps);
+            let d = GfskDemodulator::new(sps);
+            let bits = prbs(300, sps as u64);
+            let clean = m.modulate(&bits);
+            for (k, rssi) in [-80.0, -94.0, -100.0, -110.0].into_iter().enumerate() {
+                let mut sig = clean.clone();
+                AwgnChannel::new(CC2650_NOISE_FIGURE_DB, 40 + k as u64).apply(
+                    &mut sig,
+                    rssi,
+                    m.fs(),
+                );
+                for len in [0, 1, sps, sps + 1, 2 * sps - 1, 7 * sps + 3, sig.len()] {
+                    let x = &sig[..len];
+                    assert_eq!(
+                        d.demodulate(x),
+                        demodulate_per_template(sps, x),
+                        "sps {sps}, {rssi} dBm, {len} samples"
+                    );
+                }
+            }
         }
     }
 

@@ -16,6 +16,8 @@
 //! * [`fir`] — FIR filtering and windowed-sinc design; the paper's LoRa
 //!   demodulator uses a 14-tap low-pass FIR in front of the dechirper.
 //! * [`gaussian`] — the Gaussian pulse-shaping filter used by BLE GFSK.
+//! * [`correlate`] — the lock-step template bank behind the BLE GFSK and
+//!   802.15.4 O-QPSK matched-template receivers.
 //! * [`nco`] / [`chirp`] — numerically-controlled oscillator and LoRa chirp
 //!   generation using the *squared phase accumulator + sin/cos lookup
 //!   table* structure the paper implements in Verilog (their reference
@@ -54,6 +56,7 @@
 pub mod cancel;
 pub mod chirp;
 pub mod complex;
+pub mod correlate;
 pub mod delay;
 pub mod event;
 pub mod fft;

@@ -21,8 +21,9 @@ use tinysdr_dsp::fir::{demod_frontend, Fir};
 
 /// Reusable working state for one demodulator's `*_with` hot paths:
 /// the front-end FIR (cloned from the demodulator so taps match), the
-/// group-delay-compensated capture, and the dechirp/FFT symbol buffer.
-/// Build with [`Demodulator::scratch`]; hold one per worker thread.
+/// group-delay-compensated capture of the framed path, and the
+/// dechirp/FFT symbol buffer. Build with [`Demodulator::scratch`]; hold
+/// one per worker thread.
 #[derive(Debug, Clone)]
 pub struct DemodScratch {
     fir: Fir,
@@ -45,14 +46,90 @@ pub struct SymbolDetection {
 }
 
 impl SymbolDetection {
-    /// Peak-to-mean ratio; preamble detection thresholds on this.
+    /// Peak-to-mean ratio; preamble detection thresholds on this. A
+    /// window without energy (zero mean) has no peak: its quality is 0,
+    /// so digital silence never passes the preamble gate.
     pub fn quality(&self) -> f64 {
         if self.mean_magnitude > 0.0 {
             self.magnitude / self.mean_magnitude
         } else {
-            f64::INFINITY
+            0.0
         }
     }
+}
+
+/// Relative margin of the decision-only peak search: bins within it of
+/// the largest `|X[k]|²` are re-ranked by exact magnitude, and a
+/// preamble quality within it of the gate is re-decided by the exact
+/// scan. The two magnitude routines and the two mean sums differ by a
+/// few ulp per bin — under `n · 1e-15` relative for `n ≤ 4096` bins —
+/// far inside this margin (DESIGN.md, "Receiver kernels").
+const PEAK_MARGIN: f64 = 1e-9;
+
+/// Peak `|X[k]|²` range inside which every bin near the peak keeps full
+/// relative precision: above `NORM_SQR_MIN` no squared component that
+/// matters is subnormal, at or below `NORM_SQR_MAX` none overflowed.
+/// Spectra outside it (including all-zero ones) take the exact scan.
+const NORM_SQR_MIN: f64 = 1e-200;
+const NORM_SQR_MAX: f64 = 1e300;
+
+/// The exact peak scan every public detection reports: `|X[k]|` per
+/// bin (oversampled receivers fold in the mirrored bin), first maximum
+/// on ties, and the mean magnitude over the `n` chip bins.
+fn scan_exact(spec: &[Complex], n: usize, osr: usize) -> SymbolDetection {
+    let ns = spec.len();
+    let mut best = (0u16, f64::MIN);
+    let mut sum = 0.0;
+    for s in 0..n {
+        let mut mag = spec[s].abs();
+        if osr > 1 {
+            mag += spec[(ns - n + s) % ns].abs();
+        }
+        sum += mag;
+        if mag > best.1 {
+            best = (s as u16, mag);
+        }
+    }
+    SymbolDetection {
+        symbol: best.0,
+        magnitude: best.1,
+        mean_magnitude: sum / n as f64,
+    }
+}
+
+/// Largest `|X[k]|²` of a spectrum, or `None` when it falls outside
+/// `NORM_SQR_MIN..=NORM_SQR_MAX` or any bin is non-finite or too large
+/// (the fast search then cannot vouch for its ranking).
+fn top_norm_sqr(spec: &[Complex]) -> Option<f64> {
+    let mut top = 0.0f64;
+    let mut tame = true;
+    for v in spec {
+        let p = v.norm_sqr();
+        tame &= p <= NORM_SQR_MAX;
+        if p > top {
+            top = p;
+        }
+    }
+    (tame && top >= NORM_SQR_MIN).then_some(top)
+}
+
+/// `(symbol, |X[symbol]|)` of the first maximum magnitude, given the
+/// spectrum's largest `|X[k]|²` `top`: only bins within [`PEAK_MARGIN`]
+/// of `top` can hold the maximum magnitude, so only they pay an `abs`.
+/// Every bin whose magnitude ties the maximum passes the cut, so the
+/// first of them is [`scan_exact`]'s peak, with its magnitude.
+fn peak_near(spec: &[Complex], top: f64) -> (u16, f64) {
+    let cut = top * (1.0 - PEAK_MARGIN);
+    let mut best = (0u16, f64::MIN);
+    for (s, v) in spec.iter().enumerate() {
+        if v.norm_sqr() >= cut {
+            let mag = v.abs();
+            if mag > best.1 {
+                best = (s as u16, mag);
+            }
+        }
+    }
+    best
 }
 
 /// A demodulated frame.
@@ -170,8 +247,8 @@ impl Demodulator {
         self.plan.forward(buf);
     }
 
-    /// Dechirp → FFT → peak against a caller-owned working buffer.
-    /// Bit-identical to the allocating `detect_with`.
+    /// Dechirp → FFT → exact peak scan against a caller-owned working
+    /// buffer. Bit-identical to the allocating `detect_with`.
     fn detect_with_buf(
         &self,
         window: &[Complex],
@@ -179,30 +256,60 @@ impl Demodulator {
         buf: &mut Vec<Complex>,
     ) -> SymbolDetection {
         self.spectrum_into(window, reference, buf);
-        let ns = self.cfg.samples_per_symbol();
-        let n = self.cfg.n_chips();
-        let osr = self.cfg.osr;
-        let mut best = (0u16, f64::MIN);
-        let mut sum = 0.0;
-        for s in 0..n {
-            let mut mag = buf[s].abs();
-            if osr > 1 {
-                mag += buf[(ns - n + s) % ns].abs();
-            }
-            sum += mag;
-            if mag > best.1 {
-                best = (s as u16, mag);
-            }
-        }
-        SymbolDetection {
-            symbol: best.0,
-            magnitude: best.1,
-            mean_magnitude: sum / n as f64,
-        }
+        scan_exact(buf, self.cfg.n_chips(), self.cfg.osr)
     }
 
-    /// The data symbol of one aligned window: `detect_with_buf(w,
-    /// up_ref).symbol` for callers that read nothing else.
+    /// `(symbol, magnitude)` of the exact peak scan of a spectrum,
+    /// without its mean: the SFD and refine searches read nothing else.
+    /// At one sample per chip only the near-peak bins pay an `abs`;
+    /// oversampled receivers fold two bins into a magnitude sum, which
+    /// `|X[k]|²` cannot rank, so they keep the full scan.
+    fn peak(&self, spec: &[Complex]) -> (u16, f64) {
+        if self.cfg.osr == 1 {
+            if let Some(top) = top_norm_sqr(spec) {
+                return peak_near(spec, top);
+            }
+        }
+        let det = scan_exact(spec, self.cfg.n_chips(), self.cfg.osr);
+        (det.symbol, det.magnitude)
+    }
+
+    /// The preamble gate on a spectrum: `Some(symbol)` exactly when the
+    /// exact scan's quality reaches [`Demodulator::preamble_quality`].
+    ///
+    /// At one sample per chip the mean comes from `Σ sqrt(|X[k]|²)`
+    /// instead of `Σ |X[k]|`; a quality within [`PEAK_MARGIN`] of the
+    /// gate, a spectrum outside the safe `|X[k]|²` range (digital
+    /// silence included) and oversampled receivers are decided by the
+    /// exact scan.
+    fn preamble_symbol(&self, spec: &[Complex]) -> Option<u16> {
+        let gate = self.preamble_quality;
+        if self.cfg.osr == 1 {
+            let mut top = 0.0f64;
+            let mut tame = true;
+            let mut sum = 0.0;
+            for v in spec {
+                let p = v.norm_sqr();
+                tame &= p <= NORM_SQR_MAX;
+                sum += p.sqrt();
+                if p > top {
+                    top = p;
+                }
+            }
+            if tame && top >= NORM_SQR_MIN {
+                let (symbol, magnitude) = peak_near(spec, top);
+                let quality = magnitude / (sum / spec.len() as f64);
+                if (quality - gate).abs() > PEAK_MARGIN * gate.abs() {
+                    return (quality >= gate).then_some(symbol);
+                }
+            }
+        }
+        let det = scan_exact(spec, self.cfg.n_chips(), self.cfg.osr);
+        (det.quality() >= gate).then_some(det.symbol)
+    }
+
+    /// The data symbol of a dechirped spectrum: `scan_exact(..).symbol`
+    /// for callers that read nothing else.
     ///
     /// At one sample per chip the peak is picked over `|X[k]|²` instead
     /// of `|X[k]|`, skipping a `hypot` per bin and the unused mean
@@ -213,19 +320,35 @@ impl Demodulator {
     /// tests gate. Oversampled receivers fold two bins into a magnitude
     /// *sum*, which squared norms cannot rank, so they keep the full
     /// scan.
-    fn symbol_with_buf(&self, window: &[Complex], buf: &mut Vec<Complex>) -> u16 {
+    fn data_symbol(&self, spec: &[Complex]) -> u16 {
         if self.cfg.osr > 1 {
-            return self.detect_with_buf(window, &self.up_ref, buf).symbol;
+            return scan_exact(spec, self.cfg.n_chips(), self.cfg.osr).symbol;
         }
-        self.spectrum_into(window, &self.up_ref, buf);
         let mut best = (0u16, f64::MIN);
-        for (s, v) in buf.iter().enumerate() {
+        for (s, v) in spec.iter().enumerate() {
             let p = v.norm_sqr();
             if p > best.1 {
                 best = (s as u16, p);
             }
         }
         best.0
+    }
+
+    /// The data symbol of one aligned window of the filtered capture.
+    fn symbol_with_buf(&self, window: &[Complex], buf: &mut Vec<Complex>) -> u16 {
+        self.spectrum_into(window, &self.up_ref, buf);
+        self.data_symbol(buf)
+    }
+
+    /// Peak magnitude of one window dechirped against `reference`.
+    fn peak_magnitude(
+        &self,
+        window: &[Complex],
+        reference: &[Complex],
+        buf: &mut Vec<Complex>,
+    ) -> f64 {
+        self.spectrum_into(window, reference, buf);
+        self.peak(buf).1
     }
 
     /// Detect the symbol in an aligned window (dechirp → FFT → peak).
@@ -276,20 +399,13 @@ impl Demodulator {
         sent: &[u16],
         scratch: &mut DemodScratch,
     ) -> (u64, u64) {
-        let ns = self.cfg.samples_per_symbol();
-        let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
+        let mut tx = sent.iter();
         let mut errors = 0u64;
-        for (i, &tx_sym) in sent.iter().enumerate() {
-            let start = i * ns;
-            if start + ns > filtered.len() {
-                errors += (sent.len() - i) as u64;
-                break;
-            }
-            if self.symbol_with_buf(&filtered[start..start + ns], buf) != tx_sym {
-                errors += 1;
-            }
-        }
+        self.walk_aligned(rx, scratch, sent.len(), |symbol| {
+            errors += u64::from(tx.next() != Some(&symbol));
+        });
+        // symbols whose window runs past the capture were lost
+        errors += tx.len() as u64;
         (errors, sent.len() as u64)
     }
 
@@ -305,15 +421,48 @@ impl Demodulator {
         scratch: &mut DemodScratch,
         units: &mut Vec<u16>,
     ) {
-        let ns = self.cfg.samples_per_symbol();
-        let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
         units.clear();
-        units.extend(
-            filtered
-                .chunks_exact(ns)
-                .map(|w| self.symbol_with_buf(w, buf)),
-        );
+        self.walk_aligned(rx, scratch, usize::MAX, |symbol| units.push(symbol));
+    }
+
+    /// Stream the first `max_windows` aligned symbol windows of `rx`
+    /// through the front end one window at a time, handing each
+    /// window's data symbol to `each`.
+    ///
+    /// The FIR state carries across windows: the first block also feeds
+    /// the group delay, whose outputs are dropped, and past the end of
+    /// the capture the filter is flushed with zeros — exactly the
+    /// samples [`Demodulator::filter`] produces, by the FIR's
+    /// split-block streaming contract. Each window is filtered straight
+    /// into the symbol buffer and dechirped, transformed and scanned
+    /// while it is still in cache, with no whole-capture copy.
+    fn walk_aligned(
+        &self,
+        rx: &[Complex],
+        scratch: &mut DemodScratch,
+        max_windows: usize,
+        mut each: impl FnMut(u16),
+    ) {
+        let ns = self.cfg.samples_per_symbol();
+        let windows = (rx.len() / ns).min(max_windows);
+        if windows == 0 {
+            return;
+        }
+        let DemodScratch { fir, buf, .. } = scratch;
+        let delay = fir.group_delay() as usize;
+        fir.reset();
+        fir.process_into(&rx[..delay.min(rx.len())], buf);
+        for k in 0..windows {
+            let start = (k * ns + delay).min(rx.len());
+            let end = (start + ns).min(rx.len());
+            fir.process_into(&rx[start..end], buf);
+            buf.resize_with(ns, || fir.push(Complex::ZERO));
+            for (z, &r) in buf.iter_mut().zip(&self.up_ref) {
+                *z *= r;
+            }
+            self.plan.forward(buf);
+            each(self.data_symbol(buf));
+        }
     }
 
     /// Locate the preamble in `rx` and return `(symbol_grid_start,
@@ -329,20 +478,20 @@ impl Demodulator {
         let mut run_start = 0usize;
         let mut k = 0usize;
         while (k + 1) * ns <= rx.len() {
-            let det = self.detect_with_buf(&rx[k * ns..(k + 1) * ns], &self.up_ref, buf);
-            if det.quality() >= self.preamble_quality {
+            self.spectrum_into(&rx[k * ns..(k + 1) * ns], &self.up_ref, buf);
+            if let Some(symbol) = self.preamble_symbol(buf) {
                 // tolerate ±1 chip jitter between windows (quantized
                 // chirps + filter edges wobble the split-bin estimate)
                 let close = {
-                    let d = (det.symbol as i64 - run_sym as i64).rem_euclid(n);
+                    let d = (symbol as i64 - run_sym as i64).rem_euclid(n);
                     d <= 1 || d == n - 1
                 };
                 if run > 0 && close {
                     run += 1;
-                    run_sym = det.symbol;
+                    run_sym = symbol;
                 } else {
                     run = 1;
-                    run_sym = det.symbol;
+                    run_sym = symbol;
                     run_start = k;
                 }
                 if run >= needed {
@@ -376,9 +525,10 @@ impl Demodulator {
             if pos < 0 || (pos as usize + ns) > rx.len() {
                 continue;
             }
-            let det = self.detect_with_buf(&rx[pos as usize..pos as usize + ns], &self.up_ref, buf);
-            if det.symbol == 0 && det.magnitude > best.1 {
-                best = (pos as usize, det.magnitude);
+            self.spectrum_into(&rx[pos as usize..pos as usize + ns], &self.up_ref, buf);
+            let (symbol, magnitude) = self.peak(buf);
+            if symbol == 0 && magnitude > best.1 {
+                best = (pos as usize, magnitude);
             }
         }
         best.0
@@ -441,15 +591,15 @@ impl Demodulator {
                     // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
                     let w0 = &filtered[start..start + ns];
                     (
-                        self.detect_with_buf(w0, &self.down_ref, buf).magnitude,
-                        self.detect_with_buf(w0, &self.up_ref, buf).magnitude,
+                        self.peak_magnitude(w0, &self.down_ref, buf),
+                        self.peak_magnitude(w0, &self.up_ref, buf),
                     )
                 }
             };
             // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
             let w1 = &filtered[start + ns..start + 2 * ns];
-            let d1 = self.detect_with_buf(w1, &self.down_ref, buf).magnitude;
-            let u1 = self.detect_with_buf(w1, &self.up_ref, buf).magnitude;
+            let d1 = self.peak_magnitude(w1, &self.down_ref, buf);
+            let u1 = self.peak_magnitude(w1, &self.up_ref, buf);
             carried = Some((d1, u1));
             let score = d0 + d1 - u0 - u1;
             if best.map(|(_, s)| score > s).unwrap_or(true) {
@@ -696,6 +846,202 @@ mod tests {
                     .collect();
                 assert_eq!(units, want, "SF{sf} at anchor {offset_db:+} dB");
                 assert_eq!(units.last(), Some(&0), "all-zero window reads bin 0");
+            }
+        }
+    }
+
+    #[test]
+    fn leading_digital_silence_does_not_lock_the_preamble_search() {
+        // regression: an all-zero window used to report quality ∞ and
+        // pass the gate, so three silent windows before a frame formed
+        // a "preamble" at bin 0 and the frame was lost
+        let m = Modulator::standard(8, 125e3, 1, 1);
+        let d = Demodulator::standard(8, 125e3, 1, 1);
+        let ns = d.config().samples_per_symbol();
+        let sig = m.modulate(b"after silence");
+        for silent in 0..=20 {
+            let mut rx = vec![Complex::ZERO; silent * ns];
+            rx.extend_from_slice(&sig);
+            let f = d
+                .demodulate(&rx)
+                .unwrap_or_else(|| panic!("{silent} silent windows"));
+            assert_eq!(f.payload, b"after silence", "{silent} silent windows");
+            assert!(f.crc_ok, "{silent} silent windows");
+        }
+        let silence = d.detect_symbol(&vec![Complex::ZERO; ns]);
+        assert_eq!(silence.quality(), 0.0);
+    }
+
+    /// The decision-only searches against the exact `abs()` scan on one
+    /// spectrum: peak symbol and magnitude bit for bit, and the gate at
+    /// `gate`.
+    fn assert_fast_search_is_exact(spec: &[Complex], gate: f64, what: &str) {
+        let mut d = Demodulator::standard(8, 125e3, 1, 1);
+        d.preamble_quality = gate;
+        let exact = scan_exact(spec, spec.len(), 1);
+        let (symbol, magnitude) = d.peak(spec);
+        assert_eq!(symbol, exact.symbol, "{what}: peak bin");
+        assert_eq!(
+            magnitude.to_bits(),
+            exact.magnitude.to_bits(),
+            "{what}: peak magnitude"
+        );
+        let want = (exact.quality() >= gate).then_some(exact.symbol);
+        assert_eq!(d.preamble_symbol(spec), want, "{what}: gate {gate}");
+    }
+
+    #[test]
+    fn decision_only_search_matches_the_exact_scan_on_adversarial_spectra() {
+        let n = 256;
+        let flat = |v: Complex| vec![v; n];
+        let gates = [3.5, 0.0, 1.0, 2.0, 100.0];
+        let mut cases: Vec<(String, Vec<Complex>)> = Vec::new();
+        // exact ties: equal magnitudes from different components
+        let mut tie = flat(Complex::new(0.5, 0.25));
+        tie[9] = Complex::new(4.0, 3.0);
+        tie[40] = Complex::new(3.0, 4.0);
+        tie[41] = Complex::new(0.0, -5.0);
+        tie[200] = Complex::new(-5.0, 0.0);
+        cases.push(("exact ties".into(), tie));
+        // bins one ulp apart, each order
+        for (a, b) in [(1.0f64, 1.0f64.next_up()), (1.0f64.next_up(), 1.0)] {
+            let mut s = flat(Complex::new(0.1, 0.0));
+            s[17] = Complex::new(a, 0.7);
+            s[18] = Complex::new(b, 0.7);
+            cases.push((format!("one ulp apart ({a:e}, {b:e})"), s));
+        }
+        // components whose squares round together while hypot may not
+        let mut state = 0x5eed_u64;
+        for k in 0..64 {
+            let mut s = flat(Complex::new(1e-3, -2e-3));
+            let base = Complex::new(0.6 + 0.001 * k as f64, 0.8 - 0.0007 * k as f64);
+            for (j, bin) in [3usize, 77, 78, 190, 255].into_iter().enumerate() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let mut re = base.re;
+                let mut im = base.im;
+                for _ in 0..(state >> 61) {
+                    re = if j % 2 == 0 {
+                        re.next_up()
+                    } else {
+                        re.next_down()
+                    };
+                }
+                for _ in 0..((state >> 58) & 7) {
+                    im = if j % 3 == 0 {
+                        im.next_down()
+                    } else {
+                        im.next_up()
+                    };
+                }
+                s[bin] = Complex::new(re, im);
+            }
+            cases.push((format!("near-tied cluster {k}"), s));
+        }
+        // digital silence, and magnitudes that force the exact fallback
+        cases.push(("all zero".into(), flat(Complex::ZERO)));
+        for scale in [1e-160, 1e-155, 1e-100, 1e149, 1e150, 1e151, 1e155, 1e160] {
+            let mut s = flat(Complex::new(0.3 * scale, 0.1 * scale));
+            s[5] = Complex::new(2.0 * scale, -1.5 * scale);
+            s[6] = Complex::new(-1.5 * scale, 2.0 * scale);
+            cases.push((format!("scale {scale:e}"), s));
+        }
+        let mut nan = flat(Complex::new(0.2, 0.1));
+        nan[3] = Complex::new(f64::NAN, f64::INFINITY);
+        nan[4] = Complex::new(3.0, 0.0);
+        cases.push(("NaN and ∞ components".into(), nan));
+        for (what, spec) in &cases {
+            for &gate in &gates {
+                assert_fast_search_is_exact(spec, gate, what);
+            }
+        }
+    }
+
+    #[test]
+    fn preamble_gate_is_exact_at_the_threshold() {
+        // peak 7 at one bin, 101 bins of magnitude 5, the rest silent:
+        // mean 512 / 256 = 2, quality exactly 3.5
+        let n = 256;
+        let spectrum = |peak: f64| {
+            let mut s = vec![Complex::ZERO; n];
+            s[30] = Complex::new(0.0, peak);
+            for bin in s.iter_mut().skip(100).take(101) {
+                *bin = Complex::new(3.0, -4.0);
+            }
+            s
+        };
+        let at = spectrum(7.0);
+        assert_eq!(scan_exact(&at, n, 1).quality(), 3.5);
+        for gate in [3.5, 3.5f64.next_up(), 3.5f64.next_down()] {
+            assert_fast_search_is_exact(&at, gate, "quality 3.5");
+            for peak in [7.0f64.next_up(), 7.0f64.next_down()] {
+                assert_fast_search_is_exact(&spectrum(peak), gate, "quality 3.5 ± 1 ulp");
+            }
+        }
+        let d = Demodulator::standard(8, 125e3, 1, 1);
+        assert_eq!(d.preamble_symbol(&at), Some(30), "3.5 passes a 3.5 gate");
+    }
+
+    #[test]
+    fn decision_only_search_matches_the_exact_scan_on_received_windows() {
+        // real dechirped spectra: noisy preambles, SFD downchirps and
+        // noise-only windows, against gates spread around their qualities
+        let m = Modulator::standard(8, 125e3, 1, 1);
+        let d = Demodulator::standard(8, 125e3, 1, 1);
+        let ns = d.config().samples_per_symbol();
+        let sig = m.modulate(b"gate sweep");
+        let mut buf = Vec::new();
+        let mut fast_decided = 0;
+        for (k, rssi) in [-110.0, -122.0, -126.0, -130.0, -140.0]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rx = apply_delay(&sig, 19 * k);
+            AwgnChannel::new(4.5, 70 + k as u64).apply(&mut rx, rssi, 125e3);
+            let filtered = d.filter(&rx);
+            for w in filtered.chunks_exact(ns) {
+                for reference in [&d.up_ref, &d.down_ref] {
+                    d.spectrum_into(w, reference, &mut buf);
+                    let q = scan_exact(&buf, ns, 1).quality();
+                    for gate in [3.5, q * (1.0 + 1e-6), q * (1.0 - 1e-6), q, 2.0, 6.0] {
+                        assert_fast_search_is_exact(&buf, gate, &format!("{rssi} dBm"));
+                        fast_decided += usize::from((q - gate).abs() > 1e-9 * gate);
+                    }
+                }
+            }
+        }
+        assert!(fast_decided > 100);
+    }
+
+    #[test]
+    fn streamed_aligned_walk_matches_filter_then_detect() {
+        for (sf, osr) in [(7u8, 1usize), (8, 1), (7, 2)] {
+            let m = Modulator::standard(sf, 125e3, osr, 1);
+            let d = Demodulator::standard(sf, 125e3, osr, 1);
+            let ns = d.config().samples_per_symbol();
+            let syms: Vec<u16> = (0..6u16).map(|k| (37 * k + 5) % (1 << sf)).collect();
+            let mut rx = m.modulate_symbols(&syms);
+            AwgnChannel::new(4.5, sf as u64).apply(&mut rx, -118.0, 125e3);
+            let mut scratch = d.scratch();
+            let mut units = Vec::new();
+            for len in [0, 1, 6, 7, ns - 1, ns, ns + 7, 5 * ns + 3] {
+                let x = &rx[..len];
+                d.detect_aligned_with(x, &mut scratch, &mut units);
+                let want: Vec<u16> = d
+                    .filter(x)
+                    .chunks_exact(ns)
+                    .map(|w| d.detect_symbol(w).symbol)
+                    .collect();
+                assert_eq!(units, want, "SF{sf} OSR{osr}, {len} samples");
+                // the error walk: the same windows, truncated ones lost
+                let lost = syms.len() - want.len().min(syms.len());
+                let flipped = want.iter().zip(&syms).filter(|(a, b)| a != b).count();
+                assert_eq!(
+                    d.symbol_errors_with(x, &syms, &mut scratch),
+                    ((lost + flipped) as u64, syms.len() as u64),
+                    "SF{sf} OSR{osr}, {len} samples"
+                );
             }
         }
     }

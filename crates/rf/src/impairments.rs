@@ -350,12 +350,17 @@ impl ImpairmentChain {
     /// full scale, quantize, scale back (the AGC keeps downstream power
     /// arithmetic in dBm intact).
     fn quantize_in_place(&self, sig: &mut [Complex]) {
+        if self.adc_bits.is_some() {
+            let peak = sig.iter().map(|&z| rail(z)).fold(0.0f64, f64::max);
+            self.quantize_at_peak(sig, peak);
+        }
+    }
+
+    /// Stage 9 against a peak rail the caller already folded (in
+    /// sample order, from 0, with `f64::max`).
+    fn quantize_at_peak(&self, sig: &mut [Complex], peak: f64) {
         if let Some(bits) = self.adc_bits {
             let q = Quantizer::new(bits);
-            let peak = sig
-                .iter()
-                .map(|z| z.re.abs().max(z.im.abs()))
-                .fold(0.0f64, f64::max);
             if peak > 0.0 {
                 let agc = 0.9 / peak;
                 for z in sig.iter_mut() {
@@ -404,36 +409,59 @@ impl ImpairmentChain {
     /// precomputed noise vector, quantize. Must be called with the same
     /// chain that prepared `prep`; the output is then bit-identical to
     /// [`ImpairmentChain::apply`] at the same `(tx, rssi_dbm, fs, seed)`.
+    ///
+    /// Stages 6–8 and the AGC peak run as one pass over the capture,
+    /// each sample taking the stages in chain order with the same
+    /// arithmetic as the stage-by-stage route; stage 9 is a second pass,
+    /// only when the chain quantizes.
     pub fn apply_prepared_into(&self, prep: &PreparedPass, rssi_dbm: f64, out: &mut Vec<Complex>) {
-        out.clear();
-        out.extend_from_slice(&prep.front);
         // 6. scale to the wanted RSSI — same arithmetic as
         // `normalize_power`, with the mean power cached across points
         // (it is a property of the front half alone)
         let p = prep.front_power;
-        if p > 0.0 {
-            let g = (dbm_to_mw(rssi_dbm) / p).sqrt();
-            for z in out.iter_mut() {
-                *z = z.scale(g);
-            }
-        }
-        // 7. fading: the same per-block coefficients `apply` would draw
-        if let Some(block) = prep.fading_block {
-            let len = out.len();
-            for (b, &h) in prep.fading.iter().enumerate() {
-                let i = b * block;
-                for z in out[i..(i + block).min(len)].iter_mut() {
-                    *z *= h;
+        let gain = (p > 0.0).then(|| (dbm_to_mw(rssi_dbm) / p).sqrt());
+        let agc = self.adc_bits.is_some();
+        let mut peak = 0.0f64;
+        out.clear();
+        out.reserve(prep.front.len());
+        let mut pass = |front: &[Complex], noise: &[Complex], fade: Option<Complex>| {
+            out.extend(front.iter().zip(noise).map(|(&x, &n)| {
+                let mut z = x;
+                if let Some(g) = gain {
+                    z = z.scale(g);
+                }
+                // 7. fading: the same per-block coefficient `apply` draws
+                if let Some(h) = fade {
+                    z *= h;
+                }
+                // 8. AWGN: the same per-sample draw `add_noise` makes
+                z += n;
+                if agc {
+                    peak = peak.max(rail(z));
+                }
+                z
+            }));
+        };
+        // the prepared noise vector and fading blocks cover the front
+        // half exactly (`prepare_pass_into` sizes them from it)
+        match prep.fading_block {
+            Some(block) => {
+                let blocks = prep.front.chunks(block).zip(prep.noise.chunks(block));
+                for ((front, noise), &h) in blocks.zip(&prep.fading) {
+                    pass(front, noise, Some(h));
                 }
             }
-        }
-        // 8. AWGN: the same per-sample draws `add_noise` would make
-        for (z, n) in out.iter_mut().zip(&prep.noise) {
-            *z += *n;
+            None => pass(&prep.front, &prep.noise, None),
         }
         // 9. ADC quantization
-        self.quantize_in_place(out);
+        self.quantize_at_peak(out, peak);
     }
+}
+
+/// The AGC's view of one sample: its larger rail magnitude.
+#[inline]
+fn rail(z: Complex) -> f64 {
+    z.re.abs().max(z.im.abs())
 }
 
 /// Reusable scratch buffers for [`ImpairmentChain::apply_into`]: the

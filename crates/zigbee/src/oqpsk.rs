@@ -15,6 +15,7 @@
 //! 2.4 GHz PHY its processing gain.
 
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::correlate::TemplateBank;
 
 use crate::chips::{chip_sequence, CHIPS_PER_SYMBOL, CHIP_RATE};
 
@@ -161,16 +162,20 @@ impl OqpskScratch {
 #[derive(Debug, Clone)]
 pub struct OqpskDemodulator {
     spc: usize,
-    /// The 16 single-symbol reference waveforms.
-    templates: Vec<Vec<Complex>>,
+    /// The 16 single-symbol reference waveforms, as a lock-step
+    /// correlation bank.
+    templates: TemplateBank<16>,
 }
 
 impl OqpskDemodulator {
     /// Receiver at `spc` samples per chip (must match the transmitter).
     pub fn new(spc: usize) -> Self {
         let m = OqpskModulator::new(spc);
-        let templates = (0..16u8).map(|s| m.modulate_symbols(&[s])).collect();
-        OqpskDemodulator { spc, templates }
+        let templates: Vec<Vec<Complex>> = (0..16u8).map(|s| m.modulate_symbols(&[s])).collect();
+        OqpskDemodulator {
+            spc,
+            templates: TemplateBank::new(&templates),
+        }
     }
 
     /// Samples per chip.
@@ -186,22 +191,10 @@ impl OqpskDemodulator {
     /// Detect one aligned symbol window: the index of the chip sequence
     /// with the largest `|correlation|` (noncoherent — invariant to the
     /// capture's carrier phase), plus that magnitude.
+    /// Samples past the template length are ignored.
     pub fn detect_symbol(&self, window: &[Complex]) -> (u8, f64) {
-        let mut best = (0u8, f64::MIN);
-        for (s, t) in self.templates.iter().enumerate() {
-            // zip stops at the shorter of window/template — the same
-            // pairs, in the same order, as the indexed loop with its
-            // explicit bounds check
-            let mut c = Complex::ZERO;
-            for (&x, &tv) in window.iter().zip(t) {
-                c += x * tv.conj();
-            }
-            let m = c.norm_sqr();
-            if m > best.1 {
-                best = (s as u8, m);
-            }
-        }
-        best
+        let (s, m) = self.templates.best(window);
+        (s as u8, m)
     }
 
     /// Demodulate an *aligned* capture into 4-bit symbols, one per full
@@ -282,6 +275,60 @@ mod tests {
         let chips = [1u8, 0, 0, 1, 1, 1, 0, 0];
         m.modulate_chips_into(&chips, &mut scratch, &mut wave);
         assert_eq!(wave, m.modulate_chips(&chips));
+    }
+
+    /// Today's `detect_symbol`, one serial accumulation per template:
+    /// the reference the lock-step bank must reproduce.
+    fn detect_per_template(templates: &[Vec<Complex>], window: &[Complex]) -> (u8, f64) {
+        let mut best = (0u8, f64::MIN);
+        for (s, t) in templates.iter().enumerate() {
+            let mut c = Complex::ZERO;
+            for (&x, &tv) in window.iter().zip(t) {
+                c += x * tv.conj();
+            }
+            let m = c.norm_sqr();
+            if m > best.1 {
+                best = (s as u8, m);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn lock_step_correlator_matches_the_per_template_loop() {
+        for spc in [2usize, 4] {
+            let m = OqpskModulator::new(spc);
+            let d = OqpskDemodulator::new(spc);
+            let templates: Vec<Vec<Complex>> =
+                (0..16u8).map(|s| m.modulate_symbols(&[s])).collect();
+            let ns = d.samples_per_symbol();
+            let clean = m.modulate_symbols(&random_symbols(24, spc as u64));
+            for (k, rssi) in [-90.0, -100.0, -106.0, -115.0].into_iter().enumerate() {
+                let mut sig = clean.clone();
+                AwgnChannel::new(10.0, 50 + k as u64).apply(&mut sig, rssi, m.fs());
+                // every window, with its spill-over, without it (the
+                // capture ends on the symbol boundary) and part of it
+                for i in 0..24 {
+                    for end in [(i + 1) * ns, (i + 1) * ns + 1, (i + 1) * ns + spc] {
+                        let w = &sig[i * ns..end.min(sig.len())];
+                        let (sym, mag) = d.detect_symbol(w);
+                        let (want_sym, want_mag) = detect_per_template(&templates, w);
+                        assert_eq!(sym, want_sym, "spc {spc}, {rssi} dBm, window {i}..{end}");
+                        assert_eq!(mag.to_bits(), want_mag.to_bits(), "spc {spc}, {rssi} dBm");
+                    }
+                }
+                // a capture cut on a symbol boundary: the final window
+                // has no spill-over
+                let cut = &sig[..24 * ns];
+                let want: Vec<u8> = (0..24)
+                    .map(|i| {
+                        let end = ((i + 1) * ns + spc).min(cut.len());
+                        detect_per_template(&templates, &cut[i * ns..end]).0
+                    })
+                    .collect();
+                assert_eq!(d.demodulate_symbols(cut), want, "spc {spc}, {rssi} dBm");
+            }
+        }
     }
 
     #[test]
