@@ -947,6 +947,13 @@ mod tests {
             s[6] = Complex::new(-1.5 * scale, 2.0 * scale);
             cases.push((format!("scale {scale:e}"), s));
         }
+        // subnormal squares that rank two bins the wrong way round:
+        // |a| < |b| but |a|² > |b|² after rounding
+        let mut sub = flat(Complex::new(1e-163, 0.0));
+        sub[60] = Complex::new(3.7170862637993984e-162, 4.797491019362484e-162);
+        sub[61] = Complex::new(4.606650186576713e-162, 4.1429591930884093e-162);
+        assert!(sub[60].abs() < sub[61].abs() && sub[60].norm_sqr() > sub[61].norm_sqr());
+        cases.push(("subnormal squares out of order".into(), sub));
         let mut nan = flat(Complex::new(0.2, 0.1));
         nan[3] = Complex::new(f64::NAN, f64::INFINITY);
         nan[4] = Complex::new(3.0, 0.0);
