@@ -97,15 +97,17 @@ fn scan_exact(spec: &[Complex], n: usize, osr: usize) -> SymbolDetection {
     }
 }
 
-/// Largest `|X[k]|²` of a spectrum, or `None` when it falls outside
+/// Largest `|X[k]|²` of a spectrum, handing every bin's `|X[k]|²` to
+/// `each` in bin order; `None` when the largest falls outside
 /// `NORM_SQR_MIN..=NORM_SQR_MAX` or any bin is non-finite or too large
 /// (the fast search then cannot vouch for its ranking).
-fn top_norm_sqr(spec: &[Complex]) -> Option<f64> {
+fn top_norm_sqr(spec: &[Complex], mut each: impl FnMut(f64)) -> Option<f64> {
     let mut top = 0.0f64;
     let mut tame = true;
     for v in spec {
         let p = v.norm_sqr();
         tame &= p <= NORM_SQR_MAX;
+        each(p);
         if p > top {
             top = p;
         }
@@ -266,7 +268,7 @@ impl Demodulator {
     /// `|X[k]|²` cannot rank, so they keep the full scan.
     fn peak(&self, spec: &[Complex]) -> (u16, f64) {
         if self.cfg.osr == 1 {
-            if let Some(top) = top_norm_sqr(spec) {
+            if let Some(top) = top_norm_sqr(spec, |_| ()) {
                 return peak_near(spec, top);
             }
         }
@@ -285,18 +287,8 @@ impl Demodulator {
     fn preamble_symbol(&self, spec: &[Complex]) -> Option<u16> {
         let gate = self.preamble_quality;
         if self.cfg.osr == 1 {
-            let mut top = 0.0f64;
-            let mut tame = true;
             let mut sum = 0.0;
-            for v in spec {
-                let p = v.norm_sqr();
-                tame &= p <= NORM_SQR_MAX;
-                sum += p.sqrt();
-                if p > top {
-                    top = p;
-                }
-            }
-            if tame && top >= NORM_SQR_MIN {
+            if let Some(top) = top_norm_sqr(spec, |p| sum += p.sqrt()) {
                 let (symbol, magnitude) = peak_near(spec, top);
                 let quality = magnitude / (sum / spec.len() as f64);
                 if (quality - gate).abs() > PEAK_MARGIN * gate.abs() {
