@@ -60,21 +60,11 @@ impl<const L: usize> TemplateBank<L> {
         TemplateBank { rows }
     }
 
-    /// Samples per template.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` for a bank of empty templates.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// `|Σₖ x[k]·conj(tₚ[k])|²` for every template `p`, over the first
-    /// `min(x.len(), self.len())` samples — bit-identical to
+    /// `min(x.len(), template length)` samples — bit-identical to
     /// accumulating `x[k] * t[k].conj()` into a `Complex` from zero,
     /// one template at a time, and taking its `norm_sqr`.
-    pub fn energies(&self, x: &[Complex]) -> [f64; L] {
+    fn energies(&self, x: &[Complex]) -> [f64; L] {
         let mut re = [0.0f64; L];
         let mut im = [0.0f64; L];
         for (&x, row) in x.iter().zip(&self.rows) {
@@ -91,9 +81,11 @@ impl<const L: usize> TemplateBank<L> {
         out
     }
 
-    /// The first template with the largest correlation energy, and that
-    /// energy: `(0, f64::MIN)` when no energy beats `f64::MIN` (an empty
-    /// bank, or all energies NaN).
+    /// The first template with the largest correlation energy
+    /// `|Σₖ x[k]·conj(tₚ[k])|²` over the first `min(x.len(), template
+    /// length)` samples, and that energy: `(0, f64::MIN)` when no energy
+    /// beats `f64::MIN` (all NaN). Bit-identical to correlating one
+    /// template at a time into a `Complex` from zero.
     pub fn best(&self, x: &[Complex]) -> (usize, f64) {
         let mut best = (0usize, f64::MIN);
         for (p, &e) in self.energies(x).iter().enumerate() {
