@@ -217,31 +217,14 @@ pub fn energy(nodes: usize, seed: u64, quick: bool) {
     );
 }
 
-/// The energy-repro fleet campaign as a report object: `nodes` nodes
-/// downloading the paper's MCU image under `CampaignConfig::auto`
-/// with a streamed daily-update battery-life projection (1000 mAh
-/// LiPo, deep-sleep floor). Shared by `repro energy --json` and the
-/// testbed daemon's `energy-repro` jobs — one engine, so their reports
-/// are bit-identical for the same `(nodes, seed)`.
-pub fn energy_campaign(nodes: usize, seed: u64) -> tinysdr_core::testbed::CampaignReport {
-    let (tb, upd, cfg) = energy_setup(nodes, seed);
-    tb.run_campaign(&upd, &cfg)
-}
-
-/// [`energy_campaign`] with cooperative cancellation at campaign block
-/// boundaries — the testbed daemon's `energy-repro` job path. A token
-/// that never cancels yields a report bit-identical to
-/// [`energy_campaign`].
-pub fn energy_campaign_cancellable(
-    nodes: usize,
-    seed: u64,
-    cancel: &tinysdr_dsp::cancel::CancelToken,
-) -> tinysdr_core::testbed::CampaignRun {
-    let (tb, upd, cfg) = energy_setup(nodes, seed);
-    tb.run_campaign_cancellable(&upd, &cfg, cancel)
-}
-
-fn energy_setup(
+/// The energy-repro fleet campaign: `nodes` nodes downloading the
+/// paper's MCU image under `CampaignConfig::auto` with a streamed
+/// daily-update battery-life projection (1000 mAh LiPo, deep-sleep
+/// floor). [`energy_json`] runs it in memory and the testbed daemon's
+/// `energy-repro` jobs run it checkpointed; the resume == uninterrupted
+/// contract makes their reports bit-identical for the same
+/// `(nodes, seed)`.
+pub fn energy_setup(
     nodes: usize,
     seed: u64,
 ) -> (
@@ -262,11 +245,12 @@ fn energy_setup(
     (tb, upd, CampaignConfig::auto(seed).with_projection(proj))
 }
 
-/// [`energy_campaign`]'s canonical JSON summary — the exact document
-/// `repro energy --json` prints and an `energy-repro` daemon job
-/// stores.
+/// The [`energy_setup`] campaign's canonical JSON summary — the exact
+/// document `repro energy --json` prints and an `energy-repro` daemon
+/// job stores.
 pub fn energy_json(nodes: usize, seed: u64) -> tinysdr_ota::json::Value {
-    energy_campaign(nodes, seed).to_json()
+    let (tb, upd, cfg) = energy_setup(nodes, seed);
+    tb.run_campaign(&upd, &cfg).to_json()
 }
 
 /// Table 1: the SDR platform comparison.

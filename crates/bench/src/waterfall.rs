@@ -686,11 +686,8 @@ fn run_curve(
 /// Propagates a panic from any sweep shard: a dead shard must abort
 /// the sweep, or the determinism contract would hide missing points.
 pub fn run_waterfall(cfg: &WaterfallConfig) -> WaterfallReport {
-    match run_waterfall_inner(cfg, None) {
-        SweepRun::Complete(rep) => rep,
-        // without a token there is nothing to cancel the sweep
-        SweepRun::Cancelled { .. } => unreachable!("token-free sweep cannot be cancelled"),
-    }
+    // nobody else holds the token, so nothing can cancel the sweep
+    run_waterfall_cancellable(cfg, &CancelToken::new()).expect_complete()
 }
 
 /// Outcome of a cancellable sweep.
@@ -735,10 +732,6 @@ impl SweepRun {
 /// # Panics
 /// Propagates a panic from any sweep shard, like [`run_waterfall`].
 pub fn run_waterfall_cancellable(cfg: &WaterfallConfig, cancel: &CancelToken) -> SweepRun {
-    run_waterfall_inner(cfg, Some(cancel))
-}
-
-fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> SweepRun {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
@@ -766,7 +759,7 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
             if aborted.load(Ordering::Relaxed) {
                 break;
             }
-            if cancel.is_some_and(|c| c.is_cancelled()) {
+            if cancel.is_cancelled() {
                 aborted.store(true, Ordering::Relaxed);
                 break;
             }

@@ -26,8 +26,10 @@
 //!   unchanged).
 //! * **Checkpoint/resume** — [`Testbed::run_campaign_checkpointed`]
 //!   persists the merged prefix through
-//!   [`tinysdr_ota::checkpoint`] and resumes a killed campaign
-//!   bit-identically to an uninterrupted run.
+//!   [`tinysdr_ota::checkpoint`] and resumes a killed or cancelled
+//!   campaign bit-identically to an uninterrupted run. Its
+//!   [`CheckpointConfig`] carries both stop conditions: a block count
+//!   and a cancel token.
 //!
 //! Two programming strategies are wired in: the paper's §3.4
 //! sequential unicast ([`Testbed::run_campaign`]) and the §7 broadcast
@@ -239,26 +241,40 @@ impl Testbed {
         h
     }
 
-    /// The scheduler core: claim blocks from the shared cursor, fold
-    /// them through the in-order merger, stop on interruption or
-    /// cooperative cancellation (checked at each block claim — the
-    /// block is the campaign's cancellation granularity).
-    #[allow(clippy::too_many_arguments)] // one shared scheduler context, threaded explicitly
-    fn scheduler_worker(
+    /// Fold the blocks from the merger's frontier on and hand the
+    /// merger back once every worker has stopped. The single engine
+    /// behind [`Self::run_campaign`] and
+    /// [`Self::run_campaign_checkpointed`].
+    ///
+    /// Workers claim blocks from a shared cursor and fold them through
+    /// the in-order merger until the cursor runs off the campaign, the
+    /// merger stops, or `cancel` trips. The token is checked at each
+    /// block claim: the block is the campaign's cancellation
+    /// granularity.
+    ///
+    /// # Panics
+    /// Propagates a panic from any campaign worker: losing a block's
+    /// nodes would silently skew every merged distribution.
+    fn fold_blocks(
         nodes: &[Node],
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
-        nblocks: usize,
-        cursor: &AtomicUsize,
-        merger: &Mutex<InOrderMerger>,
-        abort: &AtomicBool,
-        cancel: Option<&CancelToken>,
-    ) {
-        loop {
+        merger: InOrderMerger,
+        cancel: &CancelToken,
+    ) -> InOrderMerger {
+        let nblocks = cfg.blocks_for(nodes.len());
+        let cursor = AtomicUsize::new(merger.next_block);
+        // a merger that starts stopped claims no block at all
+        let abort = AtomicBool::new(merger.should_abort());
+        let remaining = nblocks.saturating_sub(merger.next_block);
+        let workers = cfg.shards.clamp(1, remaining.max(1));
+        let merger = Mutex::new(merger);
+
+        let worker = || loop {
             if abort.load(Ordering::Relaxed) {
                 return;
             }
-            if cancel.is_some_and(|c| c.is_cancelled()) {
+            if cancel.is_cancelled() {
                 abort.store(true, Ordering::Relaxed);
                 return;
             }
@@ -276,83 +292,12 @@ impl Testbed {
                 abort.store(true, Ordering::Relaxed);
                 return;
             }
-        }
-    }
-
-    /// Run a unicast campaign over a node slice with work stealing and
-    /// optional checkpointing. The single engine behind
-    /// [`Self::run_campaign`] and [`Self::run_campaign_checkpointed`].
-    fn run_campaign_blocks(
-        nodes: &[Node],
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        ckpt: Option<&CheckpointConfig>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CampaignRun, CheckpointError> {
-        assert!(cfg.block_len >= 1, "block_len must be at least 1");
-        let nblocks = nodes.len().div_ceil(cfg.block_len);
-        let fingerprint = Self::campaign_fingerprint(nodes, update, cfg);
-
-        // resume from an existing checkpoint, if one matches
-        let mut start_block = 0usize;
-        let mut acc = BlockOut {
-            agg: NodeAggregate::new(cfg.retain, cfg.projection),
-            reports: Vec::new(),
         };
-        if let Some(ck) = ckpt {
-            if ck.path.exists() {
-                let saved = CampaignCheckpoint::read(&ck.path)?;
-                if saved.fingerprint != fingerprint {
-                    return Err(CheckpointError::Mismatch(
-                        "checkpoint belongs to a different campaign",
-                    ));
-                }
-                if saved.total_blocks != nblocks as u64 {
-                    return Err(CheckpointError::Mismatch(
-                        "checkpoint block count disagrees with campaign",
-                    ));
-                }
-                start_block = saved.merged_blocks as usize;
-                acc = BlockOut {
-                    agg: saved.agg,
-                    reports: saved.reports,
-                };
-            }
-        }
-
-        let merger = Mutex::new(InOrderMerger {
-            next_block: start_block,
-            acc,
-            pending: BTreeMap::new(),
-            ckpt: ckpt.map(|c| CkptState {
-                cfg: c.clone(),
-                fingerprint,
-                total_blocks: nblocks as u64,
-                last_written: start_block,
-            }),
-            failed: None,
-            stopped: false,
-        });
-        let cursor = AtomicUsize::new(start_block);
-        let abort = AtomicBool::new(false);
-        let remaining = nblocks.saturating_sub(start_block);
-        let workers = cfg.shards.clamp(1, remaining.max(1));
-
         if workers <= 1 {
-            Self::scheduler_worker(
-                nodes, update, cfg, nblocks, &cursor, &merger, &abort, cancel,
-            );
+            worker();
         } else {
             crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|_| {
-                            Self::scheduler_worker(
-                                nodes, update, cfg, nblocks, &cursor, &merger, &abort, cancel,
-                            )
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| worker())).collect();
                 for h in handles {
                     // lint: allow(unjustified-panic, a panicked worker lost a block of nodes; propagating is correct)
                     h.join().expect("campaign worker panicked");
@@ -363,51 +308,20 @@ impl Testbed {
         }
 
         // lint: allow(unjustified-panic, a poisoned merger means a worker panicked; propagating is correct)
-        let mut m = merger.into_inner().expect("merger mutex poisoned");
-        if let Some(e) = m.failed.take() {
-            return Err(e);
-        }
-        if m.next_block < nblocks {
-            // stopped early (stop_after_blocks, or a cancel token seen
-            // at a block boundary): persist the merged frontier so a
-            // resume loses nothing
-            m.write_checkpoint()?;
-            if !m.stopped && cancel.is_some_and(|c| c.is_cancelled()) {
-                return Ok(CampaignRun::Cancelled {
-                    merged_blocks: m.next_block,
-                    total_blocks: nblocks,
-                });
-            }
-            return Ok(CampaignRun::Interrupted {
-                merged_blocks: m.next_block,
-                total_blocks: nblocks,
-            });
-        }
-        if m.ckpt.is_some() {
-            m.write_checkpoint()?;
-        }
-        Ok(CampaignRun::Complete(CampaignReport::from_blocks(m.acc)))
+        merger.into_inner().expect("merger mutex poisoned")
     }
 
-    /// Run a unicast OTA campaign over a node subset, sharded per `cfg`.
-    ///
-    /// # Panics
-    /// Propagates a panic from any campaign worker: losing a block's
-    /// nodes would silently skew every merged distribution.
+    /// Run a unicast OTA campaign over a node subset, sharded per
+    /// `cfg`, entirely in memory: with no checkpoint and a token nobody
+    /// else holds, nothing stops the fold before the last block.
     fn run_campaign_on(
         nodes: &[Node],
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
     ) -> CampaignReport {
-        match Self::run_campaign_blocks(nodes, update, cfg, None, None) {
-            Ok(CampaignRun::Complete(rep)) => rep,
-            // without a checkpoint config or cancel token there is no
-            // I/O and no stop condition, so the engine cannot fail or
-            // stop early
-            Ok(CampaignRun::Interrupted { .. } | CampaignRun::Cancelled { .. }) | Err(_) => {
-                unreachable!("checkpoint-free campaign cannot stop early or fail")
-            }
-        }
+        let merger = InOrderMerger::new(0, BlockOut::empty(cfg), None);
+        let m = Self::fold_blocks(nodes, update, cfg, merger, &CancelToken::new());
+        CampaignReport::from_blocks(m.acc)
     }
 
     /// Run a unicast OTA campaign: program every node with `update`.
@@ -427,53 +341,73 @@ impl Testbed {
     ///
     /// Errors surface as [`CheckpointError`]: I/O problems, corrupt
     /// files, or a checkpoint written by a different campaign
-    /// configuration. With [`CheckpointConfig::stop_after_blocks`] set
-    /// the run stops early (writing a final checkpoint) and returns
-    /// [`CampaignRun::Interrupted`] — the kill half of the CI
-    /// kill/resume equality gate.
+    /// configuration. A run that stops early writes the merged
+    /// frontier first: at [`CheckpointConfig::stop_after_blocks`] it
+    /// returns [`CampaignRun::Interrupted`] (the kill half of the CI
+    /// kill/resume equality gate), and once the
+    /// [`CheckpointConfig::cancel_on`] token trips it returns
+    /// [`CampaignRun::Cancelled`] (the testbed daemon's graceful
+    /// shutdown). Either way a later identical call resumes.
     pub fn run_campaign_checkpointed(
         &self,
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CampaignRun, CheckpointError> {
-        Self::run_campaign_blocks(&self.nodes, update, cfg, Some(ckpt), None)
-    }
-
-    /// [`Self::run_campaign`] with cooperative cancellation: `cancel`
-    /// is checked at every block claim, and a cancelled run returns
-    /// [`CampaignRun::Cancelled`] with the merged frontier (nothing is
-    /// persisted — combine with a checkpoint config via
-    /// [`Self::run_campaign_checkpointed_cancellable`] when the
-    /// partial work should survive). A token that is never cancelled
-    /// changes nothing: the result is bit-identical to
-    /// [`Self::run_campaign`].
-    pub fn run_campaign_cancellable(
-        &self,
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        cancel: &CancelToken,
-    ) -> CampaignRun {
-        match Self::run_campaign_blocks(&self.nodes, update, cfg, None, Some(cancel)) {
-            Ok(run) => run,
-            // lint: allow(unjustified-panic, without a checkpoint config the engine performs no I/O so Err is impossible)
-            Err(_) => unreachable!("checkpoint-free campaign cannot fail"),
+        let nblocks = cfg.blocks_for(self.nodes.len());
+        let fingerprint = Self::campaign_fingerprint(&self.nodes, update, cfg);
+        // resume from an existing checkpoint, if one matches
+        let (start_block, acc) = if ckpt.path.exists() {
+            let saved = CampaignCheckpoint::read(&ckpt.path)?;
+            if saved.fingerprint != fingerprint {
+                return Err(CheckpointError::Mismatch(
+                    "checkpoint belongs to a different campaign",
+                ));
+            }
+            if saved.total_blocks != nblocks as u64 {
+                return Err(CheckpointError::Mismatch(
+                    "checkpoint block count disagrees with campaign",
+                ));
+            }
+            let acc = BlockOut {
+                agg: saved.agg,
+                reports: saved.reports,
+            };
+            (saved.merged_blocks as usize, acc)
+        } else {
+            (0, BlockOut::empty(cfg))
+        };
+        let state = CkptState {
+            cfg: ckpt.clone(),
+            fingerprint,
+            total_blocks: nblocks as u64,
+            last_written: start_block,
+        };
+        let merger = InOrderMerger::new(start_block, acc, Some(state));
+        let mut m = Self::fold_blocks(&self.nodes, update, cfg, merger, &ckpt.cancel);
+        if let Some(e) = m.failed.take() {
+            return Err(e);
         }
-    }
-
-    /// [`Self::run_campaign_checkpointed`] with cooperative
-    /// cancellation. On cancellation the merged frontier is written to
-    /// `ckpt.path` first — the graceful-shutdown path of the testbed
-    /// daemon: cancel, checkpoint, and a later identical call resumes
-    /// bit-identically to an uninterrupted run.
-    pub fn run_campaign_checkpointed_cancellable(
-        &self,
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        ckpt: &CheckpointConfig,
-        cancel: &CancelToken,
-    ) -> Result<CampaignRun, CheckpointError> {
-        Self::run_campaign_blocks(&self.nodes, update, cfg, Some(ckpt), Some(cancel))
+        // persist the merged frontier whether the run finished or
+        // stopped early, so a resume loses nothing
+        m.write_checkpoint()?;
+        if m.next_block >= nblocks {
+            return Ok(CampaignRun::Complete(CampaignReport::from_blocks(m.acc)));
+        }
+        let (merged_blocks, total_blocks) = (m.next_block, nblocks);
+        // without a failure or the stop point, only the token ends a
+        // fold before its last block
+        Ok(if m.stopped {
+            CampaignRun::Interrupted {
+                merged_blocks,
+                total_blocks,
+            }
+        } else {
+            CampaignRun::Cancelled {
+                merged_blocks,
+                total_blocks,
+            }
+        })
     }
 
     /// Run the §7 broadcast strategy: one shared broadcast with
@@ -547,6 +481,16 @@ struct BlockOut {
     reports: Vec<(u32, SessionReport)>,
 }
 
+impl BlockOut {
+    /// Nothing merged yet.
+    fn empty(cfg: &CampaignConfig) -> Self {
+        BlockOut {
+            agg: NodeAggregate::new(cfg.retain, cfg.projection),
+            reports: Vec::new(),
+        }
+    }
+}
+
 /// Checkpointing state carried by the merger.
 struct CkptState {
     cfg: CheckpointConfig,
@@ -569,6 +513,25 @@ struct InOrderMerger {
 }
 
 impl InOrderMerger {
+    /// A merger whose frontier starts at `start_block` with `acc`
+    /// already folded. A stop point at or below that frontier is
+    /// already reached, so the merger starts stopped and its run claims
+    /// no block.
+    fn new(start_block: usize, acc: BlockOut, ckpt: Option<CkptState>) -> Self {
+        let stopped = ckpt
+            .as_ref()
+            .and_then(|ck| ck.cfg.stop_after_blocks)
+            .is_some_and(|n| n <= start_block);
+        InOrderMerger {
+            next_block: start_block,
+            acc,
+            pending: BTreeMap::new(),
+            ckpt,
+            failed: None,
+            stopped,
+        }
+    }
+
     fn offer(&mut self, idx: usize, out: BlockOut) {
         if self.failed.is_some() || self.stopped {
             return;
@@ -654,6 +617,12 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
+    /// Scheduler blocks covering `nodes` nodes.
+    fn blocks_for(&self, nodes: usize) -> usize {
+        assert!(self.block_len >= 1, "block_len must be at least 1");
+        nodes.div_ceil(self.block_len)
+    }
+
     /// The paper's sequential flow: one thread, 40 attempts per packet,
     /// exact retention.
     pub fn sequential(seed: u64) -> Self {
@@ -727,6 +696,10 @@ pub struct CheckpointConfig {
     /// are merged — the deterministic "kill" half of the kill/resume
     /// equality gate. `None` runs to completion.
     pub stop_after_blocks: Option<usize>,
+    /// Stop (with a final checkpoint) at the first block claim that
+    /// finds this token cancelled. [`CheckpointConfig::new`] holds a
+    /// token nobody else can cancel; set it with [`Self::cancel_on`].
+    cancel: CancelToken,
 }
 
 impl CheckpointConfig {
@@ -736,12 +709,24 @@ impl CheckpointConfig {
             path: path.into(),
             every_blocks: every_blocks.max(1),
             stop_after_blocks: None,
+            cancel: CancelToken::new(),
         }
     }
 
-    /// Stop after `n` merged blocks (simulated kill).
+    /// Stop after `n` merged blocks (simulated kill). A stop point at
+    /// or below a resumed checkpoint's frontier stops the run before it
+    /// claims any block.
     pub fn stop_after(mut self, n: usize) -> Self {
         self.stop_after_blocks = Some(n);
+        self
+    }
+
+    /// Stop at the next block claim once `token` is cancelled (the
+    /// testbed daemon's graceful-shutdown path). A token that is never
+    /// cancelled changes nothing: the run is bit-identical to one
+    /// without it.
+    pub fn cancel_on(mut self, token: &CancelToken) -> Self {
+        self.cancel = token.clone();
         self
     }
 }
@@ -760,9 +745,9 @@ pub enum CampaignRun {
         /// Total blocks in the campaign.
         total_blocks: usize,
     },
-    /// A cancel token was observed at a block boundary. When a
-    /// checkpoint config was present the merged prefix was persisted
-    /// before returning, so the run can resume later exactly like
+    /// The [`CheckpointConfig::cancel_on`] token was observed at a
+    /// block boundary. The merged prefix was persisted before
+    /// returning, so the run can resume later exactly like
     /// [`CampaignRun::Interrupted`].
     Cancelled {
         /// Leading blocks merged before the token was observed.
@@ -777,7 +762,7 @@ impl CampaignRun {
     ///
     /// # Panics
     /// Panics if the run was interrupted or cancelled — callers that
-    /// set `stop_after_blocks` or pass a cancel token must match on
+    /// set a stop point or a cancel token must match on
     /// [`CampaignRun`] instead.
     pub fn expect_complete(self) -> CampaignReport {
         match self {
@@ -1478,19 +1463,13 @@ mod tests {
             reports: Vec::new(),
         };
         let path = std::env::temp_dir().join("tinysdr_testbed_merger_stop.ckpt");
-        let mut m = InOrderMerger {
-            next_block: 0,
-            acc: block(),
-            pending: BTreeMap::new(),
-            ckpt: Some(CkptState {
-                cfg: CheckpointConfig::new(&path, 8).stop_after(2),
-                fingerprint: 0,
-                total_blocks: 5,
-                last_written: 0,
-            }),
-            failed: None,
-            stopped: false,
+        let ckpt = CkptState {
+            cfg: CheckpointConfig::new(&path, 8).stop_after(2),
+            fingerprint: 0,
+            total_blocks: 5,
+            last_written: 0,
         };
+        let mut m = InOrderMerger::new(0, block(), Some(ckpt));
         for idx in [1, 2, 3, 4, 0] {
             m.offer(idx, block());
         }
@@ -1746,31 +1725,51 @@ mod tests {
         assert!(rep.all_complete());
     }
 
+    /// A fresh checkpoint path under the temp dir.
+    fn ckpt_path(dir: &str, file: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(file);
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
     #[test]
     fn uncancelled_token_changes_nothing() {
         let tb = Testbed::with_nodes(96, 5);
         let upd = BlockedUpdate::build(&FirmwareImage::mcu("cx", 6_000, 1));
         let cfg = CampaignConfig::sharded(5, 3).with_block_len(8);
         let plain = tb.run_campaign(&upd, &cfg);
+        let path = ckpt_path("tinysdr_core_cancel", "live_token.ckpt");
         let token = CancelToken::new();
-        let run = tb.run_campaign_cancellable(&upd, &cfg, &token);
+        let run = tb
+            .run_campaign_checkpointed(
+                &upd,
+                &cfg,
+                &CheckpointConfig::new(&path, 4).cancel_on(&token),
+            )
+            .expect("checkpointed run");
         match run {
             CampaignRun::Complete(rep) => assert_eq!(rep, plain, "live token must be a no-op"),
             other => panic!("uncancelled run did not complete: {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn pre_cancelled_token_stops_before_any_block() {
         let tb = Testbed::with_nodes(64, 6);
         let upd = BlockedUpdate::build(&FirmwareImage::mcu("cc", 6_000, 1));
+        let path = ckpt_path("tinysdr_core_cancel", "pre_cancelled.ckpt");
         let token = CancelToken::new();
         token.cancel();
-        let run = tb.run_campaign_cancellable(
-            &upd,
-            &CampaignConfig::sequential(6).with_block_len(8),
-            &token,
-        );
+        let run = tb
+            .run_campaign_checkpointed(
+                &upd,
+                &CampaignConfig::sequential(6).with_block_len(8),
+                &CheckpointConfig::new(&path, 1).cancel_on(&token),
+            )
+            .expect("checkpointed run");
         match run {
             CampaignRun::Cancelled {
                 merged_blocks,
@@ -1781,6 +1780,7 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
+        assert!(!path.exists(), "nothing merged, so nothing to persist");
     }
 
     #[test]
@@ -1795,18 +1795,14 @@ mod tests {
         let cfg = CampaignConfig::sequential(7).with_block_len(8);
         let uninterrupted = tb.run_campaign(&upd, &cfg);
 
-        let dir = std::env::temp_dir().join("tinysdr_core_cancel");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cancel_resume.ckpt");
-        std::fs::remove_file(&path).ok();
+        let path = ckpt_path("tinysdr_core_cancel", "cancel_resume.ckpt");
         // the worker polls once per block claim; trip on the 6th poll
         let token = CancelToken::cancelled_after(6);
         let run = tb
-            .run_campaign_checkpointed_cancellable(
+            .run_campaign_checkpointed(
                 &upd,
                 &cfg,
-                &CheckpointConfig::new(&path, 1000),
-                &token,
+                &CheckpointConfig::new(&path, 1000).cancel_on(&token),
             )
             .expect("cancelled run still writes its checkpoint");
         match run {
@@ -1822,6 +1818,89 @@ mod tests {
             .expect("resume")
             .expect_complete();
         assert_eq!(resumed, uninterrupted, "cancel + resume diverged");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stop_point_at_or_below_the_frontier_claims_no_block() {
+        // A run whose stop point is already reached must return before
+        // it claims a block, not compute and park every remaining one.
+        // The poll-fuse token counts claims: a worker polls it before
+        // each one, so a run that claims a block trips a fuse of 2 on
+        // its next poll, and a run that claims none leaves it unburnt.
+        let tb = Testbed::with_nodes(64, 8);
+        let upd = BlockedUpdate::build(&FirmwareImage::mcu("sp", 6_000, 1));
+        let cfg = CampaignConfig::sequential(8).with_block_len(8);
+        let uninterrupted = tb.run_campaign(&upd, &cfg);
+        let path = ckpt_path("tinysdr_core_stop_point", "frontier.ckpt");
+
+        let fuse = CancelToken::cancelled_after(2);
+        let run = tb
+            .run_campaign_checkpointed(
+                &upd,
+                &cfg,
+                &CheckpointConfig::new(&path, 1)
+                    .stop_after(0)
+                    .cancel_on(&fuse),
+            )
+            .expect("stop_after(0) run");
+        assert!(
+            matches!(
+                run,
+                CampaignRun::Interrupted {
+                    merged_blocks: 0,
+                    total_blocks: 8
+                }
+            ),
+            "{run:?}"
+        );
+        assert!(!path.exists(), "nothing merged, so nothing to persist");
+        assert!(!fuse.is_cancelled(), "stop_after(0) claimed a block");
+
+        // kill after 3 blocks, then resume with stop points at and
+        // below that frontier: both stop at once and leave the
+        // checkpoint as it was
+        let killed = tb
+            .run_campaign_checkpointed(&upd, &cfg, &CheckpointConfig::new(&path, 1).stop_after(3))
+            .expect("killed run");
+        assert!(matches!(
+            killed,
+            CampaignRun::Interrupted {
+                merged_blocks: 3,
+                ..
+            }
+        ));
+        let saved = std::fs::read(&path).expect("checkpoint after the kill");
+        for stop in [3, 2] {
+            let fuse = CancelToken::cancelled_after(2);
+            let run = tb
+                .run_campaign_checkpointed(
+                    &upd,
+                    &cfg,
+                    &CheckpointConfig::new(&path, 1)
+                        .stop_after(stop)
+                        .cancel_on(&fuse),
+                )
+                .expect("resumed run");
+            assert!(
+                matches!(
+                    run,
+                    CampaignRun::Interrupted {
+                        merged_blocks: 3,
+                        total_blocks: 8
+                    }
+                ),
+                "stop_after({stop}): {run:?}"
+            );
+            assert!(!fuse.is_cancelled(), "stop_after({stop}) claimed a block");
+            assert_eq!(std::fs::read(&path).expect("checkpoint"), saved);
+        }
+
+        let resumed = tb
+            .run_campaign_checkpointed(&upd, &cfg, &CheckpointConfig::new(&path, 1))
+            .expect("resume")
+            .expect_complete();
+        assert_eq!(resumed, uninterrupted, "stopped legs changed the result");
         std::fs::remove_file(&path).ok();
     }
 

@@ -48,8 +48,9 @@ pub fn fractional_delay_kernel(mu: f64, taps: usize) -> Vec<f64> {
     h
 }
 
-/// Reusable scratch state for the timing impairments: the Hamming window
-/// for the current kernel length plus the per-call interpolation kernel.
+/// Reusable scratch state for the timing impairments: the
+/// [`DEFAULT_TAPS`]-point Hamming window plus the per-call
+/// interpolation kernel.
 ///
 /// Holding one `DelayScratch` per worker lets [`fractional_delay_into`]
 /// and [`resample_drift_into`] run with zero steady-state allocation.
@@ -57,7 +58,6 @@ pub fn fractional_delay_kernel(mu: f64, taps: usize) -> Vec<f64> {
 /// per call, so buffer reuse cannot change a single bit of the output.
 #[derive(Debug, Clone, Default)]
 pub struct DelayScratch {
-    taps: usize,
     window: Vec<f64>,
     kernel: Vec<f64>,
 }
@@ -68,42 +68,41 @@ impl DelayScratch {
         Self::default()
     }
 
-    /// The Hamming window for `taps`, rebuilt only when the length changes.
-    fn window_for(&mut self, taps: usize) -> &[f64] {
-        if self.taps != taps || self.window.is_empty() {
-            self.window = Window::Hamming.coefficients(taps);
-            self.taps = taps;
+    /// The kernel's Hamming window, built on first use.
+    fn window(&mut self) -> &[f64] {
+        if self.window.is_empty() {
+            self.window = Window::Hamming.coefficients(DEFAULT_TAPS);
         }
         &self.window
     }
 }
 
-/// Delay a buffer by a (possibly fractional) number of samples using the
-/// default [`DEFAULT_TAPS`]-tap kernel. See [`fractional_delay_with`].
+/// Delay a buffer by `delay ≥ 0` samples: the output approximates
+/// `y[n] = x(n − delay)` with zeros assumed outside the input.
+///
+/// The integer part is an exact shift; the fractional part is windowed-
+/// sinc interpolation with the [`DEFAULT_TAPS`]-tap kernel (group delay
+/// compensated, so the output grid aligns with the input grid). The
+/// output is one sample longer than `x.len() + ceil(delay)` would
+/// suggest only when a fractional tail spills over.
+///
+/// # Panics
+/// Panics on negative `delay`.
 pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
-    fractional_delay_with(x, delay, DEFAULT_TAPS)
+    let mut out = Vec::new();
+    fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
+    out
 }
 
 /// [`fractional_delay`] into a caller-owned output buffer, reusing
-/// `scratch` for the window and kernel. Bit-identical to the allocating
-/// path (same kernel, same accumulation order); zero steady-state
-/// allocation once the buffers have capacity.
+/// `scratch` for the window and kernel. Zero steady-state allocation
+/// once the buffers have capacity.
 ///
 /// # Panics
 /// Panics on negative `delay`.
 pub fn fractional_delay_into(
     x: &[Complex],
     delay: f64,
-    scratch: &mut DelayScratch,
-    out: &mut Vec<Complex>,
-) {
-    fractional_delay_core(x, delay, DEFAULT_TAPS, scratch, out);
-}
-
-fn fractional_delay_core(
-    x: &[Complex],
-    delay: f64,
-    taps: usize,
     scratch: &mut DelayScratch,
     out: &mut Vec<Complex>,
 ) {
@@ -117,12 +116,11 @@ fn fractional_delay_core(
         out.extend_from_slice(x);
         return;
     }
-    assert!(taps % 2 == 1, "kernel length must be odd, got {taps}");
     // same construction as `fractional_delay_kernel`, into reused storage
-    scratch.window_for(taps);
-    let DelayScratch { window, kernel, .. } = scratch;
+    scratch.window();
+    let DelayScratch { window, kernel } = scratch;
     kernel.clear();
-    let half_f = (taps / 2) as f64;
+    let half_f = (DEFAULT_TAPS / 2) as f64;
     kernel.extend(
         window
             .iter()
@@ -133,7 +131,7 @@ fn fractional_delay_core(
     for t in kernel.iter_mut() {
         *t /= sum;
     }
-    let half = (taps / 2) as i64;
+    let half = (DEFAULT_TAPS / 2) as i64;
     let out_len = x.len() + di + 1;
     out.reserve(out_len);
     for n in 0..out_len {
@@ -150,24 +148,6 @@ fn fractional_delay_core(
     }
 }
 
-/// Delay a buffer by `delay ≥ 0` samples: the output approximates
-/// `y[n] = x(n − delay)` with zeros assumed outside the input.
-///
-/// The integer part is an exact shift; the fractional part is windowed-
-/// sinc interpolation with a `taps`-tap kernel (group delay compensated,
-/// so the output grid aligns with the input grid). The output is one
-/// sample longer than `x.len() + ceil(delay)` would suggest only when a
-/// fractional tail spills over.
-///
-/// # Panics
-/// Panics on negative `delay` or an even/zero `taps`.
-pub fn fractional_delay_with(x: &[Complex], delay: f64, taps: usize) -> Vec<Complex> {
-    let mut scratch = DelayScratch::new();
-    let mut out = Vec::new();
-    fractional_delay_core(x, delay, taps, &mut scratch, &mut out);
-    out
-}
-
 /// Resample a buffer as seen through a sample clock that runs `ppm`
 /// parts-per-million fast (positive `ppm`: the receiver clock ticks
 /// faster than nominal, so it reads the waveform slightly *ahead* each
@@ -176,42 +156,29 @@ pub fn fractional_delay_with(x: &[Complex], delay: f64, taps: usize) -> Vec<Comp
 /// Output sample `m` is the windowed-sinc interpolation of
 /// `x(m · (1 + ppm·1e-6))`; the output covers the input's full time
 /// span. Zero drift returns the input unchanged.
-pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
-    resample_drift_with(x, ppm, DEFAULT_TAPS)
-}
-
-/// [`resample_drift`] with an explicit kernel length.
 ///
 /// # Panics
-/// Panics if `taps` is even or zero, or the drift is so large the
-/// resampling ratio is non-positive (|ppm| must stay below 1e6).
-pub fn resample_drift_with(x: &[Complex], ppm: f64, taps: usize) -> Vec<Complex> {
-    let mut scratch = DelayScratch::new();
+/// Panics if the drift is so large the resampling ratio is
+/// non-positive (|ppm| must stay below 1e6).
+pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
     let mut out = Vec::new();
-    resample_drift_core(x, ppm, taps, &mut scratch, &mut out);
+    resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
     out
 }
 
 /// [`resample_drift`] into a caller-owned output buffer, reusing
-/// `scratch` for the window. Bit-identical to the allocating path; zero
-/// steady-state allocation once the buffers have capacity.
+/// `scratch` for the window. Zero steady-state allocation once the
+/// buffers have capacity.
+///
+/// # Panics
+/// Panics if the drift is so large the resampling ratio is
+/// non-positive, like [`resample_drift`].
 pub fn resample_drift_into(
     x: &[Complex],
     ppm: f64,
     scratch: &mut DelayScratch,
     out: &mut Vec<Complex>,
 ) {
-    resample_drift_core(x, ppm, DEFAULT_TAPS, scratch, out);
-}
-
-fn resample_drift_core(
-    x: &[Complex],
-    ppm: f64,
-    taps: usize,
-    scratch: &mut DelayScratch,
-    out: &mut Vec<Complex>,
-) {
-    assert!(taps % 2 == 1, "kernel length must be odd, got {taps}");
     let ratio = 1.0 + ppm * 1e-6;
     assert!(ratio > 0.0, "drift ratio must stay positive, got {ratio}");
     out.clear();
@@ -219,8 +186,8 @@ fn resample_drift_core(
         out.extend_from_slice(x);
         return;
     }
-    let half = (taps / 2) as i64;
-    let w = scratch.window_for(taps);
+    let half = (DEFAULT_TAPS / 2) as i64;
+    let w = scratch.window();
     // cover the input's full time span [0, len): a fast clock (ratio > 1)
     // must not drop the tail fraction of a sample, or every fixed-grid
     // measurement loses its final symbol window to truncation

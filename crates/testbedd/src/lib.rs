@@ -23,8 +23,8 @@
 //!   cancellation via [`tinysdr_dsp::cancel::CancelToken`].
 //! * [`runner`] — the worker pool: claims jobs, dispatches to the
 //!   experiment engines, persists reports. A graceful shutdown cancels
-//!   the shared parent token; running campaign jobs checkpoint at the
-//!   next block boundary and are re-queued, so a restarted daemon
+//!   the shared parent token; running campaign and energy-repro jobs
+//!   checkpoint at the next block boundary and are re-queued, so a restarted daemon
 //!   resumes them **bit-identically** to an uninterrupted run.
 //! * [`http`] — a minimal HTTP/1.1 server over `std::net::TcpListener`
 //!   (request parsing, routing-free: the daemon matches paths itself).

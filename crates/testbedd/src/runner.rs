@@ -7,22 +7,25 @@
 //! daemon-run report byte-identical to a direct library run.
 //!
 //! Cancellation discipline: the runner never kills a thread. Each
-//! claimed job gets a child of the daemon's shutdown token; campaign
-//! jobs observe it at block boundaries (checkpointing first), sweeps
-//! at curve boundaries. When a token trips, the *reason* decides the
-//! terminal state: a user cancel request ends the job `Cancelled`,
-//! a graceful shutdown re-queues it so the next daemon start resumes
-//! from the checkpoint.
+//! claimed job gets a child of the daemon's shutdown token. `campaign`
+//! and `energy-repro` jobs run the same checkpointed leg, which
+//! observes the token at block boundaries and checkpoints into the job
+//! directory first; sweeps observe it at curve boundaries. When a
+//! token trips, the *reason* decides the terminal state: a user cancel
+//! request ends the job `Cancelled`, a graceful shutdown re-queues it
+//! so the next daemon start resumes a campaign or energy job from its
+//! checkpoint (a sweep starts over).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tinysdr_bench::bench_shards;
 use tinysdr_bench::campaign::{bench_campaign_config, bench_update};
 use tinysdr_bench::perf::measure_perf;
-use tinysdr_bench::system_experiments::energy_campaign_cancellable;
+use tinysdr_bench::system_experiments::energy_setup;
 use tinysdr_bench::waterfall::{run_waterfall_cancellable, SweepRun, WaterfallConfig};
 use tinysdr_core::testbed::{CampaignConfig, CampaignRun, CheckpointConfig, Testbed};
 use tinysdr_dsp::cancel::CancelToken;
+use tinysdr_ota::blocks::BlockedUpdate;
 use tinysdr_ota::json::Value;
 
 use crate::clock::Clock;
@@ -105,37 +108,41 @@ fn dispatch(rec: &JobRecord, cancel: &CancelToken, store: &ArtifactStore) -> Run
             nodes,
             seed,
             stop_after_blocks,
-        } => run_campaign_job(rec, *nodes, *seed, *stop_after_blocks, cancel, store),
+        } => {
+            let tb = Testbed::with_nodes(*nodes as usize, *seed);
+            let setup = (tb, bench_update(), bench_campaign_config(*seed));
+            run_campaign_leg(rec, setup, *stop_after_blocks, cancel, store)
+        }
         JobSpec::Waterfall { seed, quick } => run_waterfall_job(rec, *seed, *quick, cancel, store),
-        JobSpec::EnergyRepro { nodes, seed } => run_energy_job(rec, *nodes, *seed, cancel, store),
+        JobSpec::EnergyRepro { nodes, seed } => {
+            let setup = energy_setup(*nodes as usize, *seed);
+            run_campaign_leg(rec, setup, None, cancel, store)
+        }
         JobSpec::Perf { quick } => run_perf_job(rec, *quick, cancel, store),
         JobSpec::Link { seed, quick } => run_link_job(rec, *seed, *quick, cancel, store),
     }
 }
 
-/// The benchmark fleet campaign, checkpointed into the job directory.
-/// The completed report is the same object `repro campaign --json`
-/// serializes (`tinysdr_bench::campaign::campaign_json`).
-fn run_campaign_job(
+/// One leg of a `campaign` or `energy-repro` job: the campaign
+/// checkpointed into the job directory and stopped by the job's token.
+/// The completed report is the same object the job's library run
+/// serializes (`tinysdr_bench::campaign::campaign_json`,
+/// `tinysdr_bench::system_experiments::energy_json`).
+fn run_campaign_leg(
     rec: &JobRecord,
-    nodes: u64,
-    seed: u64,
+    (tb, upd, cfg): (Testbed, BlockedUpdate, CampaignConfig),
     stop_after_blocks: Option<u64>,
     cancel: &CancelToken,
     store: &ArtifactStore,
 ) -> RunResult {
-    let nodes = nodes as usize;
-    let tb = Testbed::with_nodes(nodes, seed);
-    let upd = bench_update();
-    let cfg = bench_campaign_config(seed);
     // the checkpoint writer renames into the job directory; make sure
     // it exists even if the Running state.json write failed
     if let Err(e) = std::fs::create_dir_all(store.job_dir(&rec.id)) {
         return RunResult::Failed(format!("job dir: {e}"));
     }
     // ~1% checkpoint cadence, same as the repro harness
-    let every = (nodes / CampaignConfig::default().block_len / 100).max(64);
-    let mut ckpt = CheckpointConfig::new(store.checkpoint_path(&rec.id), every);
+    let every = (tb.nodes.len() / cfg.block_len / 100).max(64);
+    let mut ckpt = CheckpointConfig::new(store.checkpoint_path(&rec.id), every).cancel_on(cancel);
     if rec.attempts == 1 {
         // the deterministic-kill test knob applies to the first leg
         // only; the resume leg runs to completion
@@ -143,7 +150,7 @@ fn run_campaign_job(
             ckpt = ckpt.stop_after(n as usize);
         }
     }
-    match tb.run_campaign_checkpointed_cancellable(&upd, &cfg, &ckpt, cancel) {
+    match tb.run_campaign_checkpointed(&upd, &cfg, &ckpt) {
         Ok(CampaignRun::Complete(report)) => {
             if let Err(e) = store.save_json(&rec.id, "report.json", &report.to_json()) {
                 return RunResult::Failed(format!("report write: {e}"));
@@ -183,30 +190,6 @@ fn run_waterfall_job(
             }
         }
         SweepRun::Cancelled { .. } => RunResult::Cancelled,
-    }
-}
-
-/// The energy-reproduction campaign with its life-projection tables.
-fn run_energy_job(
-    rec: &JobRecord,
-    nodes: u64,
-    seed: u64,
-    cancel: &CancelToken,
-    store: &ArtifactStore,
-) -> RunResult {
-    match energy_campaign_cancellable(nodes as usize, seed, cancel) {
-        CampaignRun::Complete(report) => {
-            if let Err(e) = store.save_json(&rec.id, "report.json", &report.to_json()) {
-                return RunResult::Failed(format!("report write: {e}"));
-            }
-            match save_tables(store, &rec.id, report.ecdf_tables(ECDF_MAX_POINTS)) {
-                Ok(()) => RunResult::Done,
-                Err(e) => RunResult::Failed(format!("table write: {e}")),
-            }
-        }
-        CampaignRun::Cancelled { .. } => RunResult::Cancelled,
-        // no checkpoint config on this path, so Interrupted cannot occur
-        CampaignRun::Interrupted { .. } => RunResult::Failed("unexpected interrupt".into()),
     }
 }
 
@@ -387,6 +370,51 @@ mod tests {
             .write_pretty()
             .into_bytes();
         assert_eq!(stored, direct);
+    }
+
+    #[test]
+    fn shutdown_mid_energy_job_checkpoints_and_resumes_bit_identically() {
+        let (queue, store, clock, shutdown) = harness("energy_resume");
+        let rec = queue.submit(
+            JobSpec::EnergyRepro { nodes: 96, seed: 7 },
+            5,
+            clock.now_ms(),
+        );
+        let (leg1, _token1) = queue.claim(&shutdown, clock.now_ms()).expect("claim");
+        // the fuse trips on the second cancel poll, whichever worker
+        // makes it: the one claim before it is block 0, so the leg
+        // stops with a merged frontier in its job directory
+        let fuse = CancelToken::cancelled_after(2);
+        assert!(matches!(
+            run_job(&leg1, &fuse, &store),
+            RunResult::Cancelled
+        ));
+        assert!(
+            store.checkpoint_path(&rec.id).is_file(),
+            "checkpoint written"
+        );
+        assert!(store.read_artifact(&rec.id, "report.json").is_none());
+        // a shutdown requeues; the resumed leg finishes from the
+        // checkpoint and stores the one-shot library report
+        let requeued = queue
+            .finish(&rec.id, Outcome::Requeue, clock.now_ms())
+            .expect("known");
+        assert_eq!(requeued.state, crate::spec::JobState::Queued);
+        let fresh_shutdown = CancelToken::new();
+        queue.close_after_drain();
+        drain(&queue, &store, &clock, &fresh_shutdown);
+        let done = queue.get(&rec.id).expect("record");
+        assert_eq!(done.state, crate::spec::JobState::Done);
+        assert_eq!(done.attempts, 2);
+        assert!(
+            !store.checkpoint_path(&rec.id).exists(),
+            "checkpoint cleaned"
+        );
+        let stored = store.read_artifact(&rec.id, "report.json").expect("report");
+        let direct = tinysdr_bench::system_experiments::energy_json(96, 7)
+            .write_pretty()
+            .into_bytes();
+        assert_eq!(stored, direct, "resume must be bit-identical to one-shot");
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub enum JobSpec {
     },
     /// The energy-reproduction fleet campaign (`repro energy --json`):
     /// paper MCU image, auto scheduler, daily-update life projection.
+    /// Runs checkpointed like [`JobSpec::Campaign`].
     EnergyRepro {
         /// Fleet size.
         nodes: u64,
