@@ -26,8 +26,11 @@
 //!    energy split. The point is appended to `BENCH_link.json`
 //!    through [`crate::trajectory::record`].
 
-use crossbeam::thread;
+use std::ops::ControlFlow;
+
 use tinysdr_ble::modem::BleBerPhy;
+use tinysdr_dsp::cancel::CancelToken;
+use tinysdr_dsp::executor::{fold_in_order, map_in_order};
 use tinysdr_link::arq::ArqConfig;
 use tinysdr_link::frame::Frame;
 use tinysdr_link::phylink::{frame_loss_prob, test_payload};
@@ -175,56 +178,30 @@ fn goodput_point(
     }
 }
 
-/// Measure the goodput-vs-RSSI curve across `shards` crossbeam scoped
-/// threads (1 = sequential). Bit-identical for any shard count: every
-/// point's randomness is a pure function of `(seed, point index)`, and
-/// shard results are concatenated in grid order — the gate asserts
-/// exactly this.
+/// Measure the goodput-vs-RSSI curve on `shards` executor workers
+/// (1 = sequential), each holding its own [`link_phy`]. Bit-identical
+/// for any shard count: every point's randomness is a pure function of
+/// `(seed, point index)`, and the points come back in grid order — the
+/// gate asserts exactly this.
 ///
 /// # Panics
 /// Propagates a panic from any shard: a dead shard must abort the
 /// curve, or the determinism contract would hide missing points.
 pub fn goodput_curve(seed: u64, quick: bool, shards: usize) -> Vec<GoodputPoint> {
     let eff = effort(quick);
-    let phy = link_phy();
-    let jobs: Vec<(u64, f64)> = eff
-        .rssi_grid
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (i as u64, r))
-        .collect();
-    if shards <= 1 {
-        return jobs
-            .iter()
-            .map(|&(i, r)| goodput_point(&phy, r, i, seed, &eff))
-            .collect();
-    }
-    let chunk = jobs.len().div_ceil(shards).max(1);
-    thread::scope(|s| {
-        // contiguous chunks, joined in spawn order: concatenation
-        // preserves ascending-RSSI grid order exactly
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|batch| {
-                let eff = &eff;
-                s.spawn(move |_| {
-                    let phy = link_phy();
-                    batch
-                        .iter()
-                        .map(|&(i, r)| goodput_point(&phy, r, i, seed, eff))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut acc = Vec::new();
-        for h in handles {
-            // lint: allow(unjustified-panic, a dead shard must abort the curve or determinism would hide missing points)
-            acc.extend(h.join().expect("goodput shard panicked"));
-        }
-        acc
-    })
-    // lint: allow(unjustified-panic, scope only errs when a shard panicked; same abort-loudly contract)
-    .expect("scope")
+    let mut curve = Vec::with_capacity(eff.rssi_grid.len());
+    fold_in_order(
+        0..eff.rssi_grid.len(),
+        shards,
+        &CancelToken::new(),
+        link_phy,
+        |i, phy| goodput_point(phy, eff.rssi_grid[i], i as u64, seed, &eff),
+        |_, point| {
+            curve.push(point);
+            ControlFlow::Continue(())
+        },
+    );
+    curve
 }
 
 /// The dissemination hop used by every multi-hop row: loss measured out
@@ -267,10 +244,10 @@ fn multihop_update(eff: &Effort) -> BlockedUpdate {
 }
 
 /// Disseminate the firmware wire stream over 1, 2 and 3 ARQ hops,
-/// one row per hop count, across `shards` crossbeam scoped threads
-/// (1 = sequential). Bit-identical for any shard count — every row is
-/// a pure function of `(seed, hop count)` — and the rows carry the
-/// full per-node energy ledgers, so the gate's equality covers per-hop
+/// one row per hop count, on `shards` executor workers (1 =
+/// sequential). Bit-identical for any shard count — every row is a
+/// pure function of `(seed, hop count)` — and the rows carry the full
+/// per-node energy ledgers, so the gate's equality covers per-hop
 /// energy too.
 ///
 /// # Panics
@@ -281,7 +258,7 @@ pub fn multihop_rows(seed: u64, quick: bool, shards: usize) -> Vec<MultiHopRow> 
     let hop = multihop_hop(&phy, seed, &eff);
     let update = multihop_update(&eff);
     let cfg = tuned_config(&phy, 8);
-    let run_row = |hops: usize| {
+    map_in_order(&[1, 2, 3], shards, |&hops| {
         let chain: Vec<Hop> = (0..hops).map(|_| hop.clone()).collect();
         let (report, _) = ota_transfer(
             &update,
@@ -291,25 +268,7 @@ pub fn multihop_rows(seed: u64, quick: bool, shards: usize) -> Vec<MultiHopRow> 
             splitmix64(seed ^ (hops as u64)),
         );
         MultiHopRow { hops, report }
-    };
-    if shards <= 1 {
-        return (1..=3).map(run_row).collect();
-    }
-    thread::scope(|s| {
-        let handles: Vec<_> = (1..=3)
-            .map(|hops| {
-                let run_row = &run_row;
-                s.spawn(move |_| run_row(hops))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(unjustified-panic, a dead shard must abort the table or determinism would hide missing rows)
-            .map(|h| h.join().expect("multihop shard panicked"))
-            .collect()
     })
-    // lint: allow(unjustified-panic, scope only errs when a shard panicked; same abort-loudly contract)
-    .expect("scope")
 }
 
 /// Gate 1: the in-binary adversarial battery. Worst-case deterministic
@@ -652,5 +611,22 @@ pub fn link(seed: u64, quick: bool) {
     match record(out, "link", quick, trajectory_point(&curve, &rows, wall_s)) {
         Ok(()) => println!("\ntrajectory point appended to {out}"),
         Err(e) => println!("\ncould not write {out}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn curve_and_multihop_table_are_shard_invariant() {
+        let curve = goodput_curve(3, true, 1);
+        let rows = multihop_rows(3, true, 1);
+        assert_eq!(curve.len(), effort(true).rssi_grid.len());
+        assert_eq!(rows.iter().map(|r| r.hops).collect::<Vec<_>>(), [1, 2, 3]);
+        for shards in [2, 3, 7] {
+            assert_eq!(goodput_curve(3, true, shards), curve, "{shards} shards");
+            assert_eq!(multihop_rows(3, true, shards), rows, "{shards} shards");
+        }
     }
 }

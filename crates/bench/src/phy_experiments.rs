@@ -3,11 +3,10 @@
 //! These run the real modems through calibrated AWGN, sweeping RSSI the
 //! way the paper's cabled/field experiments swept received power.
 
-use crossbeam::thread;
-
 use tinysdr_ble::gfsk::{count_bit_errors, GfskDemodulator, GfskModulator};
 use tinysdr_ble::packet::AdvPacket;
 use tinysdr_dsp::chirp::ChirpConfig;
+use tinysdr_dsp::executor::map_in_order;
 use tinysdr_dsp::spectrum::{welch, WelchConfig};
 use tinysdr_dsp::stats::threshold_crossing;
 use tinysdr_lora::concurrent::ConcurrentReceiver;
@@ -19,51 +18,10 @@ use tinysdr_rf::at86rf215;
 use tinysdr_rf::channel::{set_rssi, superpose, AwgnChannel};
 use tinysdr_rf::sx1276;
 
-use crate::Series;
+use crate::{bench_shards, Series};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Map a closure over items on the available cores (the PER sweeps are
-/// embarrassingly parallel).
-///
-/// # Panics
-/// Propagates a panic from any worker thread: a shard that dies must
-/// abort the whole measurement rather than silently drop its points.
-fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    let chunk = items.len().div_ceil(n_threads.max(1)).max(1);
-    let mut batches: Vec<Vec<(usize, T)>> = Vec::new();
-    for (i, t) in items.into_iter().enumerate() {
-        if i % chunk == 0 {
-            batches.push(Vec::with_capacity(chunk));
-        }
-        batches.last_mut().expect("pushed above").push((i, t));
-    }
-    thread::scope(|s| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| {
-                let f = &f;
-                s.spawn(move |_| {
-                    batch
-                        .into_iter()
-                        .map(|(i, t)| (i, f(t)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut indexed: Vec<(usize, R)> = Vec::new();
-        for h in handles {
-            indexed.extend(h.join().expect("worker panicked"));
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
-    })
-    .expect("scope")
-}
 
 /// Fig. 8: single-tone TX spectrum through the 13-bit DAC.
 /// Returns `(spectrum series around the carrier, worst spur dBc)`.
@@ -133,7 +91,7 @@ pub fn fig10(packets: u32, seed: u64) -> Vec<Series> {
         ("SX1276 SF8 BW250", false, 250e3),
         ("SX1276 SF8 BW125", false, 125e3),
     ] {
-        let pts = par_map(sweep.clone(), |rssi| {
+        let pts = map_in_order(&sweep, bench_shards(), |&rssi| {
             lora_per_point(tinysdr_tx, bw, rssi, packets, seed ^ (rssi as i64 as u64))
         });
         let mut s = Series::new(label);
@@ -161,7 +119,7 @@ pub fn fig11(symbols: usize, seed: u64) -> Vec<Series> {
         let code = CodeParams::new(8, 1);
         let demod = Demodulator::new(chirp, FrameParams::new(code));
         let tx = ReferenceModulator::new(chirp, FrameParams::new(code));
-        let pts = par_map(sweep.clone(), |rssi| {
+        let pts = map_in_order(&sweep, bench_shards(), |&rssi| {
             let mut rng = StdRng::seed_from_u64(seed ^ (rssi as i64 as u64) << 3);
             let syms: Vec<u16> = (0..symbols).map(|_| rng.gen_range(0..256)).collect();
             let mut sig = tx.modulate_symbols(&syms);
@@ -197,7 +155,7 @@ pub fn fig12(bits_per_point: usize, seed: u64) -> (Series, f64) {
     let reps = bits_per_point.div_ceil(bits.len());
 
     let sweep: Vec<f64> = (-104..=-60).step_by(2).map(|x| x as f64).collect();
-    let pts = par_map(sweep.clone(), |rssi| {
+    let pts = map_in_order(&sweep, bench_shards(), |&rssi| {
         let mut errs = 0u64;
         let mut total = 0u64;
         for r in 0..reps {
@@ -226,7 +184,7 @@ pub fn fig12(bits_per_point: usize, seed: u64) -> (Series, f64) {
 /// SER-vs-RSSI for both lanes (percent).
 pub fn fig15a(symbols: usize, seed: u64) -> Vec<Series> {
     let sweep: Vec<f64> = (-130..=-100).step_by(2).map(|x| x as f64).collect();
-    let pts = par_map(sweep.clone(), |rssi| {
+    let pts = map_in_order(&sweep, bench_shards(), |&rssi| {
         concurrent_point(rssi, rssi, symbols, seed)
     });
     let mut s125 = Series::new("SF8 BW125 (concurrent)");
@@ -243,7 +201,7 @@ pub fn fig15a(symbols: usize, seed: u64) -> Vec<Series> {
 /// power.
 pub fn fig15b(symbols: usize, seed: u64) -> Series {
     let sweep: Vec<f64> = (-130..=-100).step_by(1).map(|x| x as f64).collect();
-    let pts = par_map(sweep.clone(), |int_rssi| {
+    let pts = map_in_order(&sweep, bench_shards(), |&int_rssi| {
         concurrent_point(-123.0, int_rssi, symbols, seed).0
     });
     let mut s = Series::new("SF8 BW125 @ -123 dBm");

@@ -15,7 +15,7 @@ use tinysdr_ota::blocks::BlockedUpdate;
 use tinysdr_ota::image::FirmwareImage;
 use tinysdr_power::domains::{Component, ALL_DOMAINS};
 
-use crate::{print_facts, print_series, Series};
+use crate::{bench_shards, print_facts, print_series, Series};
 
 /// The `repro energy` experiment: the paper's power/energy numbers
 /// reproduced through the shared `tinysdr_power` model — the
@@ -129,7 +129,7 @@ pub fn energy(nodes: usize, seed: u64, quick: bool) {
     // -- fleet: a duty-cycled campaign's energy axis --
     let tb = Testbed::with_nodes(nodes, seed);
     let upd = BlockedUpdate::build(&FirmwareImage::paper_mcu("mac", 3));
-    let campaign = tb.run_campaign(&upd, &CampaignConfig::auto(seed));
+    let campaign = tb.run_campaign(&upd, &CampaignConfig::sharded(seed, bench_shards()));
     if quick {
         // the determinism contract, extended to energy: a sharded
         // campaign is bit-identical to the sequential one — reports,
@@ -218,7 +218,7 @@ pub fn energy(nodes: usize, seed: u64, quick: bool) {
 }
 
 /// The energy-repro fleet campaign: `nodes` nodes downloading the
-/// paper's MCU image under `CampaignConfig::auto` with a streamed
+/// paper's MCU image on [`bench_shards`] workers with a streamed
 /// daily-update battery-life projection (1000 mAh LiPo, deep-sleep
 /// floor). [`energy_json`] runs it in memory and the testbed daemon's
 /// `energy-repro` jobs run it checkpointed; the resume == uninterrupted
@@ -242,7 +242,8 @@ pub fn energy_setup(
         sleep_mw: state::deep_sleep_mw(),
         battery: Battery::lipo_1000mah(),
     };
-    (tb, upd, CampaignConfig::auto(seed).with_projection(proj))
+    let cfg = CampaignConfig::sharded(seed, bench_shards());
+    (tb, upd, cfg.with_projection(proj))
 }
 
 /// The [`energy_setup`] campaign's canonical JSON summary — the exact

@@ -22,9 +22,10 @@
 //!
 //! * **Determinism contract.** Every point derives its randomness from
 //!   splitmix64 streams keyed by `(sweep seed, scenario, impairment)` —
-//!   never by execution order — so a sweep sharded across N crossbeam
-//!   scoped threads is **bit-identical** to the sequential run, exactly
-//!   like `Testbed::run_campaign`.
+//!   never by execution order — so a sweep sharded across N workers of
+//!   the workspace executor ([`tinysdr_dsp::executor`]) is
+//!   **bit-identical** to the sequential run, exactly like
+//!   `Testbed::run_campaign`.
 //! * **Common random numbers.** A scenario's reference frame and
 //!   transmit waveform are generated once and shared by all of its
 //!   impairments and RSSI levels (only the channel draws differ per
@@ -32,13 +33,15 @@
 //!   comparable at far lower trial counts than independent sampling
 //!   would need.
 
-use crossbeam::thread;
+use std::ops::ControlFlow;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::cancel::CancelToken;
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::executor::fold_in_order;
 use tinysdr_dsp::stats::threshold_crossing;
 use tinysdr_lora::modem::{LoraPerPhy, LoraSerPhy};
 use tinysdr_ota::json::Value;
@@ -589,16 +592,6 @@ impl Ctx {
     }
 }
 
-/// One curve's work order: every RSSI point of one
-/// `scenario × impairment` pair, measured together so each pass's
-/// RSSI-independent channel state is prepared once and replayed across
-/// the whole RSSI axis.
-#[derive(Debug, Clone, Copy)]
-struct CurveJob {
-    s_idx: usize,
-    i_idx: usize,
-}
-
 /// Per-worker scratch arena: one set per thread (or one total in the
 /// sequential run), reused across every curve the worker measures.
 /// Buffer reuse here is purely a performance seam — every path through
@@ -613,7 +606,10 @@ struct WorkerScratch {
     rx: Vec<Complex>,
 }
 
-/// Measure one curve: its points in ascending-RSSI order.
+/// Measure curve `curve` — the `scenario × impairment` pair at that
+/// index in scenario-major order — as its points in ascending-RSSI
+/// order, measured together so each pass's RSSI-independent channel
+/// state is prepared once and replayed across the whole RSSI axis.
 ///
 /// The hot-path structure (the tentpole of the perf work, see
 /// `BENCH_waterfall.json`): per pass, [`ImpairmentChain::prepare_pass_into`]
@@ -630,21 +626,22 @@ struct WorkerScratch {
 fn run_curve(
     cfg: &WaterfallConfig,
     ctxs: &[Ctx],
-    job: &CurveJob,
+    curve: usize,
     ws: &mut WorkerScratch,
 ) -> Vec<SweepPoint> {
-    let sc = &cfg.scenarios[job.s_idx];
+    let (s_idx, i_idx) = (curve / cfg.impairments.len(), curve % cfg.impairments.len());
+    let sc = &cfg.scenarios[s_idx];
     let phy = sc.phy.as_ref();
-    let named = &cfg.impairments[job.i_idx];
+    let named = &cfg.impairments[i_idx];
     let chain = named.chain.clone().with_noise_figure(phy.noise_figure_db());
     let fs = phy.sample_rate_hz();
-    let ctx = &ctxs[job.s_idx];
+    let ctx = &ctxs[s_idx];
     let rssis = sc.rssi.points();
     // common random numbers: the channel seed deliberately excludes
     // RSSI, so every point of a curve reuses the same channel draws
     // (and all curves of a scenario share one TX waveform, see Ctx) —
     // the waterfall is monotone at modest trial counts
-    let curve_seed = curve_seed(cfg.seed, job.s_idx, job.i_idx);
+    let curve_seed = curve_seed(cfg.seed, s_idx, i_idx);
     let mut counts = vec![ErrorCount::ZERO; rssis.len()];
     for k in 0..sc.passes {
         let pass_seed = stream_seed(curve_seed, TAG_CHAIN ^ ((k as u64) << 20));
@@ -672,15 +669,15 @@ fn run_curve(
 /// Run a conformance sweep.
 ///
 /// With `cfg.shards == 1` the grid is measured sequentially; with more,
-/// crossbeam scoped workers claim curves (one per `scenario ×
-/// impairment` pair) from a shared atomic cursor — a worker that drew
-/// cheap curves simply claims more, so one expensive scenario no longer
-/// strands the others idle — each holding one `WorkerScratch` arena for
-/// everything it measures. Workers return `(curve index, points)` and
-/// the points are reassembled by curve index. Either way the result is
-/// **bit-identical** for the same config and seed — every point's
-/// randomness is derived from content, not from execution order
-/// (asserted by `tests/waterfall.rs` and the CI smoke step).
+/// executor workers claim curves (one per `scenario × impairment`
+/// pair) from a shared atomic cursor — a worker that drew cheap curves
+/// simply claims more, so one expensive scenario no longer strands the
+/// others idle — each holding one `WorkerScratch` arena for everything
+/// it measures. Curves are folded into the report in curve-index order.
+/// Either way the result is **bit-identical** for the same config and
+/// seed — every point's randomness is derived from content, not from
+/// execution order (asserted by `tests/waterfall.rs` and the CI smoke
+/// step).
 ///
 /// # Panics
 /// Propagates a panic from any sweep shard: a dead shard must abort
@@ -699,7 +696,8 @@ pub enum SweepRun {
     /// are discarded (curves are cheap enough to re-measure, and a
     /// partial grid would silently skew sensitivity tables).
     Cancelled {
-        /// Curves fully measured before the token was observed.
+        /// Curves measured before the token was observed — always the
+        /// grid's leading curves, each one whole.
         curves_done: usize,
         /// Total curves in the grid (`scenarios × impairments`).
         total_curves: usize,
@@ -732,71 +730,31 @@ impl SweepRun {
 /// # Panics
 /// Propagates a panic from any sweep shard, like [`run_waterfall`].
 pub fn run_waterfall_cancellable(cfg: &WaterfallConfig, cancel: &CancelToken) -> SweepRun {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
     let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
         .map(|s_idx| Ctx::build(cfg, s_idx))
         .collect();
-    let mut jobs: Vec<CurveJob> = Vec::new();
-    for s_idx in 0..cfg.scenarios.len() {
-        for i_idx in 0..cfg.impairments.len() {
-            jobs.push(CurveJob { s_idx, i_idx });
-        }
-    }
-    let total_curves = jobs.len();
-    let cursor = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-
-    // claim → cancel check → measure, until the cursor runs off the
-    // list; the token is polled once per claimed curve, so a fuse token
-    // counts curves exactly as the sequential loop always has
-    let worker = || {
-        let mut ws = WorkerScratch::default();
-        let mut measured: Vec<(usize, Vec<SweepPoint>)> = Vec::new();
-        loop {
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = jobs.get(idx) else { break };
-            if aborted.load(Ordering::Relaxed) {
-                break;
-            }
-            if cancel.is_cancelled() {
-                aborted.store(true, Ordering::Relaxed);
-                break;
-            }
-            measured.push((idx, run_curve(cfg, &ctxs, job, &mut ws)));
-        }
-        measured
-    };
-    let workers = cfg.shards.clamp(1, total_curves.max(1));
-    // finished curves only: a claimed curve is either measured whole or
-    // abandoned before it starts
-    let mut curves: Vec<(usize, Vec<SweepPoint>)> = if workers == 1 {
-        worker()
-    } else {
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| worker())).collect();
-            let mut acc = Vec::with_capacity(total_curves);
-            for h in handles {
-                // lint: allow(unjustified-panic, a dead shard must abort the sweep or determinism would hide missing points)
-                acc.extend(h.join().expect("waterfall shard panicked"));
-            }
-            acc
-        })
-        // lint: allow(unjustified-panic, scope only errs when a shard panicked; same abort-loudly contract)
-        .expect("scope")
-    };
-    if aborted.load(Ordering::Relaxed) {
+    let total_curves = cfg.scenarios.len() * cfg.impairments.len();
+    // curve index order is (scenario, impairment) order, and each
+    // curve's points ascend in RSSI
+    let mut points = Vec::new();
+    let curves_done = fold_in_order(
+        0..total_curves,
+        cfg.shards,
+        cancel,
+        WorkerScratch::default,
+        |curve, ws| run_curve(cfg, &ctxs, curve, ws),
+        |_, curve| {
+            points.extend(curve);
+            ControlFlow::Continue(())
+        },
+    );
+    if curves_done < total_curves {
         return SweepRun::Cancelled {
-            curves_done: curves.len(),
+            curves_done,
             total_curves,
         };
     }
-    // curve index order is (scenario, impairment) order, and each
-    // curve's points ascend in RSSI
-    curves.sort_unstable_by_key(|&(idx, _)| idx);
-    SweepRun::Complete(WaterfallReport {
-        points: curves.into_iter().flat_map(|(_, pts)| pts).collect(),
-    })
+    SweepRun::Complete(WaterfallReport { points })
 }
 
 #[cfg(test)]

@@ -9,11 +9,12 @@
 //! The campaign layer scales past the paper's 20 nodes, all the way to
 //! the ROADMAP's million-node fleets:
 //!
-//! * **Work-stealing block scheduler** — nodes are split into fixed
-//!   blocks of [`CampaignConfig::block_len`] ids; worker threads claim
-//!   blocks from a shared atomic cursor (fast workers steal what slow
-//!   ones would have owned under static chunking) and an in-order
-//!   merger folds finished blocks **strictly by block index**. Every
+//! * **Block fold on the workspace executor** — nodes are split into
+//!   fixed blocks of [`CampaignConfig::block_len`] ids;
+//!   [`tinysdr_dsp::executor`] workers claim blocks from a shared
+//!   atomic cursor (fast workers steal what slow ones would have owned
+//!   under static chunking) and the campaign's merger folds finished
+//!   blocks **strictly by block index**. Every
 //!   floating-point sum therefore has a fixed association, so a
 //!   sharded campaign is **bit-identical** to the sequential one for
 //!   the same seed — including every energy number — regardless of
@@ -43,13 +44,13 @@
 //! parallel formula.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tinysdr_dsp::cancel::CancelToken;
+use tinysdr_dsp::executor::fold_in_order;
 use tinysdr_dsp::stats::Ecdf;
 use tinysdr_ota::aggregate::{LifeProjection, NodeAggregate, NodeMetric, RetainMode};
 use tinysdr_ota::blocks::BlockedUpdate;
@@ -241,16 +242,11 @@ impl Testbed {
         h
     }
 
-    /// Fold the blocks from the merger's frontier on and hand the
-    /// merger back once every worker has stopped. The single engine
-    /// behind [`Self::run_campaign`] and
+    /// Fold the blocks from the merger's frontier on through the
+    /// workspace executor, until the campaign runs out, the merger
+    /// stops, or `cancel` trips at a block claim; then hand the merger
+    /// back. The single engine behind [`Self::run_campaign`] and
     /// [`Self::run_campaign_checkpointed`].
-    ///
-    /// Workers claim blocks from a shared cursor and fold them through
-    /// the in-order merger until the cursor runs off the campaign, the
-    /// merger stops, or `cancel` trips. The token is checked at each
-    /// block claim: the block is the campaign's cancellation
-    /// granularity.
     ///
     /// # Panics
     /// Propagates a panic from any campaign worker: losing a block's
@@ -259,56 +255,26 @@ impl Testbed {
         nodes: &[Node],
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
-        merger: InOrderMerger,
+        mut merger: InOrderMerger,
         cancel: &CancelToken,
     ) -> InOrderMerger {
-        let nblocks = cfg.blocks_for(nodes.len());
-        let cursor = AtomicUsize::new(merger.next_block);
         // a merger that starts stopped claims no block at all
-        let abort = AtomicBool::new(merger.should_abort());
-        let remaining = nblocks.saturating_sub(merger.next_block);
-        let workers = cfg.shards.clamp(1, remaining.max(1));
-        let merger = Mutex::new(merger);
-
-        let worker = || loop {
-            if abort.load(Ordering::Relaxed) {
-                return;
-            }
-            if cancel.is_cancelled() {
-                abort.store(true, Ordering::Relaxed);
-                return;
-            }
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nblocks {
-                return;
-            }
-            let lo = b * cfg.block_len;
-            let hi = (lo + cfg.block_len).min(nodes.len());
-            let out = Self::program_block(&nodes[lo..hi], update, cfg);
-            // lint: allow(unjustified-panic, a poisoned merger means a sibling worker panicked; propagating is correct)
-            let mut m = merger.lock().expect("merger mutex poisoned");
-            m.offer(b, out);
-            if m.should_abort() {
-                abort.store(true, Ordering::Relaxed);
-                return;
-            }
-        };
-        if workers <= 1 {
-            worker();
-        } else {
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| worker())).collect();
-                for h in handles {
-                    // lint: allow(unjustified-panic, a panicked worker lost a block of nodes; propagating is correct)
-                    h.join().expect("campaign worker panicked");
-                }
-            })
-            // lint: allow(unjustified-panic, scope only errors if a worker panicked after join, which join already surfaced)
-            .expect("campaign scope");
+        if merger.stopped {
+            return merger;
         }
-
-        // lint: allow(unjustified-panic, a poisoned merger means a worker panicked; propagating is correct)
-        merger.into_inner().expect("merger mutex poisoned")
+        fold_in_order(
+            merger.next_block..cfg.blocks_for(nodes.len()),
+            cfg.shards,
+            cancel,
+            || (),
+            |b, _| {
+                let lo = b * cfg.block_len;
+                let hi = (lo + cfg.block_len).min(nodes.len());
+                Self::program_block(&nodes[lo..hi], update, cfg)
+            },
+            |_, out| merger.offer(out),
+        );
+        merger
     }
 
     /// Run a unicast OTA campaign over a node subset, sharded per
@@ -499,14 +465,13 @@ struct CkptState {
     last_written: usize,
 }
 
-/// Folds finished blocks strictly in block-index order (late blocks
-/// wait in `pending`), so the merged state never depends on steal
-/// interleaving — the same reassembly discipline a TCP receiver
-/// applies to out-of-order segments.
+/// The campaign's fold state: the merged prefix, its checkpoint
+/// bookkeeping and the stop/fail outcome. The executor hands it
+/// finished blocks strictly in block-index order, so the merged state
+/// never depends on steal interleaving.
 struct InOrderMerger {
     next_block: usize,
     acc: BlockOut,
-    pending: BTreeMap<usize, BlockOut>,
     ckpt: Option<CkptState>,
     failed: Option<CheckpointError>,
     stopped: bool,
@@ -525,51 +490,32 @@ impl InOrderMerger {
         InOrderMerger {
             next_block: start_block,
             acc,
-            pending: BTreeMap::new(),
             ckpt,
             failed: None,
             stopped,
         }
     }
 
-    fn offer(&mut self, idx: usize, out: BlockOut) {
-        if self.failed.is_some() || self.stopped {
-            return;
-        }
-        self.pending.insert(idx, out);
-        // never merge past the stop point: blocks that arrived out of
-        // order must not turn a stopped run into a complete one
-        let stop_at = self.ckpt.as_ref().and_then(|ck| ck.cfg.stop_after_blocks);
-        let mut progressed = false;
-        while stop_at.is_none_or(|n| self.next_block < n) {
-            let Some(out) = self.pending.remove(&self.next_block) else {
-                break;
-            };
-            self.acc.agg.merge(&out.agg);
-            self.acc.reports.extend(out.reports);
-            self.next_block += 1;
-            progressed = true;
-        }
-        if !progressed {
-            return;
-        }
-        let Some(ck) = &self.ckpt else { return };
-        let stop_hit = ck
-            .cfg
-            .stop_after_blocks
-            .is_some_and(|n| self.next_block >= n);
+    /// Merge the next block; `Break` once the stop point is reached or
+    /// a periodic checkpoint write failed.
+    fn offer(&mut self, out: BlockOut) -> ControlFlow<()> {
+        self.acc.agg.merge(&out.agg);
+        self.acc.reports.extend(out.reports);
+        self.next_block += 1;
+        let Some(ck) = &self.ckpt else {
+            return ControlFlow::Continue(());
+        };
         let due = self.next_block - ck.last_written >= ck.cfg.every_blocks;
-        if stop_hit {
-            self.stopped = true;
-        } else if due {
-            if let Err(e) = self.write_checkpoint() {
-                self.failed = Some(e);
-            }
+        let stop_at = ck.cfg.stop_after_blocks;
+        self.stopped = stop_at.is_some_and(|n| n <= self.next_block);
+        if due && !self.stopped {
+            self.failed = self.write_checkpoint().err();
         }
-    }
-
-    fn should_abort(&self) -> bool {
-        self.failed.is_some() || self.stopped
+        if self.failed.is_some() || self.stopped {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 
     /// Persist the merged prefix. Reports are sorted by id for the
@@ -642,14 +588,6 @@ impl CampaignConfig {
             shards: shards.max(1),
             ..Self::sequential(seed)
         }
-    }
-
-    /// Steal blocks across the machine's available cores.
-    pub fn auto(seed: u64) -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::sharded(seed, n)
     }
 
     /// Select the retention mode (exact reports vs bounded-memory
@@ -1470,9 +1408,27 @@ mod tests {
             last_written: 0,
         };
         let mut m = InOrderMerger::new(0, block(), Some(ckpt));
-        for idx in [1, 2, 3, 4, 0] {
-            m.offer(idx, block());
-        }
+        // block 0 finishes last, after blocks 1–4 wait in the
+        // executor's reorder buffer
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        fold_in_order(
+            0..5,
+            5,
+            &CancelToken::new(),
+            || (),
+            |b, _| {
+                use std::sync::atomic::Ordering;
+                if b == 0 {
+                    while finished.load(Ordering::Acquire) < 4 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    finished.fetch_add(1, Ordering::Release);
+                }
+                block()
+            },
+            |_, out| m.offer(out),
+        );
         assert!(m.stopped);
         assert_eq!(m.next_block, 2, "merged past the stop point");
     }

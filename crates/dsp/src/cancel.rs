@@ -14,10 +14,11 @@
 //! stops that job; cancelling the shutdown root stops all of them.
 //!
 //! For deterministic tests, [`CancelToken::cancelled_after`] builds a
-//! token that trips itself on its `n`-th poll. With a single-threaded
-//! engine the poll count is a pure function of the work list, so "the
-//! run was killed exactly at block `k`" becomes reproducible without
-//! any wall clock or signal handling (the same philosophy as
+//! token that trips itself on its `n`-th poll. The parallel
+//! [`executor`](crate::executor) polls once before each claim and runs
+//! every claimed item to completion, so at any worker count "the run
+//! was killed exactly at block `k`" is reproducible without any wall
+//! clock or signal handling (the same philosophy as
 //! `CheckpointConfig::stop_after_blocks`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -54,9 +55,8 @@ impl CancelToken {
     }
 
     /// A token that trips itself on its `n`-th [`Self::is_cancelled`]
-    /// poll (`n == 0` is born cancelled). Deterministic with a
-    /// single-threaded poller — the test harness's simulated
-    /// mid-run kill.
+    /// poll (`n == 0` is born cancelled), counted across every thread
+    /// that polls it — the test harness's simulated mid-run kill.
     pub fn cancelled_after(n: usize) -> Self {
         let t = Self::new();
         if n == 0 {
@@ -96,17 +96,19 @@ impl CancelToken {
                 return true;
             }
         }
-        if self.inner.fuse.load(Ordering::Relaxed) != NO_FUSE {
-            // the fuse burns one unit per poll; reaching zero latches
-            // the ordinary flag so later polls stay cancelled
-            let prev = self.inner.fuse.fetch_sub(1, Ordering::Relaxed);
-            if prev <= 1 {
-                self.inner.fuse.store(0, Ordering::Relaxed);
+        // the fuse burns one unit per poll, never below zero, so even
+        // concurrent pollers trip it exactly on the n-th, which latches
+        let burn = |f| (f != NO_FUSE && f > 0).then(|| f - 1);
+        let fuse = &self.inner.fuse;
+        match fuse.fetch_update(Ordering::Relaxed, Ordering::Relaxed, burn) {
+            Ok(1) => {
                 self.cancel();
-                return true;
+                true
             }
+            Ok(_) => false,
+            // a burnt-out fuse: its last poll is latching the flag
+            Err(spent) => spent == 0,
         }
-        false
     }
 }
 

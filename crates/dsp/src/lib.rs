@@ -41,6 +41,9 @@
 //! * [`cancel`] — the cooperative [`cancel::CancelToken`] every
 //!   long-running engine (campaign scheduler, conformance sweep, the
 //!   testbed daemon's jobs) observes at its checkpoint boundaries.
+//! * [`executor`] — the one deterministic parallel executor every
+//!   sharded engine runs on: an atomic work cursor, per-worker scratch
+//!   and a fold that sees results strictly in index order.
 //! * [`event`] — the deterministic integer-nanosecond
 //!   [`event::EventQueue`] driving the `tinysdr-link` multi-node
 //!   network simulation (time-ordered, insertion-order tie-break).
@@ -59,6 +62,7 @@ pub mod complex;
 pub mod correlate;
 pub mod delay;
 pub mod event;
+pub mod executor;
 pub mod fft;
 pub mod fir;
 pub mod fixed;
