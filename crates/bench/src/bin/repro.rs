@@ -15,7 +15,9 @@
 //! ```
 //!
 //! An unknown experiment name or flag prints the usage line and exits
-//! 2, so a typo never passes as an empty run.
+//! 2, so a typo never passes as an empty run. A reader that closes the
+//! pipe early (`repro all | head`) ends the run with exit 0, like any
+//! other filter in a pipeline.
 //!
 //! `--json` works for exactly one of `waterfall`, `campaign`,
 //! `energy`, `perf`, or `link` and prints the experiment's canonical JSON
@@ -105,7 +107,24 @@ const EXPERIMENTS: &[&str] = &[
     "link",
 ];
 
+/// End the process quietly with exit 0 when stdout's reader is gone.
+/// `print!` reports a write error as a panic whose message starts
+/// `failed printing to stdout:`; for a broken pipe this hook exits
+/// before the default hook prints it. Every other panic keeps
+/// the default report.
+fn exit_quietly_on_closed_stdout() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let effort = if quick { QUICK } else { FULL };

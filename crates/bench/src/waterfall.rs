@@ -48,6 +48,7 @@ use tinysdr_ota::json::Value;
 use tinysdr_ota::seed::stream_seed;
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::{ErrorCount, PhyModem, PhyRegistry};
+use tinysdr_rf::superpose::{demodulate_pass, PathCensus};
 use tinysdr_zigbee::modem::ZigbeePhy;
 
 use crate::Series;
@@ -601,28 +602,33 @@ impl Ctx {
 struct WorkerScratch {
     chain: ChainScratch,
     prep: PreparedPass,
-    /// The one capture in flight: each RSSI point is applied into it,
-    /// demodulated and scored before the next point overwrites it.
+    /// The one capture in flight on the exact path: each RSSI point is
+    /// applied into it, demodulated and scored before the next point
+    /// overwrites it. A superposed pass borrows it for the faded signal.
     rx: Vec<Complex>,
+    /// How the worker's points were decided (read by the tests).
+    census: PathCensus,
 }
 
 /// Measure curve `curve` — the `scenario × impairment` pair at that
 /// index in scenario-major order — as its points in ascending-RSSI
 /// order, measured together so each pass's RSSI-independent channel
-/// state is prepared once and replayed across the whole RSSI axis.
+/// state is prepared once and used across the whole RSSI axis.
 ///
-/// The hot-path structure (the tentpole of the perf work, see
-/// `BENCH_waterfall.json`): per pass, [`ImpairmentChain::prepare_pass_into`]
-/// runs the RSSI-independent stages — timing/drift interpolation, IQ
-/// imbalance, CFO, phase noise, the fading draws and the full AWGN
-/// vector — **once**, and every RSSI point replays it with
-/// [`ImpairmentChain::apply_prepared_into`] (scale, fade, add noise,
-/// quantize) into the worker's single capture buffer, which is
-/// demodulated and scored at once. Streaming the RSSI axis keeps one
-/// capture per worker resident instead of one per grid point. Error
-/// counts accumulate per point over passes in exact integer arithmetic,
-/// so the pass-major loop order leaves the totals bit-identical to the
-/// point-major reference.
+/// Per pass, [`ImpairmentChain::prepare_pass_into`] runs the
+/// RSSI-independent stages — timing/drift interpolation, IQ imbalance,
+/// CFO, phase noise, the fading draws and the full AWGN vector — **once**,
+/// and [`demodulate_pass`] decides every RSSI point from it. For a linear
+/// receiver behind a chain without ADC stage (LoRa SER and 802.15.4 on
+/// seven of the eight default impairments) it projects the faded signal
+/// and the noise once and decides each point from the superposition,
+/// falling back to the exact path for any point it cannot certify;
+/// every other curve replays the pass per point with
+/// [`ImpairmentChain::apply_prepared_into`] into the worker's single
+/// capture buffer and demodulates it. Both give the exact path's
+/// results. Error counts accumulate per point over passes in exact
+/// integer arithmetic, so the pass-major loop order leaves the totals
+/// bit-identical to the point-major reference.
 fn run_curve(
     cfg: &WaterfallConfig,
     ctxs: &[Ctx],
@@ -646,12 +652,9 @@ fn run_curve(
     for k in 0..sc.passes {
         let pass_seed = stream_seed(curve_seed, TAG_CHAIN ^ ((k as u64) << 20));
         chain.prepare_pass_into(&ctx.tx, fs, pass_seed, &mut ws.prep, &mut ws.chain);
-        for (count, &rssi_dbm) in counts.iter_mut().zip(&rssis) {
-            chain.apply_prepared_into(&ws.prep, rssi_dbm, &mut ws.rx);
-            for res in phy.demodulate_batch(&[ws.rx.as_slice()]) {
-                *count += phy.count_errors(&ctx.frame, &res);
-            }
-        }
+        ws.census += demodulate_pass(phy, &chain, &ws.prep, &rssis, &mut ws.rx, |i, res| {
+            counts[i] += phy.count_errors(&ctx.frame, &res);
+        });
     }
     rssis
         .iter()
@@ -830,6 +833,78 @@ mod tests {
             ),
         ];
         assert_eq!(run_waterfall(&cfg), naive_reference(&cfg));
+    }
+
+    /// Every curve of `cfg` through the engine's own `run_curve` on one
+    /// worker scratch, held against the point-major exact reference.
+    /// Returns the census of the engine's decisions.
+    fn census_against_exact(cfg: &WaterfallConfig) -> PathCensus {
+        let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
+            .map(|s_idx| Ctx::build(cfg, s_idx))
+            .collect();
+        let mut ws = WorkerScratch::default();
+        let points = (0..cfg.scenarios.len() * cfg.impairments.len())
+            .flat_map(|curve| run_curve(cfg, &ctxs, curve, &mut ws))
+            .collect();
+        assert_eq!(WaterfallReport { points }, naive_reference(cfg));
+        ws.census
+    }
+
+    #[test]
+    fn only_linear_receivers_on_linear_chains_superpose() {
+        // one short curve per receiver family, on a linear chain, a
+        // fading one and the quantizing one
+        let cfg = WaterfallConfig {
+            seed: 5,
+            shards: 1,
+            scenarios: vec![
+                Scenario::lora_ser(7, 125e3, 12).with_rssi(RssiGrid::new(-130, -118, 6)),
+                Scenario::zigbee_oqpsk(2, 24).with_rssi(RssiGrid::new(-106, -94, 6)),
+                Scenario::ble_ber(4, 96).with_rssi(RssiGrid::new(-100, -88, 6)),
+                Scenario::lora_per(7, 125e3, 2, 2).with_rssi(RssiGrid::new(-128, -116, 6)),
+            ],
+            impairments: vec![
+                NamedImpairment::new("cfo30", ImpairmentChain::new(0.0).with_cfo_hz(30.0)),
+                NamedImpairment::new(
+                    "rayleigh1k",
+                    ImpairmentChain::new(0.0).with_block_fading(1024),
+                ),
+                NamedImpairment::new("adc13", ImpairmentChain::new(0.0).with_adc_quantization(13)),
+            ],
+        };
+        let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
+            .map(|s_idx| Ctx::build(&cfg, s_idx))
+            .collect();
+        for curve in 0..cfg.scenarios.len() * cfg.impairments.len() {
+            let mut ws = WorkerScratch::default();
+            let points = run_curve(&cfg, &ctxs, curve, &mut ws);
+            let (s_idx, i_idx) = (curve / 3, curve % 3);
+            let decided = (points.len() as u64) * u64::from(cfg.scenarios[s_idx].passes);
+            let superposes = s_idx < 2 && cfg.impairments[i_idx].label != "adc13";
+            let what = format!("{} / {}", points[0].scenario, points[0].impairment);
+            if superposes {
+                assert_eq!(ws.census.exact, 0, "{what}");
+                assert_eq!(ws.census.superposed + ws.census.fallback, decided, "{what}");
+                assert!(ws.census.superposed > 0, "{what}");
+            } else {
+                assert_eq!(ws.census.exact, decided, "{what}");
+            }
+        }
+        // and every count is the exact path's
+        let census = census_against_exact(&cfg);
+        assert_eq!(census.superposed + census.fallback, 2 * 2 * 3);
+    }
+
+    /// The full conformance grid at two seeds, every curve both ways:
+    /// the release-mode gate on the superposed path (prints the census).
+    #[test]
+    #[ignore = "full grid, run in release: cargo test --release -p tinysdr-bench -- --ignored"]
+    fn full_grid_superposition_matches_the_exact_path() {
+        for seed in [1u64, 7331] {
+            let census = census_against_exact(&WaterfallConfig::full(seed));
+            println!("seed {seed}: {census:?}");
+            assert!(census.superposed > 0);
+        }
     }
 
     #[test]

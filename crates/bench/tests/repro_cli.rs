@@ -1,6 +1,7 @@
 //! The `repro` command line: known experiments run, typos fail loudly.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -32,4 +33,27 @@ fn misspelled_experiment_prints_usage_and_exits_two() {
             "{args:?}"
         );
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // table1 prints at once, then fig15a computes before it prints: the
+    // reader is gone by then, so fig15a's output meets a closed pipe
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "table1", "fig15a"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut first = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("reads the first line");
+    // the reader (and with it the pipe's only read end) is dropped here
+    let out = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -249,6 +249,11 @@ pub fn mean_power(x: &[Complex]) -> f64 {
     x.iter().map(|s| s.norm_sqr()).sum::<f64>() / x.len() as f64
 }
 
+/// Euclidean norm `√Σ|z|²` of a sample slice (0 for an empty slice).
+pub fn l2_norm(x: &[Complex]) -> f64 {
+    x.iter().map(|s| s.norm_sqr()).sum::<f64>().sqrt()
+}
+
 /// Scale a signal in place so that its mean power becomes `target`.
 ///
 /// A silent (all-zero) signal is left untouched.

@@ -60,11 +60,36 @@ impl<const L: usize> TemplateBank<L> {
         TemplateBank { rows }
     }
 
-    /// `|Σₖ x[k]·conj(tₚ[k])|²` for every template `p`, over the first
-    /// `min(x.len(), template length)` samples — bit-identical to
-    /// accumulating `x[k] * t[k].conj()` into a `Complex` from zero,
-    /// one template at a time, and taking its `norm_sqr`.
+    /// `Σₖ x[k]·conj(tₚ[k])` for every template `p`, over the first
+    /// `min(x.len(), template length)` samples: the complex lane sums,
+    /// bit-identical to accumulating `x[k] * t[k].conj()` into a
+    /// `Complex` from zero, one template at a time. They are linear in
+    /// `x`, which is what lets a sweep superpose signal and noise
+    /// correlations.
+    pub fn correlations(&self, x: &[Complex]) -> [Complex; L] {
+        let (re, im) = self.lane_sums(x);
+        let mut out = [Complex::ZERO; L];
+        for ((c, &a), &b) in out.iter_mut().zip(&re).zip(&im) {
+            *c = Complex::new(a, b);
+        }
+        out
+    }
+
+    /// `|Σₖ x[k]·conj(tₚ[k])|²` for every template `p`: the `norm_sqr`
+    /// of each of [`TemplateBank::correlations`], taken straight from
+    /// the split lanes.
     fn energies(&self, x: &[Complex]) -> [f64; L] {
+        let (re, im) = self.lane_sums(x);
+        let mut out = [0.0f64; L];
+        for ((e, &a), &b) in out.iter_mut().zip(&re).zip(&im) {
+            *e = a * a + b * b;
+        }
+        out
+    }
+
+    /// The real and imaginary lane sums behind
+    /// [`TemplateBank::correlations`], accumulated in lock-step.
+    fn lane_sums(&self, x: &[Complex]) -> ([f64; L], [f64; L]) {
         let mut re = [0.0f64; L];
         let mut im = [0.0f64; L];
         for (&x, row) in x.iter().zip(&self.rows) {
@@ -74,11 +99,7 @@ impl<const L: usize> TemplateBank<L> {
                 *b += x.re * ti + x.im * tr;
             }
         }
-        let mut out = [0.0f64; L];
-        for ((e, &a), &b) in out.iter_mut().zip(&re).zip(&im) {
-            *e = a * a + b * b;
-        }
-        out
+        (re, im)
     }
 
     /// The first template with the largest correlation energy
@@ -101,8 +122,9 @@ impl<const L: usize> TemplateBank<L> {
 mod tests {
     use super::*;
 
-    /// The per-template loop the bank replaces.
-    fn serial(templates: &[Vec<Complex>], x: &[Complex]) -> Vec<f64> {
+    /// The per-template loop the bank replaces: one complex sum per
+    /// template.
+    fn serial_sums(templates: &[Vec<Complex>], x: &[Complex]) -> Vec<Complex> {
         templates
             .iter()
             .map(|t| {
@@ -110,8 +132,16 @@ mod tests {
                 for (&s, &tv) in x.iter().zip(t) {
                     c += s * tv.conj();
                 }
-                c.norm_sqr()
+                c
             })
+            .collect()
+    }
+
+    /// The per-template loop's energies.
+    fn serial(templates: &[Vec<Complex>], x: &[Complex]) -> Vec<f64> {
+        serial_sums(templates, x)
+            .into_iter()
+            .map(Complex::norm_sqr)
             .collect()
     }
 
@@ -151,6 +181,11 @@ mod tests {
             let got: Vec<u64> = bank16.energies(x).iter().map(|e| e.to_bits()).collect();
             let want: Vec<u64> = serial(&t16, x).iter().map(|e| e.to_bits()).collect();
             assert_eq!(got, want, "L = 16, {len} samples");
+            // the complex lane sums themselves, bit for bit
+            let bits = |c: &Complex| (c.re.to_bits(), c.im.to_bits());
+            let got: Vec<_> = bank16.correlations(x).iter().map(bits).collect();
+            let want: Vec<_> = serial_sums(&t16, x).iter().map(bits).collect();
+            assert_eq!(got, want, "L = 16 sums, {len} samples");
         }
     }
 

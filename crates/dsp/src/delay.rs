@@ -16,8 +16,12 @@
 //! ([`fractional_delay_kernel`]): an odd-length Hamming-windowed sinc
 //! evaluated at the fractional offset, normalized to unity DC gain. The
 //! kernel's integer group delay is compensated internally, so
-//! [`fractional_delay`] with an integer `delay` reproduces the plain
-//! shift-by-n result exactly (up to the zero-padded edges).
+//! [`fractional_delay_into`] with an integer `delay` reproduces the
+//! plain shift-by-n result exactly (up to the zero-padded edges).
+//!
+//! Both write into a caller-owned output buffer against a reusable
+//! [`DelayScratch`]; the buffer is cleared first, so a reused buffer
+//! gives the same output as a fresh one.
 
 use crate::complex::Complex;
 use crate::math::sinc;
@@ -54,8 +58,8 @@ pub fn fractional_delay_kernel(mu: f64, taps: usize) -> Vec<f64> {
 ///
 /// Holding one `DelayScratch` per worker lets [`fractional_delay_into`]
 /// and [`resample_drift_into`] run with zero steady-state allocation.
-/// The cached window is identical to the one the allocating paths build
-/// per call, so buffer reuse cannot change a single bit of the output.
+/// The cached window is the one a fresh scratch builds, so scratch
+/// reuse cannot change a single bit of the output.
 #[derive(Debug, Clone, Default)]
 pub struct DelayScratch {
     window: Vec<f64>,
@@ -77,26 +81,16 @@ impl DelayScratch {
     }
 }
 
-/// Delay a buffer by `delay ≥ 0` samples: the output approximates
-/// `y[n] = x(n − delay)` with zeros assumed outside the input.
+/// Delay a buffer by `delay ≥ 0` samples into `out` (cleared first),
+/// reusing `scratch` for the window and kernel: the output approximates
+/// `y[n] = x(n − delay)` with zeros assumed outside the input. Zero
+/// steady-state allocation once the buffers have capacity.
 ///
 /// The integer part is an exact shift; the fractional part is windowed-
 /// sinc interpolation with the [`DEFAULT_TAPS`]-tap kernel (group delay
 /// compensated, so the output grid aligns with the input grid). The
 /// output is one sample longer than `x.len() + ceil(delay)` would
 /// suggest only when a fractional tail spills over.
-///
-/// # Panics
-/// Panics on negative `delay`.
-pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
-    out
-}
-
-/// [`fractional_delay`] into a caller-owned output buffer, reusing
-/// `scratch` for the window and kernel. Zero steady-state allocation
-/// once the buffers have capacity.
 ///
 /// # Panics
 /// Panics on negative `delay`.
@@ -151,28 +145,17 @@ pub fn fractional_delay_into(
 /// Resample a buffer as seen through a sample clock that runs `ppm`
 /// parts-per-million fast (positive `ppm`: the receiver clock ticks
 /// faster than nominal, so it reads the waveform slightly *ahead* each
-/// sample and the symbol grid slips forward cumulatively).
+/// sample and the symbol grid slips forward cumulatively), into `out`
+/// (cleared first), reusing `scratch` for the window. Zero steady-state
+/// allocation once the buffers have capacity.
 ///
 /// Output sample `m` is the windowed-sinc interpolation of
 /// `x(m · (1 + ppm·1e-6))`; the output covers the input's full time
-/// span. Zero drift returns the input unchanged.
+/// span. Zero drift copies the input unchanged.
 ///
 /// # Panics
 /// Panics if the drift is so large the resampling ratio is
 /// non-positive (|ppm| must stay below 1e6).
-pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
-    out
-}
-
-/// [`resample_drift`] into a caller-owned output buffer, reusing
-/// `scratch` for the window. Zero steady-state allocation once the
-/// buffers have capacity.
-///
-/// # Panics
-/// Panics if the drift is so large the resampling ratio is
-/// non-positive, like [`resample_drift`].
 pub fn resample_drift_into(
     x: &[Complex],
     ppm: f64,
@@ -220,6 +203,20 @@ mod tests {
     use crate::complex::mean_power;
     use crate::nco::ideal_tone;
 
+    /// [`fractional_delay_into`] into a fresh buffer.
+    fn delayed(x: &[Complex], delay: f64) -> Vec<Complex> {
+        let mut out = Vec::new();
+        fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
+        out
+    }
+
+    /// [`resample_drift_into`] into a fresh buffer.
+    fn drifted(x: &[Complex], ppm: f64) -> Vec<Complex> {
+        let mut out = Vec::new();
+        resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn kernel_at_zero_offset_is_identity() {
         let h = fractional_delay_kernel(0.0, 31);
@@ -242,7 +239,7 @@ mod tests {
     #[test]
     fn integer_delay_is_exact_shift() {
         let x = ideal_tone(1e3, 100e3, 64);
-        let y = fractional_delay(&x, 5.0);
+        let y = delayed(&x, 5.0);
         assert_eq!(y.len(), 69);
         for z in y.iter().take(5) {
             assert_eq!(*z, Complex::ZERO);
@@ -260,7 +257,7 @@ mod tests {
         let n = 2048;
         let x = ideal_tone(f, fs, n);
         for tau in [0.25, 0.5, 0.75] {
-            let y = fractional_delay(&x, tau);
+            let y = delayed(&x, tau);
             // compare against the analytically delayed tone, skipping the
             // kernel-length edges
             let want = -std::f64::consts::TAU * f * tau / fs;
@@ -277,8 +274,8 @@ mod tests {
     fn two_half_sample_delays_equal_one_sample() {
         let fs = 1e6;
         let x = ideal_tone(30e3, fs, 1024);
-        let twice = fractional_delay(&fractional_delay(&x, 0.5), 0.5);
-        let once = fractional_delay(&x, 1.0);
+        let twice = delayed(&delayed(&x, 0.5), 0.5);
+        let once = delayed(&x, 1.0);
         let mut err = 0.0f64;
         for m in 64..1024 - 64 {
             err = err.max((twice[m] - once[m]).abs());
@@ -289,7 +286,7 @@ mod tests {
     #[test]
     fn fractional_delay_preserves_midband_power() {
         let x = ideal_tone(40e3, 1e6, 4096);
-        let y = fractional_delay(&x, 0.37);
+        let y = delayed(&x, 0.37);
         let p = mean_power(&y[64..4032]) / mean_power(&x[64..4032]);
         assert!((p - 1.0).abs() < 0.01, "power ratio {p}");
     }
@@ -297,7 +294,7 @@ mod tests {
     #[test]
     fn zero_drift_is_identity() {
         let x = ideal_tone(10e3, 1e6, 256);
-        assert_eq!(resample_drift(&x, 0.0), x);
+        assert_eq!(drifted(&x, 0.0), x);
     }
 
     #[test]
@@ -308,7 +305,7 @@ mod tests {
         let f = 25e3;
         let n = 10_000;
         let x = ideal_tone(f, fs, n);
-        let y = resample_drift(&x, 100.0);
+        let y = drifted(&x, 100.0);
         // near the end, y[m] ≈ x(m·1.0001): phase advanced by
         // 2π·f·(m·1e-4)/fs relative to x[m]
         let m = n - 200;
@@ -320,24 +317,34 @@ mod tests {
     #[test]
     fn negative_drift_lengthens_the_capture() {
         let x = ideal_tone(10e3, 1e6, 10_000);
-        let slow = resample_drift(&x, -5_000.0);
-        let fast = resample_drift(&x, 5_000.0);
+        let slow = drifted(&x, -5_000.0);
+        let fast = drifted(&x, 5_000.0);
         assert!(slow.len() > x.len(), "slow clock reads more samples");
         assert!(fast.len() < x.len(), "fast clock reads fewer samples");
     }
 
     #[test]
-    fn into_variants_match_allocating_paths_bitwise() {
+    fn reused_dirty_buffers_match_fresh_ones_bitwise() {
+        // one scratch and one output buffer, pre-filled with junk and
+        // reused across calls of both kernels, longer and shorter
+        // outputs alike: every call equals a fresh buffer and scratch
         let x = ideal_tone(25e3, 1e6, 777);
         let mut scratch = DelayScratch::new();
-        let mut out = Vec::new();
+        let mut out = vec![Complex::new(f64::NAN, 7.0); 2_000];
         for delay in [0.0, 3.0, 0.25, 7.6] {
             fractional_delay_into(&x, delay, &mut scratch, &mut out);
-            assert_eq!(out, fractional_delay(&x, delay), "delay {delay}");
+            assert_eq!(out, delayed(&x, delay), "delay {delay}");
+            resample_drift_into(&x[..300], delay * 100.0, &mut scratch, &mut out);
+            assert_eq!(
+                out,
+                drifted(&x[..300], delay * 100.0),
+                "ppm {}",
+                delay * 100.0
+            );
         }
-        for ppm in [0.0, 2.0, -40.0, 5_000.0] {
+        for ppm in [2.0, -40.0, 5_000.0] {
             resample_drift_into(&x, ppm, &mut scratch, &mut out);
-            assert_eq!(out, resample_drift(&x, ppm), "ppm {ppm}");
+            assert_eq!(out, drifted(&x, ppm), "ppm {ppm}");
         }
     }
 
@@ -350,6 +357,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_delay() {
-        fractional_delay(&[Complex::ONE], -1.0);
+        delayed(&[Complex::ONE], -1.0);
     }
 }

@@ -14,10 +14,13 @@
 //! upchirp and downchirp and then compare the amplitudes of their FFT
 //! peaks."
 
+use std::ops::Range;
+
 use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpGenerator};
-use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::complex::{l2_norm, Complex};
 use tinysdr_dsp::fft::FftPlan;
 use tinysdr_dsp::fir::{demod_frontend, Fir};
+use tinysdr_rf::superpose::WindowProjection;
 
 /// Reusable working state for one demodulator's `*_with` hot paths:
 /// the front-end FIR (cloned from the demodulator so taps match), the
@@ -435,25 +438,87 @@ impl Demodulator {
         max_windows: usize,
         mut each: impl FnMut(u16),
     ) {
-        let ns = self.cfg.samples_per_symbol();
-        let windows = (rx.len() / ns).min(max_windows);
-        if windows == 0 {
-            return;
-        }
         let DemodScratch { fir, buf, .. } = scratch;
+        let windows = self.start_walk(rx, fir, buf).min(max_windows);
+        for k in 0..windows {
+            self.aligned_spectrum(rx, k, fir, buf);
+            each(self.data_symbol(buf));
+        }
+    }
+
+    /// Start a streamed aligned walk over `rx`: reset `fir` and feed it
+    /// the group delay's leading samples (their outputs land in `buf`
+    /// and are dropped). Returns the number of whole windows in `rx`.
+    fn start_walk(&self, rx: &[Complex], fir: &mut Fir, buf: &mut Vec<Complex>) -> usize {
         let delay = fir.group_delay() as usize;
         fir.reset();
         fir.process_into(&rx[..delay.min(rx.len())], buf);
+        rx.len() / self.cfg.samples_per_symbol()
+    }
+
+    /// Window `k` of a walk begun by [`Demodulator::start_walk`] (windows
+    /// in order): filter its samples into `buf`, zero-flushing the FIR
+    /// past the end of `rx`, then dechirp and transform in place.
+    /// Returns the range of `rx` the window fed the filter.
+    fn aligned_spectrum(
+        &self,
+        rx: &[Complex],
+        k: usize,
+        fir: &mut Fir,
+        buf: &mut Vec<Complex>,
+    ) -> Range<usize> {
+        let ns = self.cfg.samples_per_symbol();
+        let start = (k * ns + fir.group_delay() as usize).min(rx.len());
+        let end = (start + ns).min(rx.len());
+        fir.process_into(&rx[start..end], buf);
+        buf.resize_with(ns, || fir.push(Complex::ZERO));
+        for (z, &r) in buf.iter_mut().zip(&self.up_ref) {
+            *z *= r;
+        }
+        self.plan.forward(buf);
+        start..end
+    }
+
+    /// The aligned walk of [`Demodulator::detect_aligned_with`] over a
+    /// signal and a noise vector of equal length in lock step, handing
+    /// `each` every window's two dechirped spectra and their bounds. The
+    /// walk is linear, so the spectra of `g·signal + noise` are
+    /// `g·S + N` up to rounding.
+    ///
+    /// A window's bound is `√N·‖h‖₁·‖x‖₂` over every sample its FIR
+    /// outputs read — the window's own inputs plus the `taps − 1` before
+    /// them — which bounds every bin and every partial sum of the
+    /// filter, the unit-modulus dechirp and the FFT.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ or the demodulator oversamples (an
+    /// oversampled data symbol folds two bins, which is not an argmax
+    /// over one).
+    pub(crate) fn project_aligned(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        each: &mut dyn FnMut(WindowProjection<'_>),
+    ) {
+        assert_eq!(signal.len(), noise.len(), "signal and noise must align");
+        assert_eq!(self.cfg.osr, 1, "superposition needs one sample per chip");
+        let history = self.fir.len() - 1;
+        let gain = (self.cfg.samples_per_symbol() as f64).sqrt()
+            * self.fir.taps().iter().map(|t| t.abs()).sum::<f64>();
+        let (mut fir_s, mut fir_n) = (self.fir.clone(), self.fir.clone());
+        let (mut spec_s, mut spec_n) = (Vec::new(), Vec::new());
+        let windows = self.start_walk(signal, &mut fir_s, &mut spec_s);
+        self.start_walk(noise, &mut fir_n, &mut spec_n);
         for k in 0..windows {
-            let start = (k * ns + delay).min(rx.len());
-            let end = (start + ns).min(rx.len());
-            fir.process_into(&rx[start..end], buf);
-            buf.resize_with(ns, || fir.push(Complex::ZERO));
-            for (z, &r) in buf.iter_mut().zip(&self.up_ref) {
-                *z *= r;
-            }
-            self.plan.forward(buf);
-            each(self.data_symbol(buf));
+            let read = self.aligned_spectrum(signal, k, &mut fir_s, &mut spec_s);
+            self.aligned_spectrum(noise, k, &mut fir_n, &mut spec_n);
+            let read = read.start.saturating_sub(history)..read.end;
+            each(WindowProjection {
+                signal: &spec_s,
+                noise: &spec_n,
+                signal_bound: gain * l2_norm(&signal[read.clone()]),
+                noise_bound: gain * l2_norm(&noise[read]),
+            });
         }
     }
 
@@ -1042,6 +1107,52 @@ mod tests {
                     "SF{sf} OSR{osr}, {len} samples"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn projected_walk_is_the_aligned_walk_and_its_bounds_hold() {
+        // signal = a noisy capture, noise = a second draw: the signal's
+        // spectra pick the aligned walk's symbols, and every bin of
+        // either projection lies under its window bound
+        for sf in [7u8, 9] {
+            let m = Modulator::standard(sf, 125e3, 1, 1);
+            let d = Demodulator::standard(sf, 125e3, 1, 1);
+            let ns = d.config().samples_per_symbol();
+            let syms: Vec<u16> = (0..5u16).map(|k| (53 * k + 3) % (1 << sf)).collect();
+            let mut signal = m.modulate_symbols(&syms);
+            AwgnChannel::new(4.5, 11).apply(&mut signal, -120.0, 125e3);
+            let noise: Vec<Complex> = AwgnChannel::new(4.5, 12)
+                .noise_only(signal.len(), 125e3)
+                .into_iter()
+                .map(|z| z.scale(1e3))
+                .collect();
+            for len in [0, ns - 1, ns + 3, 4 * ns + 7, signal.len()] {
+                let (x, n) = (&signal[..len], &noise[..len]);
+                let mut units = Vec::new();
+                d.detect_aligned_with(x, &mut d.scratch(), &mut units);
+                let mut picked = Vec::new();
+                d.project_aligned(x, n, &mut |w| {
+                    picked.push(d.data_symbol(w.signal));
+                    assert!(w.signal.iter().all(|v| v.abs() <= w.signal_bound));
+                    assert!(w.noise.iter().all(|v| v.abs() <= w.noise_bound));
+                });
+                assert_eq!(picked, units, "SF{sf}, {len} samples");
+            }
+            // an impulse among window 0's last inputs: its filter tail
+            // spills into window 1, whose own inputs are all zero, so
+            // window 1's bound holds only by counting the FIR history
+            let delay = d.scratch().fir.group_delay() as usize;
+            let mut x = vec![Complex::ZERO; 3 * ns];
+            x[ns + delay - 3] = Complex::new(0.6, 0.8);
+            let zeros = vec![Complex::ZERO; x.len()];
+            let mut k = 0;
+            d.project_aligned(&x, &zeros, &mut |w| {
+                let top = w.signal.iter().map(|v| v.abs()).fold(0.0, f64::max);
+                assert!(k != 1 || top > 0.0, "SF{sf}: window 1 sees the tail");
+                assert!(top <= w.signal_bound, "SF{sf}, window {k}");
+                k += 1;
+            });
         }
     }
 

@@ -18,6 +18,7 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
+use tinysdr_rf::superpose::{LinearReceiver, WindowProjection};
 use tinysdr_rf::{at86rf215, sx1276};
 
 use crate::demodulator::Demodulator;
@@ -159,8 +160,34 @@ impl PhyModem for LoraSerPhy {
             .collect()
     }
 
+    /// The stream receiver is FIR → dechirp → FFT → argmax at one
+    /// sample per chip: linear up to the argmax.
+    fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
+        Some(self)
+    }
+
     fn clone_box(&self) -> Box<dyn PhyModem> {
         Box::new(self.clone())
+    }
+}
+
+/// Superposition over the stream receiver's own streamed window walk
+/// (group delay, zero flush): a capture shorter than the symbol stream
+/// projects fewer windows, and `count_errors` charges the lost symbols
+/// as it does for a demodulated capture.
+impl LinearReceiver for LoraSerPhy {
+    fn project(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        each: &mut dyn FnMut(WindowProjection<'_>),
+    ) {
+        self.demod.project_aligned(signal, noise, each);
+    }
+
+    fn result(&self, units: Vec<u16>) -> DemodResult {
+        let bytes = symbols_to_frame(&units, self.sf);
+        DemodResult::stream(bytes, units)
     }
 }
 

@@ -212,6 +212,17 @@ impl ImpairmentChain {
         self.adc_bits
     }
 
+    /// `true` exactly when the chain has no ADC stage: every stage after
+    /// the RSSI-independent front half (scale, fade, add noise) is then
+    /// linear, so a capture is `g(r)·s + n` for a prepared pass's faded
+    /// signal `s` and noise `n` ([`PreparedPass::faded_signal`],
+    /// [`PreparedPass::noise`]) and the gain `g(r)` of
+    /// [`PreparedPass::rssi_gain`]. Quantization's AGC and rounding
+    /// break the superposition.
+    pub fn is_linear_after_front(&self) -> bool {
+        self.adc_bits.is_none()
+    }
+
     /// `true` if the chain is AWGN-only (no extra impairments).
     pub fn is_awgn_only(&self) -> bool {
         self.timing_offset_samples == 0.0
@@ -415,11 +426,8 @@ impl ImpairmentChain {
     /// arithmetic as the stage-by-stage route; stage 9 is a second pass,
     /// only when the chain quantizes.
     pub fn apply_prepared_into(&self, prep: &PreparedPass, rssi_dbm: f64, out: &mut Vec<Complex>) {
-        // 6. scale to the wanted RSSI — same arithmetic as
-        // `normalize_power`, with the mean power cached across points
-        // (it is a property of the front half alone)
-        let p = prep.front_power;
-        let gain = (p > 0.0).then(|| (dbm_to_mw(rssi_dbm) / p).sqrt());
+        // 6. scale to the wanted RSSI
+        let gain = prep.rssi_gain(rssi_dbm);
         let agc = self.adc_bits.is_some();
         let mut peak = 0.0f64;
         out.clear();
@@ -497,6 +505,39 @@ impl PreparedPass {
     /// Fresh (empty) pass state; buffers grow lazily.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The stage-6 amplitude gain that scales the front half to
+    /// `rssi_dbm`: `√(mW(rssi) / P_front)`, the arithmetic of
+    /// `normalize_power` with the front half's mean power cached across
+    /// points. `None` for a silent front half, which stage 6 leaves
+    /// unscaled.
+    // lint: allow(unit-suffix, a dimensionless amplitude ratio on digital-domain samples)
+    pub fn rssi_gain(&self, rssi_dbm: f64) -> Option<f64> {
+        let p = self.front_power;
+        (p > 0.0).then(|| (dbm_to_mw(rssi_dbm) / p).sqrt())
+    }
+
+    /// The front half with its block-fading coefficients applied
+    /// (`h∘F`): the front half itself when the chain does not fade,
+    /// otherwise written into `buf`. A chain without ADC stage replays
+    /// the pass at RSSI `r` as `g(r)·faded_signal + noise` up to
+    /// rounding ([`ImpairmentChain::is_linear_after_front`]).
+    pub fn faded_signal<'a>(&'a self, buf: &'a mut Vec<Complex>) -> &'a [Complex] {
+        let Some(block) = self.fading_block else {
+            return &self.front;
+        };
+        buf.clear();
+        for (front, &h) in self.front.chunks(block).zip(&self.fading) {
+            buf.extend(front.iter().map(|&x| x * h));
+        }
+        buf
+    }
+
+    /// The prepared AWGN vector (stage 8), one sample per front-half
+    /// sample.
+    pub fn noise(&self) -> &[Complex] {
+        &self.noise
     }
 
     /// Length of the prepared waveform in samples.

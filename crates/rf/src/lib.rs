@@ -26,6 +26,10 @@
 //!   the protocol-programmability seam. Workload crates (`lora`, `ble`,
 //!   `zigbee`) implement it; the conformance waterfalls, the campus
 //!   testbed and the device consume `&dyn PhyModem`.
+//! * [`superpose`] — the [`superpose::LinearReceiver`] seam: a sweep
+//!   over a chain without ADC stage decides every RSSI point of a pass
+//!   from one projection of the signal and one of the noise, with a
+//!   certified margin and the exact path as fallback.
 //! * [`pathloss`] — free-space and log-distance (shadowed) propagation for
 //!   the campus testbed of Fig. 7.
 //! * [`lvds`] — bit-exact implementation of the 32-bit I/Q word of Fig. 4
@@ -53,6 +57,7 @@ pub mod impairments;
 pub mod lvds;
 pub mod pathloss;
 pub mod phy;
+pub mod superpose;
 pub mod switch;
 pub mod sx1276;
 pub mod units;

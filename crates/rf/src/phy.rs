@@ -19,6 +19,8 @@
 
 use tinysdr_dsp::complex::Complex;
 
+use crate::superpose::LinearReceiver;
+
 /// Exact error accounting in a PHY's native unit (chirp symbols, bits,
 /// packets, DSSS symbols, …). Counts, not rates, so points can be
 /// merged and Wilson intervals computed without precision loss.
@@ -207,6 +209,15 @@ pub trait PhyModem: std::fmt::Debug + Send + Sync {
     /// bit-identical to the default.
     fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
         waveforms.iter().map(|iq| self.demodulate(iq)).collect()
+    }
+
+    /// The modem's receiver as a [`LinearReceiver`], when it is linear
+    /// in the capture up to a per-window argmax. A sweep over a chain
+    /// without ADC stage then decides every RSSI point of a pass from
+    /// two projections ([`crate::superpose::demodulate_pass`]). The
+    /// default, `None`, keeps every point on `demodulate_batch`.
+    fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
+        None
     }
 
     /// Clone into a new box (object-safe `Clone`; lets registries and

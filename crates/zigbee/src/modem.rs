@@ -9,6 +9,7 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
+use tinysdr_rf::superpose::{LinearReceiver, WindowProjection};
 
 use crate::chips::CHIP_RATE;
 use crate::oqpsk::{OqpskDemodulator, OqpskModulator, OqpskScratch};
@@ -152,8 +153,32 @@ impl PhyModem for ZigbeePhy {
             .collect()
     }
 
+    /// The chip-correlator bank is linear up to its argmax.
+    fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
+        Some(self)
+    }
+
     fn clone_box(&self) -> Box<dyn PhyModem> {
         Box::new(self.clone())
+    }
+}
+
+/// Superposition over the correlator's own windows (spill-over
+/// included); a truncated capture projects fewer windows, and
+/// `count_errors` charges the lost symbols.
+impl LinearReceiver for ZigbeePhy {
+    fn project(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        each: &mut dyn FnMut(WindowProjection<'_>),
+    ) {
+        self.demod.project_symbols(signal, noise, each);
+    }
+
+    fn result(&self, units: Vec<u16>) -> DemodResult {
+        let syms: Vec<u8> = units.iter().map(|&u| u as u8).collect();
+        DemodResult::stream(symbols_to_bytes(&syms), units)
     }
 }
 

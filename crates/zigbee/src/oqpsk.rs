@@ -14,8 +14,11 @@
 //! correlation magnitude wins — the DSSS despreading that buys the
 //! 2.4 GHz PHY its processing gain.
 
-use tinysdr_dsp::complex::Complex;
+use std::ops::Range;
+
+use tinysdr_dsp::complex::{l2_norm, Complex};
 use tinysdr_dsp::correlate::TemplateBank;
+use tinysdr_rf::superpose::WindowProjection;
 
 use crate::chips::{chip_sequence, CHIPS_PER_SYMBOL, CHIP_RATE};
 
@@ -165,6 +168,9 @@ pub struct OqpskDemodulator {
     /// The 16 single-symbol reference waveforms, as a lock-step
     /// correlation bank.
     templates: TemplateBank<16>,
+    /// The largest template norm `maxₚ ‖tₚ‖₂`: by Cauchy–Schwarz a
+    /// window's correlations are bounded by it times the window norm.
+    template_norm: f64,
 }
 
 impl OqpskDemodulator {
@@ -172,9 +178,11 @@ impl OqpskDemodulator {
     pub fn new(spc: usize) -> Self {
         let m = OqpskModulator::new(spc);
         let templates: Vec<Vec<Complex>> = (0..16u8).map(|s| m.modulate_symbols(&[s])).collect();
+        let template_norm = templates.iter().map(|t| l2_norm(t)).fold(0.0, f64::max);
         OqpskDemodulator {
             spc,
             templates: TemplateBank::new(&templates),
+            template_norm,
         }
     }
 
@@ -213,13 +221,44 @@ impl OqpskDemodulator {
         let n_syms = x.len() / ns;
         out.clear();
         out.reserve(n_syms);
-        out.extend((0..n_syms).map(|i| {
-            // include the half-chip spill-over past the window when
-            // the capture still has it — the last Q pulse carries
-            // real symbol energy
-            let end = ((i + 1) * ns + self.spc).min(x.len());
-            self.detect_symbol(&x[i * ns..end]).0
-        }));
+        out.extend((0..n_syms).map(|i| self.detect_symbol(&x[self.window(i, x.len())]).0));
+    }
+
+    /// Samples of symbol window `i` in a capture of `len` samples: the
+    /// symbol period plus the half-chip spill-over past it when the
+    /// capture still has it — the last Q pulse carries real symbol
+    /// energy.
+    fn window(&self, i: usize, len: usize) -> Range<usize> {
+        let ns = self.samples_per_symbol();
+        i * ns..((i + 1) * ns + self.spc).min(len)
+    }
+
+    /// The windows of [`OqpskDemodulator::demodulate_symbols_into`] over
+    /// a signal and a noise vector of equal length in lock step, handing
+    /// `each` the window's 16 template correlations of each and their
+    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window. Correlation is linear,
+    /// so the correlations of `g·signal + noise` are `g·S + N` up to
+    /// rounding.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub(crate) fn project_symbols(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        each: &mut dyn FnMut(WindowProjection<'_>),
+    ) {
+        assert_eq!(signal.len(), noise.len(), "signal and noise must align");
+        for i in 0..signal.len() / self.samples_per_symbol() {
+            let w = self.window(i, signal.len());
+            let (s, n) = (&signal[w.clone()], &noise[w]);
+            each(WindowProjection {
+                signal: &self.templates.correlations(s),
+                noise: &self.templates.correlations(n),
+                signal_bound: self.template_norm * l2_norm(s),
+                noise_bound: self.template_norm * l2_norm(n),
+            });
+        }
     }
 }
 
@@ -328,6 +367,35 @@ mod tests {
                     .collect();
                 assert_eq!(d.demodulate_symbols(cut), want, "spc {spc}, {rssi} dBm");
             }
+        }
+    }
+
+    #[test]
+    fn projected_windows_are_the_demodulators_and_their_bounds_hold() {
+        let m = OqpskModulator::new(2);
+        let d = OqpskDemodulator::new(2);
+        let ns = d.samples_per_symbol();
+        let mut signal = m.modulate_symbols(&random_symbols(6, 21));
+        AwgnChannel::new(10.0, 3).apply(&mut signal, -104.0, m.fs());
+        let noise = AwgnChannel::new(10.0, 4).noise_only(signal.len(), m.fs());
+        // with and without the final spill-over, and a short capture
+        for len in [ns - 1, 3 * ns, 3 * ns + 1, signal.len()] {
+            let (x, n) = (&signal[..len], &noise[..len]);
+            let mut picked = Vec::new();
+            d.project_symbols(x, n, &mut |w| {
+                let s = w.signal;
+                let best = (0..s.len()).fold(0, |b, p| {
+                    if s[p].norm_sqr() > s[b].norm_sqr() {
+                        p
+                    } else {
+                        b
+                    }
+                });
+                picked.push(best as u8);
+                assert!(s.iter().all(|v| v.abs() <= w.signal_bound));
+                assert!(w.noise.iter().all(|v| v.abs() <= w.noise_bound));
+            });
+            assert_eq!(picked, d.demodulate_symbols(x), "{len} samples");
         }
     }
 

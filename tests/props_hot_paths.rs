@@ -11,9 +11,7 @@ use tinysdr_ble::gfsk::{GfskModulator, GfskScratch};
 use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpDirection, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
-use tinysdr_dsp::delay::{
-    fractional_delay, fractional_delay_into, resample_drift, resample_drift_into, DelayScratch,
-};
+use tinysdr_dsp::delay::{fractional_delay_into, resample_drift_into, DelayScratch};
 use tinysdr_dsp::fft::FftPlan;
 use tinysdr_dsp::fir::demod_frontend;
 use tinysdr_dsp::gaussian::GaussianFilter;
@@ -109,11 +107,17 @@ proptest! {
         plan.inverse(&mut buf);
         prop_assert_eq!(&buf, &out);
 
+        // the timing kernels into a dirty reused buffer and scratch
+        // (`out` still holds the inverse FFT) equal fresh ones
         let mut scratch = DelayScratch::new();
+        let mut fresh = Vec::new();
         fractional_delay_into(&x, delay, &mut scratch, &mut out);
-        prop_assert_eq!(fractional_delay(&x, delay), out.clone());
+        fractional_delay_into(&x, delay, &mut DelayScratch::new(), &mut fresh);
+        prop_assert_eq!(&fresh, &out);
         resample_drift_into(&x, ppm, &mut scratch, &mut out);
-        prop_assert_eq!(resample_drift(&x, ppm), out.clone());
+        let mut fresh = Vec::new();
+        resample_drift_into(&x, ppm, &mut DelayScratch::new(), &mut fresh);
+        prop_assert_eq!(&fresh, &out);
 
         let mut fir = demod_frontend(0.25);
         let filtered = fir.process(&x);
