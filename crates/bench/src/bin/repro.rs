@@ -9,6 +9,7 @@
 //! repro energy              # power-state/energy axis (not in `all`)
 //! repro campaign            # million-node campaign scaling (not in `all`)
 //! repro perf                # hot-path perf gates + trajectories (not in `all`)
+//! repro perf --label <text> # the same, naming both trajectory points
 //! repro link                # packet data plane: ARQ + multi-hop (not in `all`)
 //! repro --quick all         # reduced trial counts for smoke runs
 //! repro --json waterfall    # canonical JSON report on stdout
@@ -74,7 +75,7 @@ const QUICK: Effort = Effort {
     bits: 20_000,
 };
 
-const USAGE: &str = "usage: repro [--quick] [--json] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
+const USAGE: &str = "usage: repro [--quick] [--json] [--label <text>] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
 
 /// Every experiment name `repro` accepts.
 const EXPERIMENTS: &[&str] = &[
@@ -123,9 +124,32 @@ fn exit_quietly_on_closed_stdout() {
     }));
 }
 
+/// Remove `--label <text>` from `args` and return the text: `None`
+/// without the flag, an error when it has no value or comes twice.
+fn take_label(args: &mut Vec<String>) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == "--label") else {
+        return Ok(None);
+    };
+    let value = args.get(at + 1).filter(|v| !v.starts_with("--")).cloned();
+    let Some(value) = value else {
+        return Err("--label needs a value".into());
+    };
+    args.drain(at..at + 2);
+    if args.iter().any(|a| a == "--label") {
+        return Err("--label given twice".into());
+    }
+    Ok(Some(value))
+}
+
 fn main() {
     exit_quietly_on_closed_stdout();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--label <text>` names `repro perf`'s trajectory points: its value
+    // is not an experiment name
+    let label = take_label(&mut args).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}\n{USAGE}");
+        std::process::exit(2);
+    });
     let quick = args.iter().any(|a| a == "--quick");
     let effort = if quick { QUICK } else { FULL };
     let wanted: Vec<&str> = args
@@ -149,6 +173,10 @@ fn main() {
     }
     if wanted.is_empty() {
         eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    if label.is_some() && !wanted.contains(&"perf") {
+        eprintln!("repro: --label names the trajectory points of perf\n{USAGE}");
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--json") {
@@ -316,7 +344,7 @@ fn main() {
         // BENCH_waterfall.json trajectory points uploaded by the CI
         // perf-smoke job. The wall-clock speedup floor is enforced only
         // in the full run (CI runners are not the recording machine).
-        tinysdr_bench::perf::perf(quick);
+        tinysdr_bench::perf::perf(quick, label.as_deref());
     }
     if wanted.contains(&"energy") {
         // full: the ROADMAP-scale duty-cycled fleet; quick: 64 nodes +

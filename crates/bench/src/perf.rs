@@ -347,14 +347,16 @@ pub fn measure_perf(quick: bool) -> PerfReport {
 
 /// The `repro perf` entry point: bit-identity gates, timed modem and
 /// waterfall runs, and one point appended to each of the two
-/// trajectory files. `quick` keeps the repetition counts CI-sized and
+/// trajectory files, both carrying the caller's `label` (for example a
+/// revision or change name) when one is given. `quick` keeps the
+/// repetition counts CI-sized and
 /// skips the wall-clock gate (shared runners are not the recording
 /// machine); the full run enforces `REQUIRED_WATERFALL_SPEEDUP` (1.5×)
 /// against the `pre-batching` point recorded in `BENCH_waterfall.json`.
 ///
 /// # Panics
 /// In full mode, if that point is missing or the gate fails.
-pub fn perf(quick: bool) {
+pub fn perf(quick: bool, label: Option<&str>) {
     println!("== Hot-path perf: allocation-free batched DSP, gated trajectories ==\n");
     let pre_ms = pre_batching_wall_ms(WATERFALL_TRAJECTORY);
     assert!(
@@ -388,18 +390,22 @@ pub fn perf(quick: bool) {
         points / (wall_ms / 1e3),
     );
 
-    let label = ("label".to_string(), Value::str("post-batching"));
-    let mut modem = vec![label.clone()];
+    // the caller's label names both points; without one they carry none
+    let label: Vec<(String, Value)> = label
+        .map(|text| ("label".to_string(), Value::str(text)))
+        .into_iter()
+        .collect();
+    let mut modem = label.clone();
     modem.extend(report.modem_fields());
-    let waterfall = vec![
-        label,
+    let mut waterfall = label;
+    waterfall.extend([
         ("grid".into(), Value::str("quick")),
         ("shards".into(), Value::num(1.0)),
         ("grid_points".into(), Value::num(points)),
         ("wall_ms".into(), Value::num(wall_ms)),
         ("points_per_s".into(), Value::num(points / (wall_ms / 1e3))),
         ("speedup_vs_pre".into(), Value::num(speedup)),
-    ];
+    ]);
     for (path, experiment, fields) in [
         ("BENCH_modem.json", "modem_perf", modem),
         (WATERFALL_TRAJECTORY, "waterfall_perf", waterfall),

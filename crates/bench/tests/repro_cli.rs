@@ -36,6 +36,24 @@ fn misspelled_experiment_prints_usage_and_exits_two() {
 }
 
 #[test]
+fn a_label_needs_a_value_and_perf() {
+    for args in [
+        &["perf", "--label"][..],
+        &["--label", "--quick", "perf"],
+        &["--label", "a", "--label", "b", "perf"],
+        &["--quick", "--label", "x", "table1"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     // table1 prints at once, then fig15a computes before it prints: the
     // reader is gone by then, so fig15a's output meets a closed pipe

@@ -5,13 +5,19 @@
 //! in frequency which we integrate to get the phase. We then feed the
 //! phase to sine and cosine functions to get the final I and Q samples."
 //!
-//! RX is an FM discriminator (phase difference → per-bit integrate →
-//! slice), standing in for the TI CC2650 the paper uses to measure the
-//! Fig. 12 BER curve.
+//! RX is a noncoherent matched-template detector: each bit is decided
+//! by the strongest correlation against the eight 3-bit GFSK
+//! trajectories spanning it, standing in for the TI CC2650 the paper
+//! uses to measure the Fig. 12 BER curve. The FM discriminator
+//! ([`GfskDemodulator::discriminate`]) serves only the access-address
+//! search.
 
-use tinysdr_dsp::complex::Complex;
+use std::ops::Range;
+
+use tinysdr_dsp::complex::{l2_norm, Complex};
 use tinysdr_dsp::correlate::TemplateBank;
 use tinysdr_dsp::gaussian::GaussianFilter;
+use tinysdr_rf::superpose::WindowProjection;
 
 /// BLE 4.0 bit rate, bit/s.
 pub const BIT_RATE: f64 = 1e6;
@@ -122,6 +128,9 @@ pub struct GfskDemodulator {
     /// The 8 three-bit GFSK waveforms, index = (b₋₁ << 2)|(b₀ << 1)|b₊₁,
     /// as a lock-step correlation bank.
     templates: TemplateBank<8>,
+    /// The largest template norm `maxₚ ‖tₚ‖₂`: by Cauchy–Schwarz a
+    /// window's correlations are bounded by it times the window norm.
+    template_norm: f64,
 }
 
 impl GfskDemodulator {
@@ -135,9 +144,11 @@ impl GfskDemodulator {
                 m.modulate(&bits)
             })
             .collect();
+        let template_norm = templates.iter().map(|t| l2_norm(t)).fold(0.0, f64::max);
         GfskDemodulator {
             sps,
             templates: TemplateBank::new(&templates),
+            template_norm,
         }
     }
 
@@ -166,22 +177,53 @@ impl GfskDemodulator {
     /// (cleared first) — allocation-free in steady state, bit-identical
     /// to the allocating path.
     pub fn demodulate_into(&self, x: &[Complex], out: &mut Vec<u8>) {
-        let sps = self.sps;
-        let n_bits = x.len() / sps;
+        let n_bits = x.len() / self.sps;
         out.clear();
         out.reserve(n_bits);
-        let win = 3 * sps;
         for i in 0..n_bits {
-            // 3-bit window centered on bit i (clamped at the edges)
-            let start = (i.saturating_sub(1)) * sps;
-            let slice_end = (start + win).min(x.len());
-            let slice = &x[start..slice_end];
-            // at the left edge the center bit sits in the first position
-            let center_shift = if i == 0 { 0 } else { 1 };
             // the window never outruns the 3-bit templates
             // (`slice.len() <= 3*sps`), so every sample is correlated
-            let (p, _) = self.templates.best(slice);
-            out.push(((p as u8) >> (2 - center_shift)) & 1);
+            // lint: allow(unchecked-index, window() clamps to x.len())
+            let (p, _) = self.templates.best(&x[self.window(i, x.len())]);
+            out.push(center_bit(i, p));
+        }
+    }
+
+    /// Samples of bit `i`'s window in a capture of `len` samples: the
+    /// 3-bit window centered on bit `i`, clamped at the edges (the first
+    /// bit sits in the window's first position, and the last window may
+    /// be short).
+    fn window(&self, i: usize, len: usize) -> Range<usize> {
+        let start = i.saturating_sub(1) * self.sps;
+        start..(start + 3 * self.sps).min(len)
+    }
+
+    /// The windows of [`GfskDemodulator::demodulate_into`] over a signal
+    /// and a noise vector of equal length in lock step, handing `each`
+    /// the window's eight template correlations of each and their
+    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window. Correlation is linear,
+    /// so the correlations of `g·signal + noise` are `g·S + N` up to
+    /// rounding; window `i`'s template `p` reads as [`center_bit`]`(i, p)`.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub(crate) fn project_bits(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        each: &mut dyn FnMut(WindowProjection<'_>),
+    ) {
+        assert_eq!(signal.len(), noise.len(), "signal and noise must align");
+        for i in 0..signal.len() / self.sps {
+            let w = self.window(i, signal.len());
+            // lint: allow(unchecked-index, window() clamps to the equal lengths)
+            let (s, n) = (&signal[w.clone()], &noise[w]);
+            each(WindowProjection {
+                signal: &self.templates.correlations(s),
+                noise: &self.templates.correlations(n),
+                signal_bound: self.template_norm * l2_norm(s),
+                noise_bound: self.template_norm * l2_norm(n),
+            });
         }
     }
 
@@ -216,6 +258,14 @@ impl GfskDemodulator {
         }
         Some(best.0)
     }
+}
+
+/// The bit window `i` decides when template `p`, index
+/// `(b₋₁ << 2)|(b₀ << 1)|b₊₁`, wins: its center bit, except that the
+/// clamped first window holds bit 0 in its first position.
+pub(crate) fn center_bit(i: usize, p: usize) -> u8 {
+    let shift = if i == 0 { 2 } else { 1 };
+    ((p >> shift) & 1) as u8
 }
 
 /// Unpack bytes into bits, LSB of each byte first (the BLE air order).

@@ -9,8 +9,9 @@
 //!   `x²⁴+x¹⁰+x⁹+x⁶+x⁴+x³+x+1`, init `0x555555`) and the 7-bit channel
 //!   whitening LFSR (`x⁷+x⁴+1`) — all exactly as §4.2 describes them.
 //! * [`gfsk`] — the GFSK modulator ("upsample and apply a Gaussian
-//!   filter to the bitstream […] integrate to get the phase") and an FM
-//!   discriminator receiver used to measure the Fig. 12 BER curve.
+//!   filter to the bitstream […] integrate to get the phase") and the
+//!   matched 3-bit-template receiver used to measure the Fig. 12 BER
+//!   curve (its FM discriminator serves only the access-address search).
 //! * [`channels`] — the three advertising channels and their
 //!   frequencies.
 //! * [`advertiser`] — the beacon scheduler hopping 37→38→39 with the

@@ -7,10 +7,13 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
+use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
 
 /// Re-exported from [`crate::gfsk`], the crate's bit-order authority.
 pub use crate::gfsk::{bits_to_bytes, bytes_to_bits};
-use crate::gfsk::{GfskDemodulator, GfskModulator, GfskScratch, CC2650_NOISE_FIGURE_DB};
+use crate::gfsk::{
+    center_bit, GfskDemodulator, GfskModulator, GfskScratch, CC2650_NOISE_FIGURE_DB,
+};
 
 /// BLE advertising channel 38's carrier — the middle of the three
 /// advertising channels.
@@ -118,8 +121,36 @@ impl PhyModem for BleBerPhy {
             .collect()
     }
 
+    /// The template correlator bank is linear up to its per-bit argmax.
+    fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
+        Some(self)
+    }
+
     fn clone_box(&self) -> Box<dyn PhyModem> {
         Box::new(self.clone())
+    }
+}
+
+/// Superposition over the detector's own clamped 3-bit windows; window
+/// `i`'s winning template reads as its center bit.
+impl LinearReceiver for BleBerPhy {
+    fn decide(
+        &self,
+        pass: &LinearPass<'_>,
+        _: &mut ReceiverScratch,
+        each: &mut dyn FnMut(usize, DemodResult),
+    ) {
+        decide_stream(
+            pass,
+            pass.signal.len() / self.sps,
+            each,
+            |window| self.demod.project_bits(pass.signal, pass.noise, window),
+            |i, p| u16::from(center_bit(i, p)),
+            |units| {
+                let bits: Vec<u8> = units.iter().map(|&u| u as u8).collect();
+                DemodResult::stream(bits_to_bytes(&bits), units)
+            },
+        );
     }
 }
 

@@ -37,6 +37,8 @@ pub struct DemodScratch {
 use crate::packet::FrameParams;
 use crate::phy::{self, CodeParams};
 
+mod superposed;
+
 /// Result of detecting one chirp symbol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SymbolDetection {
@@ -329,23 +331,6 @@ impl Demodulator {
         best.0
     }
 
-    /// The data symbol of one aligned window of the filtered capture.
-    fn symbol_with_buf(&self, window: &[Complex], buf: &mut Vec<Complex>) -> u16 {
-        self.spectrum_into(window, &self.up_ref, buf);
-        self.data_symbol(buf)
-    }
-
-    /// Peak magnitude of one window dechirped against `reference`.
-    fn peak_magnitude(
-        &self,
-        window: &[Complex],
-        reference: &[Complex],
-        buf: &mut Vec<Complex>,
-    ) -> f64 {
-        self.spectrum_into(window, reference, buf);
-        self.peak(buf).1
-    }
-
     /// Detect the symbol in an aligned window (dechirp → FFT → peak).
     pub fn detect_symbol(&self, window: &[Complex]) -> SymbolDetection {
         self.detect_with(window, &self.up_ref)
@@ -503,8 +488,7 @@ impl Demodulator {
         assert_eq!(signal.len(), noise.len(), "signal and noise must align");
         assert_eq!(self.cfg.osr, 1, "superposition needs one sample per chip");
         let history = self.fir.len() - 1;
-        let gain = (self.cfg.samples_per_symbol() as f64).sqrt()
-            * self.fir.taps().iter().map(|t| t.abs()).sum::<f64>();
+        let gain = self.window_gain();
         let (mut fir_s, mut fir_n) = (self.fir.clone(), self.fir.clone());
         let (mut spec_s, mut spec_n) = (Vec::new(), Vec::new());
         let windows = self.start_walk(signal, &mut fir_s, &mut spec_s);
@@ -522,10 +506,17 @@ impl Demodulator {
         }
     }
 
-    /// Locate the preamble in `rx` and return `(symbol_grid_start,
-    /// preamble_window_index)`: the sample index of a symbol boundary
-    /// inside the preamble.
-    fn find_preamble(&self, rx: &[Complex], buf: &mut Vec<Complex>) -> Option<usize> {
+    /// `√N·‖h‖₁`: times the norm of the unfiltered samples a window's
+    /// FIR outputs read, a bound on every bin and partial sum of its
+    /// filter, unit-modulus dechirp and FFT.
+    fn window_gain(&self) -> f64 {
+        (self.cfg.samples_per_symbol() as f64).sqrt()
+            * self.fir.taps().iter().map(|t| t.abs()).sum::<f64>()
+    }
+
+    /// Locate the preamble and return the fine-aligned sample index of
+    /// a symbol boundary inside it.
+    fn find_preamble<W: FrameWindows>(&self, w: &mut W) -> Result<Option<usize>, W::Refusal> {
         let ns = self.cfg.samples_per_symbol();
         let osr = self.cfg.osr;
         let n = self.cfg.n_chips() as i64;
@@ -534,9 +525,8 @@ impl Demodulator {
         let mut run_sym = 0u16;
         let mut run_start = 0usize;
         let mut k = 0usize;
-        while (k + 1) * ns <= rx.len() {
-            self.spectrum_into(&rx[k * ns..(k + 1) * ns], &self.up_ref, buf);
-            if let Some(symbol) = self.preamble_symbol(buf) {
+        while (k + 1) * ns <= w.len() {
+            if let Some(symbol) = w.preamble_symbol(k * ns)? {
                 // tolerate ±1 chip jitter between windows (quantized
                 // chirps + filter edges wobble the split-bin estimate)
                 let close = {
@@ -557,14 +547,14 @@ impl Demodulator {
                     // equals δ in chips
                     let delta = run_sym as usize * osr;
                     let coarse = run_start * ns + if delta == 0 { 0 } else { ns - delta };
-                    return Some(self.refine_alignment(rx, coarse, buf));
+                    return self.refine_alignment(w, coarse).map(Some);
                 }
             } else {
                 run = 0;
             }
             k += 1;
         }
-        None
+        Ok(None)
     }
 
     /// Fine alignment: probe sample offsets around the coarse estimate
@@ -573,22 +563,26 @@ impl Demodulator {
     /// true boundary the preamble lands in bin 0; an offset of a full
     /// chip moves it to bin ±1 and must be rejected, or every payload
     /// symbol would read off by one.
-    fn refine_alignment(&self, rx: &[Complex], coarse: usize, buf: &mut Vec<Complex>) -> usize {
+    fn refine_alignment<W: FrameWindows>(
+        &self,
+        w: &mut W,
+        coarse: usize,
+    ) -> Result<usize, W::Refusal> {
         let ns = self.cfg.samples_per_symbol();
         let span = (self.cfg.osr as i64).max(2);
-        let mut best = (coarse, f64::MIN);
+        let mut best = (coarse, Level::exact(f64::MIN));
         for e in -span..=span {
             let pos = coarse as i64 + e;
-            if pos < 0 || (pos as usize + ns) > rx.len() {
+            if pos < 0 || (pos as usize + ns) > w.len() {
                 continue;
             }
-            self.spectrum_into(&rx[pos as usize..pos as usize + ns], &self.up_ref, buf);
-            let (symbol, magnitude) = self.peak(buf);
-            if symbol == 0 && magnitude > best.1 {
-                best = (pos as usize, magnitude);
+            if let Some(magnitude) = w.zero_peak(pos as usize)? {
+                if w.greater(magnitude, best.1)? {
+                    best = (pos as usize, magnitude);
+                }
             }
         }
-        best.0
+        Ok(best.0)
     }
 
     /// Demodulate one frame from a raw capture: front-end filter,
@@ -608,15 +602,38 @@ impl Demodulator {
         rx: &[Complex],
         scratch: &mut DemodScratch,
     ) -> Option<DemodFrame> {
-        let ns = self.cfg.samples_per_symbol();
         let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
-        // one symbol of tail padding so a grid offset can't starve the
-        // final symbol window
-        filtered.extend(std::iter::repeat_n(Complex::ZERO, ns));
-        let pos = self.find_preamble(filtered, buf)?;
-        let sfd_start = self.find_sfd(filtered, pos, buf)?;
-        self.decode_after_sfd(filtered, sfd_start, buf)
+        self.filter_padded(rx, fir, filtered);
+        let Ok(frame) = self.receive(&mut ExactWindows {
+            demod: self,
+            filtered,
+            buf,
+        });
+        frame
+    }
+
+    /// The front-end filter of the framed path, plus one symbol of zero
+    /// padding so a grid offset can't starve the final symbol window.
+    fn filter_padded(&self, x: &[Complex], fir: &mut Fir, out: &mut Vec<Complex>) {
+        self.filter_core(x, fir, out);
+        out.extend(std::iter::repeat_n(
+            Complex::ZERO,
+            self.cfg.samples_per_symbol(),
+        ));
+    }
+
+    /// The framed receive over a window source: preamble search, fine
+    /// alignment, SFD search, header and payload decode. The one copy
+    /// of the framed search: [`ExactWindows`] runs it on a filtered
+    /// capture, a superposed source on a pass's projections.
+    fn receive<W: FrameWindows>(&self, w: &mut W) -> Result<Option<DemodFrame>, W::Refusal> {
+        let Some(pos) = self.find_preamble(w)? else {
+            return Ok(None);
+        };
+        let Some(sfd_start) = self.find_sfd(w, pos)? else {
+            return Ok(None);
+        };
+        self.decode_after_sfd(w, sfd_start)
     }
 
     /// Locate the SFD by total evidence rather than a fragile
@@ -631,82 +648,218 @@ impl Demodulator {
     /// window is offset `j + 1`'s first, so its two detections are
     /// carried over instead of recomputed — the same windows through
     /// the same kernels, hence the same magnitudes bit for bit.
-    fn find_sfd(&self, filtered: &[Complex], pos: usize, buf: &mut Vec<Complex>) -> Option<usize> {
+    fn find_sfd<W: FrameWindows>(
+        &self,
+        w: &mut W,
+        pos: usize,
+    ) -> Result<Option<usize>, W::Refusal> {
         let ns = self.cfg.samples_per_symbol();
         let max_j = self.frame_params.preamble_len + 4;
-        let mut best: Option<(usize, f64)> = None;
+        let mut best: Option<(usize, Level)> = None;
         // (down, up) peak magnitudes of the window at `start`
-        let mut carried: Option<(f64, f64)> = None;
+        let mut carried: Option<(Level, Level)> = None;
         for j in 1..=max_j {
             let start = pos + j * ns;
-            if start + 2 * ns > filtered.len() {
+            if start + 2 * ns > w.len() {
                 break;
             }
             let (d0, u0) = match carried {
                 Some(mags) => mags,
-                None => {
-                    // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
-                    let w0 = &filtered[start..start + ns];
-                    (
-                        self.peak_magnitude(w0, &self.down_ref, buf),
-                        self.peak_magnitude(w0, &self.up_ref, buf),
-                    )
-                }
+                None => (
+                    w.magnitude(start, Chirp::Down),
+                    w.magnitude(start, Chirp::Up),
+                ),
             };
-            // lint: allow(unchecked-index, start + 2 * ns <= filtered.len() checked above)
-            let w1 = &filtered[start + ns..start + 2 * ns];
-            let d1 = self.peak_magnitude(w1, &self.down_ref, buf);
-            let u1 = self.peak_magnitude(w1, &self.up_ref, buf);
+            let d1 = w.magnitude(start + ns, Chirp::Down);
+            let u1 = w.magnitude(start + ns, Chirp::Up);
             carried = Some((d1, u1));
             let score = d0 + d1 - u0 - u1;
-            if best.map(|(_, s)| score > s).unwrap_or(true) {
+            let better = match best {
+                Some((_, s)) => w.greater(score, s)?,
+                None => true,
+            };
+            if better {
                 best = Some((start, score));
             }
         }
-        let (sfd_start, score) = best?;
+        let Some((sfd_start, score)) = best else {
+            return Ok(None);
+        };
         // no downchirp evidence anywhere — not a frame
-        (score > 0.0).then_some(sfd_start)
+        Ok(w.greater(score, Level::exact(0.0))?.then_some(sfd_start))
     }
 
     /// Header and payload decode once the SFD is found at `sfd_start`.
-    fn decode_after_sfd(
+    fn decode_after_sfd<W: FrameWindows>(
         &self,
-        filtered: &[Complex],
+        w: &mut W,
         sfd_start: usize,
-        buf: &mut Vec<Complex>,
-    ) -> Option<DemodFrame> {
+    ) -> Result<Option<DemodFrame>, W::Refusal> {
         let ns = self.cfg.samples_per_symbol();
         // skip the 2.25-symbol SFD
         let payload_start = sfd_start + ns * 2 + ns / 4;
 
         // header block: 8 symbols
-        if payload_start + 8 * ns > filtered.len() {
-            return None;
+        if payload_start + 8 * ns > w.len() {
+            return Ok(None);
         }
         let mut symbols: Vec<u16> = Vec::new();
         for i in 0..8 {
-            let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.symbol_with_buf(w, buf));
+            symbols.push(w.data_symbol(payload_start + i * ns)?);
         }
         // decode just the header block to learn the payload length
-        let payload_len = header_declared_len(&symbols, self.frame_params.code)?;
+        let Some(payload_len) = header_declared_len(&symbols, self.frame_params.code) else {
+            return Ok(None);
+        };
         let total_syms = phy::symbol_count(payload_len, self.frame_params.code);
-        if payload_start + total_syms * ns > filtered.len() {
-            return None;
+        if payload_start + total_syms * ns > w.len() {
+            return Ok(None);
         }
         for i in 8..total_syms {
-            let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.symbol_with_buf(w, buf));
+            symbols.push(w.data_symbol(payload_start + i * ns)?);
         }
-        let dec = phy::decode(&symbols, self.frame_params.code)?;
-        Some(DemodFrame {
-            payload: dec.payload,
-            crc_ok: dec.crc_ok,
-            header_ok: dec.header_ok,
-            corrections: dec.corrections,
-            payload_start,
-            symbols,
-        })
+        Ok(
+            phy::decode(&symbols, self.frame_params.code).map(|dec| DemodFrame {
+                payload: dec.payload,
+                crc_ok: dec.crc_ok,
+                header_ok: dec.header_ok,
+                corrections: dec.corrections,
+                payload_start,
+                symbols,
+            }),
+        )
+    }
+}
+
+/// The chirp a framed window is dechirped against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chirp {
+    /// The base upchirp (preamble, refine, data symbols).
+    Up,
+    /// The base downchirp (SFD evidence).
+    Down,
+}
+
+/// A peak magnitude, or a sum of them, as a window source reports it:
+/// its value and a bound on its distance from the exact receive's value
+/// (zero on the exact path, whose values are the receive's own).
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    value: f64,
+    err: f64,
+}
+
+impl Level {
+    /// A value the exact receive forms itself.
+    fn exact(value: f64) -> Level {
+        Level { value, err: 0.0 }
+    }
+}
+
+impl std::ops::Add for Level {
+    type Output = Level;
+    fn add(self, rhs: Level) -> Level {
+        Level {
+            value: self.value + rhs.value,
+            err: self.err + rhs.err,
+        }
+    }
+}
+
+impl std::ops::Sub for Level {
+    type Output = Level;
+    fn sub(self, rhs: Level) -> Level {
+        Level {
+            value: self.value - rhs.value,
+            err: self.err + rhs.err,
+        }
+    }
+}
+
+/// Where the framed search reads its windows. Every decision the search
+/// takes on a window's spectrum goes through one of these methods, so
+/// the search has one copy: [`ExactWindows`] answers each from the
+/// filtered capture with the receiver's own kernels, bit for bit, and a
+/// superposed source answers from `g·S + N` or refuses a decision it
+/// cannot certify (`Err`), which abandons the whole receive.
+///
+/// `start` is a sample index of the filtered, padded capture; the
+/// search only asks for windows that lie inside [`FrameWindows::len`].
+trait FrameWindows {
+    /// Why a decision was refused; never produced by the exact source.
+    type Refusal;
+    /// Samples in the filtered capture, padding included.
+    fn len(&self) -> usize;
+    /// The preamble gate on the up-dechirped window at `start`
+    /// ([`Demodulator::preamble_symbol`]).
+    fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Self::Refusal>;
+    /// The peak magnitude of the up-dechirped window at `start` when its
+    /// peak symbol is 0, else `None`.
+    fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Self::Refusal>;
+    /// The peak magnitude of the window at `start` dechirped against
+    /// `chirp`.
+    fn magnitude(&mut self, start: usize, chirp: Chirp) -> Level;
+    /// The data symbol of the up-dechirped window at `start`
+    /// ([`Demodulator::data_symbol`]).
+    fn data_symbol(&mut self, start: usize) -> Result<u16, Self::Refusal>;
+    /// `a.value > b.value` as the exact receive decides it.
+    fn greater(&self, a: Level, b: Level) -> Result<bool, Self::Refusal>;
+}
+
+/// The exact window source: one filtered capture, each window dechirped
+/// and transformed into `buf` when asked, and decided by the receiver's
+/// own searches.
+struct ExactWindows<'a> {
+    demod: &'a Demodulator,
+    filtered: &'a [Complex],
+    buf: &'a mut Vec<Complex>,
+}
+
+impl ExactWindows<'_> {
+    /// Dechirp → FFT of the window at `start` into `buf`.
+    fn spectrum(&mut self, start: usize, chirp: Chirp) -> &[Complex] {
+        let d = self.demod;
+        let reference = match chirp {
+            Chirp::Up => &d.up_ref,
+            Chirp::Down => &d.down_ref,
+        };
+        let ns = d.cfg.samples_per_symbol();
+        // lint: allow(unchecked-index, the search asks only for windows inside len())
+        d.spectrum_into(&self.filtered[start..start + ns], reference, self.buf);
+        self.buf
+    }
+}
+
+impl FrameWindows for ExactWindows<'_> {
+    type Refusal = std::convert::Infallible;
+
+    fn len(&self) -> usize {
+        self.filtered.len()
+    }
+
+    fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Self::Refusal> {
+        let d = self.demod;
+        Ok(d.preamble_symbol(self.spectrum(start, Chirp::Up)))
+    }
+
+    fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Self::Refusal> {
+        let d = self.demod;
+        let (symbol, magnitude) = d.peak(self.spectrum(start, Chirp::Up));
+        Ok((symbol == 0).then_some(Level::exact(magnitude)))
+    }
+
+    fn magnitude(&mut self, start: usize, chirp: Chirp) -> Level {
+        let d = self.demod;
+        Level::exact(d.peak(self.spectrum(start, chirp)).1)
+    }
+
+    fn data_symbol(&mut self, start: usize) -> Result<u16, Self::Refusal> {
+        let d = self.demod;
+        Ok(d.data_symbol(self.spectrum(start, Chirp::Up)))
+    }
+
+    fn greater(&self, a: Level, b: Level) -> Result<bool, Self::Refusal> {
+        Ok(a.value > b.value)
     }
 }
 
@@ -1188,13 +1341,24 @@ mod tests {
     }
 
     fn demodulate_uncached(d: &Demodulator, rx: &[Complex]) -> Option<DemodFrame> {
-        let ns = d.cfg.samples_per_symbol();
         let DemodScratch { fir, filtered, buf } = &mut d.scratch();
-        d.filter_core(rx, fir, filtered);
-        filtered.extend(std::iter::repeat_n(Complex::ZERO, ns));
-        let pos = d.find_preamble(filtered, buf)?;
-        let sfd_start = find_sfd_uncached(d, filtered, pos, buf)?;
-        d.decode_after_sfd(filtered, sfd_start, buf)
+        d.filter_padded(rx, fir, filtered);
+        let mut w = ExactWindows {
+            demod: d,
+            filtered,
+            buf,
+        };
+        let Ok(pos) = d.find_preamble(&mut w);
+        let sfd_start = find_sfd_uncached(d, filtered, pos?, buf)?;
+        let Ok(frame) = d.decode_after_sfd(
+            &mut ExactWindows {
+                demod: d,
+                filtered,
+                buf,
+            },
+            sfd_start,
+        );
+        frame
     }
 
     #[test]

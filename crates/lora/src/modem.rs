@@ -18,10 +18,10 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
-use tinysdr_rf::superpose::{LinearReceiver, WindowProjection};
+use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
 use tinysdr_rf::{at86rf215, sx1276};
 
-use crate::demodulator::Demodulator;
+use crate::demodulator::{DemodFrame, Demodulator};
 use crate::modulator::Modulator;
 use crate::packet::FrameParams;
 use crate::phy::CodeParams;
@@ -176,18 +176,20 @@ impl PhyModem for LoraSerPhy {
 /// projects fewer windows, and `count_errors` charges the lost symbols
 /// as it does for a demodulated capture.
 impl LinearReceiver for LoraSerPhy {
-    fn project(
+    fn decide(
         &self,
-        signal: &[Complex],
-        noise: &[Complex],
-        each: &mut dyn FnMut(WindowProjection<'_>),
+        pass: &LinearPass<'_>,
+        _: &mut ReceiverScratch,
+        each: &mut dyn FnMut(usize, DemodResult),
     ) {
-        self.demod.project_aligned(signal, noise, each);
-    }
-
-    fn result(&self, units: Vec<u16>) -> DemodResult {
-        let bytes = symbols_to_frame(&units, self.sf);
-        DemodResult::stream(bytes, units)
+        decide_stream(
+            pass,
+            pass.signal.len() / self.demod.config().samples_per_symbol(),
+            each,
+            |window| self.demod.project_aligned(pass.signal, pass.noise, window),
+            |_, bin| bin as u16,
+            |units| DemodResult::stream(symbols_to_frame(&units, self.sf), units),
+        );
     }
 }
 
@@ -310,13 +312,7 @@ impl PhyModem for LoraPerPhy {
     }
 
     fn demodulate(&self, iq: &[Complex]) -> DemodResult {
-        match self.modem().1.demodulate(iq) {
-            Some(f) => {
-                let ok = f.crc_ok && f.header_ok;
-                DemodResult::framed(f.payload, f.symbols, ok)
-            }
-            None => DemodResult::empty(),
-        }
+        framed_result(self.modem().1.demodulate(iq))
     }
 
     /// Native unit: whole packets — one trial, one error unless the
@@ -357,18 +353,46 @@ impl PhyModem for LoraPerPhy {
         let mut scratch = d.scratch();
         waveforms
             .iter()
-            .map(|iq| match d.demodulate_with(iq, &mut scratch) {
-                Some(f) => {
-                    let ok = f.crc_ok && f.header_ok;
-                    DemodResult::framed(f.payload, f.symbols, ok)
-                }
-                None => DemodResult::empty(),
-            })
+            .map(|iq| framed_result(d.demodulate_with(iq, &mut scratch)))
             .collect()
+    }
+
+    /// The framed receiver's searches are comparisons of FIR → dechirp
+    /// → FFT magnitudes at one sample per chip: linear up to them.
+    fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
+        Some(self)
     }
 
     fn clone_box(&self) -> Box<dyn PhyModem> {
         Box::new(self.clone())
+    }
+}
+
+/// The framed receiver decides each point of a pass itself: it filters
+/// the signal and the noise once, projects each window it visits once,
+/// and runs its own search over the superposition at every point.
+impl LinearReceiver for LoraPerPhy {
+    fn decide(
+        &self,
+        pass: &LinearPass<'_>,
+        scratch: &mut ReceiverScratch,
+        each: &mut dyn FnMut(usize, DemodResult),
+    ) {
+        self.modem()
+            .1
+            .decide_superposed(pass, scratch, |i, frame| each(i, framed_result(frame)));
+    }
+}
+
+/// The packet modem's view of one framed receive: payload and symbols
+/// with the CRC and header verdict, or nothing without a frame.
+fn framed_result(frame: Option<DemodFrame>) -> DemodResult {
+    match frame {
+        Some(f) => {
+            let ok = f.crc_ok && f.header_ok;
+            DemodResult::framed(f.payload, f.symbols, ok)
+        }
+        None => DemodResult::empty(),
     }
 }
 

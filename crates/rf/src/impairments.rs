@@ -295,7 +295,7 @@ impl ImpairmentChain {
 
     /// Stages 1–5 of the chain (timing, drift, I/Q imbalance, CFO, phase
     /// noise) into `out`. Everything here is independent of the target
-    /// RSSI: the randomized stages key their RNG streams on `seed` alone,
+    /// RSSI: the randomized stage keys its RNG stream on `seed` alone,
     /// so a sweep can run the front half once per `(waveform, seed)` and
     /// reuse it across every RSSI point of a curve — bit-identically.
     fn apply_front_into(
@@ -306,6 +306,22 @@ impl ImpairmentChain {
         out: &mut Vec<Complex>,
         scratch: &mut ChainScratch,
     ) {
+        self.prepare_front_into(tx, fs, out, scratch);
+        self.apply_phase_noise(out, fs, seed);
+    }
+
+    /// Stages 1–4 of the chain (timing, drift, I/Q imbalance, CFO) into
+    /// `front`. None of them is seeded, so a sweep whose passes share one
+    /// waveform runs them once and starts every pass from `front` with
+    /// [`ImpairmentChain::prepare_pass_from`].
+    pub fn prepare_front_into(
+        &self,
+        tx: &[Complex],
+        fs: f64,
+        front: &mut Vec<Complex>,
+        scratch: &mut ChainScratch,
+    ) {
+        let out = front;
         // 1. sample-timing offset
         if self.timing_offset_samples > 0.0 {
             fractional_delay_into(tx, self.timing_offset_samples, &mut scratch.delay, out);
@@ -335,8 +351,11 @@ impl ImpairmentChain {
         if self.cfo_hz != 0.0 {
             crate::channel::apply_cfo(out, self.cfo_hz, fs);
         }
-        // 5. phase noise (Wiener process); Box–Muller yields two
-        // Gaussians per draw — use both, alternating samples
+    }
+
+    /// Stage 5, phase noise (Wiener process), in place; Box–Muller
+    /// yields two Gaussians per draw — use both, alternating samples.
+    fn apply_phase_noise(&self, out: &mut [Complex], fs: f64, seed: u64) {
         if self.phase_noise_linewidth_hz > 0.0 {
             let sigma = (std::f64::consts::TAU * self.phase_noise_linewidth_hz / fs).sqrt();
             let mut rng = StdRng::seed_from_u64(stage_seed(seed, TAG_PHASE_NOISE));
@@ -389,6 +408,10 @@ impl ImpairmentChain {
     /// skipping the expensive interpolation and Gaussian draws — with
     /// bit-identical output, because every stage's RNG stream is keyed
     /// on `seed` alone and the per-point arithmetic is unchanged.
+    ///
+    /// This is [`ImpairmentChain::prepare_front_into`] followed by
+    /// [`ImpairmentChain::prepare_pass_from`]'s seeded stages, without
+    /// the copy of the front half between them.
     pub fn prepare_pass_into(
         &self,
         tx: &[Complex],
@@ -397,7 +420,31 @@ impl ImpairmentChain {
         prep: &mut PreparedPass,
         scratch: &mut ChainScratch,
     ) {
-        self.apply_front_into(tx, fs, seed, &mut prep.front, scratch);
+        self.prepare_front_into(tx, fs, &mut prep.front, scratch);
+        self.prepare_seeded(fs, seed, prep);
+    }
+
+    /// [`ImpairmentChain::prepare_pass_into`] from stages 1–4 that
+    /// [`ImpairmentChain::prepare_front_into`] already ran on the same
+    /// `(tx, fs)`: only the seeded stages (phase noise, fading draws,
+    /// AWGN) run per pass. Bit-identical to `prepare_pass_into`.
+    pub fn prepare_pass_from(
+        &self,
+        front: &[Complex],
+        fs: f64,
+        seed: u64,
+        prep: &mut PreparedPass,
+    ) {
+        prep.front.clear();
+        prep.front.extend_from_slice(front);
+        self.prepare_seeded(fs, seed, prep);
+    }
+
+    /// The seeded part of a pass on `prep.front` (stages 1–4 applied):
+    /// stage 5 in place, the front half's mean power, the fading
+    /// coefficients and the noise vector.
+    fn prepare_seeded(&self, fs: f64, seed: u64, prep: &mut PreparedPass) {
+        self.apply_phase_noise(&mut prep.front, fs, seed);
         prep.front_power = mean_power(&prep.front);
         prep.fading_block = self.fading_block_samples;
         prep.fading.clear();
@@ -768,17 +815,31 @@ mod tests {
         let tx = ideal_tone(40e3, FS, 4096);
         let mut prep = PreparedPass::new();
         let mut scratch = ChainScratch::new();
+        let mut front = Vec::new();
         let mut out = Vec::new();
         for (i, chain) in contract_grid().into_iter().enumerate() {
-            let seed = 2000 + i as u64;
-            chain.prepare_pass_into(&tx, FS, seed, &mut prep, &mut scratch);
-            assert_eq!(prep.len(), chain.apply(&tx, -90.0, FS, seed).len());
-            assert!(!prep.is_empty());
-            // one prepare, many RSSI points — the sweep-curve shape
-            for &rssi in &[-50.0, -85.0, -105.0, -130.0] {
-                let reference = chain.apply(&tx, rssi, FS, seed);
-                chain.apply_prepared_into(&prep, rssi, &mut out);
-                assert_eq!(out, reference, "chain #{i} at {rssi} dBm diverged");
+            // one unseeded front per chain, shared by every pass
+            chain.prepare_front_into(&tx, FS, &mut front, &mut scratch);
+            for pass in 0..2u64 {
+                let seed = 2000 + 10 * i as u64 + pass;
+                for from_front in [false, true] {
+                    if from_front {
+                        chain.prepare_pass_from(&front, FS, seed, &mut prep);
+                    } else {
+                        chain.prepare_pass_into(&tx, FS, seed, &mut prep, &mut scratch);
+                    }
+                    assert_eq!(prep.len(), chain.apply(&tx, -90.0, FS, seed).len());
+                    assert!(!prep.is_empty());
+                    // one prepare, many RSSI points — the sweep-curve shape
+                    for &rssi in &[-50.0, -85.0, -105.0, -130.0] {
+                        let reference = chain.apply(&tx, rssi, FS, seed);
+                        chain.apply_prepared_into(&prep, rssi, &mut out);
+                        assert_eq!(
+                            out, reference,
+                            "chain #{i}, pass {pass} (from front: {from_front}) at {rssi} dBm"
+                        );
+                    }
+                }
             }
         }
     }

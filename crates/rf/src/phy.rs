@@ -212,10 +212,11 @@ pub trait PhyModem: std::fmt::Debug + Send + Sync {
     }
 
     /// The modem's receiver as a [`LinearReceiver`], when it is linear
-    /// in the capture up to a per-window argmax. A sweep over a chain
-    /// without ADC stage then decides every RSSI point of a pass from
-    /// two projections ([`crate::superpose::demodulate_pass`]). The
-    /// default, `None`, keeps every point on `demodulate_batch`.
+    /// in the capture up to the decisions it takes per window. A sweep
+    /// over a chain without ADC stage then decides every RSSI point of
+    /// a pass from projections of its signal and noise
+    /// ([`crate::superpose::demodulate_pass`]). The default, `None`,
+    /// keeps every point on `demodulate_batch`.
     fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
         None
     }

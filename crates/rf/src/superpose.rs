@@ -6,21 +6,27 @@
 //! with its fading applied ([`PreparedPass::faded_signal`]), `n` the
 //! prepared noise ([`PreparedPass::noise`]) and `g(r)` the stage-6 gain
 //! ([`PreparedPass::rssi_gain`]). A receiver that is linear in its
-//! capture up to a per-window argmax — LoRa's FIR → dechirp → FFT, the
-//! 802.15.4 chip-correlator bank — maps that capture to
-//! `g·R(s) + R(n)`. So a [`LinearReceiver`] projects `s` and `n` once
-//! per pass, window by window, and each point of the curve is decided
-//! from `g·S + N` plus the argmax, with no per-point capture, filter or
-//! transform.
+//! capture up to the decisions it takes on each window — LoRa's FIR →
+//! dechirp → FFT, the 802.15.4 and BLE template correlators — maps that
+//! capture to `g·R(s) + R(n)`. So a [`LinearReceiver`] projects `s` and
+//! `n` once per pass, window by window, and decides each point of the
+//! curve from `g·S + N`, with no per-point capture, filter, transform or
+//! correlation.
 //!
 //! The superposition rounds differently from the exact path
 //! (`apply_prepared_into` → `demodulate_batch`), so a point is decided
-//! only when every window's winner is **certified**: its magnitude beats
-//! the runner-up by more than twice a bound [`MARGIN`]`·(g·A_s + A_n)`
-//! on `|Y_fast − Y_exact|`. Any uncertain window, non-finite bound or
-//! missing gain sends the **whole point** to the exact path, so the
-//! superposed path never needs a tie rule of its own and every count it
-//! produces is the exact path's count.
+//! only when every decision it takes is **certified**: the two sides of
+//! each comparison differ by more than the bounds they carry, a few
+//! `δ = `[`MARGIN`]`·(g·A_s + A_n)` each, on `|Y_fast − Y_exact|`. Any
+//! uncertain decision, non-finite bound or missing gain sends the
+//! **whole point** to the exact path, so the superposed path never needs
+//! a tie rule of its own and every count it produces is the exact path's
+//! count.
+//!
+//! Stream receivers (LoRa SER, 802.15.4, BLE) decide a fixed sequence of
+//! windows by one argmax each and share [`decide_stream`]. The framed
+//! LoRa receiver visits data-dependent windows and decides its own pass,
+//! projecting each window once into a [`WindowCache`].
 
 use tinysdr_dsp::complex::Complex;
 
@@ -46,16 +52,21 @@ use crate::phy::{DemodResult, PhyModem};
 ///   dechirp (3ε) and ≤ 10 radix-2 stages at ≈ 7ε each (Higham's
 ///   `η = μ + γ₄(√2 + μ)` per stage, twiddles exact to an ulp, relative
 ///   to `√N·‖w‖₂ ≤ A`): ≤ 90ε per receive;
-/// - the 802.15.4 receiver: one 66-term correlation per template
-///   (`γ₆₆·Σ|x||t| ≤ γ₆₆·A`): ≤ 70ε per receive;
+/// - the 802.15.4 and BLE receivers: one 66-term (12-term at 4 samples
+///   per bit) correlation per template (`γ₆₆·Σ|x||t| ≤ γ₆₆·A`): ≤ 70ε
+///   per receive;
 /// - the magnitude that ranks the bins, `√(re² + im²)`: 2ε.
 ///
 /// Two receives plus the rest stay below `2·90ε + 10ε = 190ε ≈ 2.1·10⁻¹⁴`,
 /// so `MARGIN = 10⁻¹⁰` keeps a safety factor above 4000 over the worst
-/// receiver here. It is a property of the arithmetic, not a tuning knob:
-/// a smaller value risks a flipped decision; a larger one only sends more
-/// points to the exact path (at real noise levels the certified gap is
-/// ~10⁻⁹ of the bin spread, so almost none fall back).
+/// receiver here. That slack also covers the exact receiver's own
+/// arithmetic after the magnitudes — the mean of ≤ 4096 magnitudes
+/// (≤ 4096ε relative), a quotient, a sum of four magnitudes — each a
+/// relative error of at most ~10⁻¹² on values bounded by `A`. It is a
+/// property of the arithmetic, not a tuning knob: a smaller value risks
+/// a flipped decision; a larger one only sends more points to the exact
+/// path (at real noise levels the certified gap is ~10⁻⁹ of the bin
+/// spread, so almost none fall back).
 pub const MARGIN: f64 = 1e-10;
 
 /// One window of a superposed pass: the receiver's decision statistic
@@ -76,34 +87,239 @@ pub struct WindowProjection<'a> {
     pub noise_bound: f64,
 }
 
-/// A receiver that is linear in its capture up to a final per-window
-/// argmax over `|Y_k|`.
+impl WindowProjection<'_> {
+    /// `δ = MARGIN·(g·A_s + A_n)`: at gain `g`, the bound on the gap
+    /// between any bin of `g·S + N` and the exact receive's bin, and so
+    /// between their magnitudes.
+    pub fn delta(&self, g: f64) -> f64 {
+        MARGIN * (g * self.signal_bound + self.noise_bound)
+    }
+
+    /// `|g·S_k + N_k|²` for every bin `k`, in bin order.
+    pub fn powers(&self, g: f64) -> impl Iterator<Item = f64> + '_ {
+        self.signal.iter().zip(self.noise).map(move |(s, n)| {
+            let re = g * s.re + n.re;
+            let im = g * s.im + n.im;
+            re * re + im * im
+        })
+    }
+}
+
+/// The two largest magnitudes of a superposed window and the bin of
+/// the larger.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ranking {
+    /// The bin with the largest magnitude (the first, on exact ties).
+    pub bin: usize,
+    /// Its magnitude (`√` of the largest power; `NaN` without bins).
+    pub top: f64,
+    /// The largest magnitude among the other bins (0 with one bin).
+    pub runner_up: f64,
+}
+
+impl Ranking {
+    /// Rank bins given their powers `|Y_k|²` in bin order, in one pass.
+    pub fn of(powers: impl IntoIterator<Item = f64>) -> Ranking {
+        let (mut bin, mut top, mut second) = (0usize, -1.0f64, -1.0f64);
+        for (k, p) in powers.into_iter().enumerate() {
+            if p > second {
+                if p > top {
+                    second = top;
+                    top = p;
+                    bin = k;
+                } else {
+                    second = p;
+                }
+            }
+        }
+        Ranking {
+            bin,
+            top: top.sqrt(),
+            runner_up: second.max(0.0).sqrt(),
+        }
+    }
+
+    /// The top bin when the exact receiver is certain to pick it too:
+    /// its magnitude beats every other bin's by more than `2·delta`, so
+    /// no rounding of either path within `delta` can reorder them.
+    /// `None` when the gap is within `2·delta` (ties included) or
+    /// `delta` is not finite.
+    pub fn certified(&self, delta: f64) -> Option<usize> {
+        (delta.is_finite() && self.top - self.runner_up > 2.0 * delta).then_some(self.bin)
+    }
+}
+
+/// The winning bin of `|g·S + N|` when the exact receiver is certain to
+/// pick it too ([`Ranking::certified`] at the window's `δ`).
+pub fn certified_argmax(w: &WindowProjection<'_>, g: f64) -> Option<usize> {
+    Ranking::of(w.powers(g)).certified(w.delta(g))
+}
+
+/// One prepared pass as a linear receiver sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct LinearPass<'a> {
+    /// The faded signal `s = h∘F`.
+    pub signal: &'a [Complex],
+    /// The prepared noise `n`, sample-aligned with `signal`.
+    pub noise: &'a [Complex],
+    /// The stage-6 gain `g(r)` of each point; `None` (a silent front
+    /// half) leaves the point to the exact path.
+    pub gains: &'a [Option<f64>],
+}
+
+/// A receiver that is linear in its capture up to the decisions it
+/// takes on each window.
 ///
 /// # Contract
 ///
-/// * [`LinearReceiver::project`] walks exactly the windows the modem's
-///   `demodulate` decides, in order, and its bins are those the modem
-///   ranks: window `k`'s unit is the index of the largest `|Y_k|` of
-///   the exact receive.
-/// * `R` is linear: up to rounding, `demodulate` sees `g·signal + noise`
-///   through the same windows, and the bounds of [`WindowProjection`]
-///   hold for every value either path forms.
-/// * [`LinearReceiver::result`] rebuilds the [`DemodResult`] that
-///   `demodulate` returns for a capture whose windows decided `units`.
+/// [`LinearReceiver::decide`] hands `each(i, result)` the
+/// [`DemodResult`] the modem's `demodulate` returns for the capture
+/// `g·signal + noise` at `g = gains[i]`, once for every point whose
+/// decisions it certified, and never for any other point (points
+/// without a gain included). Certified means: every comparison the
+/// exact receiver makes on that capture is decided the same way for any
+/// rounding of either path within [`MARGIN`]'s bound.
 pub trait LinearReceiver: Send + Sync {
-    /// Walk `signal` and `noise` (equal length) window by window in the
-    /// receiver's own streamed order, handing each window's projections
-    /// and bounds to `each` before the next window is formed.
-    fn project(
+    /// Decide the points of `pass` it can certify. `scratch` is the
+    /// calling worker's, reused across passes.
+    fn decide(
         &self,
-        signal: &[Complex],
-        noise: &[Complex],
-        each: &mut dyn FnMut(WindowProjection<'_>),
+        pass: &LinearPass<'_>,
+        scratch: &mut ReceiverScratch,
+        each: &mut dyn FnMut(usize, DemodResult),
     );
+}
 
-    /// The demodulation result of a capture whose windows decided
-    /// `units` (one per projected window, in order).
-    fn result(&self, units: Vec<u16>) -> DemodResult;
+/// [`LinearReceiver::decide`] for a stream receiver: a fixed sequence
+/// of `windows` windows, each decided by one argmax.
+///
+/// `project` walks the receiver's windows over `pass.signal` and
+/// `pass.noise` in order, handing each window's projections to its
+/// callback before the next window is formed; only one window is alive
+/// at a time. Window `i`'s certified top bin `b` becomes unit
+/// `unit(i, b)`, and a point whose windows were all certified gets
+/// `result(units)`, in point order once the walk is done.
+pub fn decide_stream(
+    pass: &LinearPass<'_>,
+    windows: usize,
+    each: &mut dyn FnMut(usize, DemodResult),
+    project: impl FnOnce(&mut dyn FnMut(WindowProjection<'_>)),
+    unit: impl Fn(usize, usize) -> u16,
+    result: impl Fn(Vec<u16>) -> DemodResult,
+) {
+    // `Some(units)` while every window of the point so far is certified
+    let mut units: Vec<Option<Vec<u16>>> = pass
+        .gains
+        .iter()
+        .map(|g| g.map(|_| Vec::with_capacity(windows)))
+        .collect();
+    let mut window = 0;
+    project(&mut |w| {
+        for (point, gain) in units.iter_mut().zip(pass.gains) {
+            if let (Some(u), Some(g)) = (point.as_mut(), *gain) {
+                match certified_argmax(&w, g) {
+                    Some(bin) => u.push(unit(window, bin)),
+                    None => *point = None,
+                }
+            }
+        }
+        window += 1;
+    });
+    for (i, point) in units.into_iter().enumerate() {
+        if let Some(u) = point {
+            each(i, result(u));
+        }
+    }
+}
+
+/// A memo of projected windows for a receiver whose windows depend on
+/// its own decisions: each key's signal and noise projections are
+/// formed the first time any point of the pass visits it and kept until
+/// [`WindowCache::clear`]. Clearing keeps every buffer, so a worker's
+/// cache stops allocating once it has seen its largest pass.
+#[derive(Debug, Clone, Default)]
+pub struct WindowCache {
+    width: usize,
+    /// `slots[key]`: the key's slot + 1, or 0 when not projected yet.
+    slots: Vec<usize>,
+    /// The keys holding a slot, so a clear touches only them.
+    keys: Vec<usize>,
+    /// Slot-major projections, `width` bins per slot.
+    signal: Vec<Complex>,
+    noise: Vec<Complex>,
+    /// `(A_s, A_n)` per slot.
+    bounds: Vec<(f64, f64)>,
+}
+
+impl WindowCache {
+    /// Forget every window; the next ones hold `width` bins.
+    pub fn clear(&mut self, width: usize) {
+        for &key in &self.keys {
+            if let Some(slot) = self.slots.get_mut(key) {
+                *slot = 0;
+            }
+        }
+        self.keys.clear();
+        self.signal.clear();
+        self.noise.clear();
+        self.bounds.clear();
+        self.width = width;
+    }
+
+    /// The window under `key`. On its first visit `project` fills the
+    /// signal and noise bins (zeroed, `width` each) and returns their
+    /// bounds `(A_s, A_n)`.
+    pub fn window(
+        &mut self,
+        key: usize,
+        project: impl FnOnce(&mut [Complex], &mut [Complex]) -> (f64, f64),
+    ) -> WindowProjection<'_> {
+        if key >= self.slots.len() {
+            self.slots.resize(key + 1, 0);
+        }
+        let w = self.width;
+        // lint: allow(unchecked-index, the slot table was just grown past `key`)
+        let held = &mut self.slots[key];
+        let slot = match *held {
+            0 => {
+                let slot = self.bounds.len();
+                *held = slot + 1;
+                self.keys.push(key);
+                self.signal.resize((slot + 1) * w, Complex::ZERO);
+                self.noise.resize((slot + 1) * w, Complex::ZERO);
+                let (signal, noise) = (
+                    self.signal.split_at_mut(slot * w).1,
+                    self.noise.split_at_mut(slot * w).1,
+                );
+                self.bounds.push(project(signal, noise));
+                slot
+            }
+            held => held - 1,
+        };
+        let bins = slot * w..(slot + 1) * w;
+        // lint: allow(unchecked-index, every slot below bounds.len() holds `width` bins and a bound)
+        let ((signal, noise), (signal_bound, noise_bound)) = (
+            (&self.signal[bins.clone()], &self.noise[bins]),
+            self.bounds[slot],
+        );
+        WindowProjection {
+            signal,
+            noise,
+            signal_bound,
+            noise_bound,
+        }
+    }
+}
+
+/// The buffers a receiver keeps across the passes of one curve: its
+/// front-end outputs for the pass's signal and noise (the framed LoRa
+/// receiver's filtered captures) and its window memo.
+#[derive(Debug, Clone, Default)]
+pub struct ReceiverScratch {
+    /// Front-end outputs of `signal` (`[0]`) and `noise` (`[1]`).
+    pub front: [Vec<Complex>; 2],
+    /// Projected windows of the pass.
+    pub windows: WindowCache,
 }
 
 /// How the points of one or more passes were decided.
@@ -111,7 +327,7 @@ pub trait LinearReceiver: Send + Sync {
 pub struct PathCensus {
     /// Points decided by superposition.
     pub superposed: u64,
-    /// Points the superposed path refused (an uncertain window, a
+    /// Points the superposed path refused (an uncertain decision, a
     /// non-finite bound or no gain), decided by the exact path.
     pub fallback: u64,
     /// Points without a superposed path (nonlinear receiver or a chain
@@ -127,78 +343,51 @@ impl std::ops::AddAssign for PathCensus {
     }
 }
 
-/// The winning bin of `|g·S + N|` when the exact receiver is certain to
-/// pick it too: its magnitude beats every other bin's by more than 2δ,
-/// so no rounding of either path within δ can reorder them. `None` when
-/// the gap is within 2δ (ties included) or the bound is not finite.
-fn certified_argmax(w: &WindowProjection<'_>, g: f64) -> Option<usize> {
-    let delta = MARGIN * (g * w.signal_bound + w.noise_bound);
-    // top two |Y|² in one pass
-    let (mut best, mut top, mut second) = (0usize, -1.0f64, -1.0f64);
-    for (k, (s, n)) in w.signal.iter().zip(w.noise).enumerate() {
-        let re = g * s.re + n.re;
-        let im = g * s.im + n.im;
-        let p = re * re + im * im;
-        if p > second {
-            if p > top {
-                second = top;
-                top = p;
-                best = k;
-            } else {
-                second = p;
-            }
-        }
-    }
-    let gap = top.sqrt() - second.max(0.0).sqrt();
-    (delta.is_finite() && gap > 2.0 * delta).then_some(best)
-}
-
 /// Demodulate a prepared pass at every point of `rssis`, handing each
-/// point's result to `each(point index, result)` in point order.
+/// point's result to `each(point index, result)` once: the superposed
+/// points as the receiver certifies them, then every other point in
+/// point order.
 ///
 /// When the chain is linear after its front half and the modem has a
-/// [`LinearReceiver`], the receiver projects the faded signal and the
-/// noise once, and every point whose windows are all certified is
-/// decided by superposition; every other point — and every point of a
-/// nonlinear receiver or quantizing chain — runs the exact path,
-/// [`ImpairmentChain::apply_prepared_into`] into `capture` and then
-/// [`PhyModem::demodulate_batch`]. Either way each result equals the
-/// exact path's. `capture` is scratch (it also holds a faded signal
-/// while the pass is projected). Starts no threads.
+/// [`LinearReceiver`], the receiver decides every point it can certify
+/// from the faded signal and the noise; every other point — and every
+/// point of a nonlinear receiver or quantizing chain — runs the exact
+/// path, [`ImpairmentChain::apply_prepared_into`] into `capture` and
+/// then [`PhyModem::demodulate_batch`]. Either way each result equals
+/// the exact path's. `capture` is scratch (it also holds a fading pass's
+/// faded signal while the pass is decided); `receiver` is the linear
+/// receiver's, reused across the passes of a curve. Starts no threads.
 pub fn demodulate_pass(
     phy: &dyn PhyModem,
     chain: &ImpairmentChain,
     prep: &PreparedPass,
     rssis: &[f64],
     capture: &mut Vec<Complex>,
+    receiver: &mut ReceiverScratch,
     mut each: impl FnMut(usize, DemodResult),
 ) -> PathCensus {
     let linear = phy
         .linear_receiver()
         .filter(|_| chain.is_linear_after_front());
-    // `Some(units)` while every window of the point so far is certified
-    let mut decided: Vec<Option<Vec<u16>>> = vec![None; rssis.len()];
-    if let Some(receiver) = linear {
+    let mut census = PathCensus::default();
+    let mut superposed = vec![false; rssis.len()];
+    if let Some(linear) = linear {
         let gains: Vec<Option<f64>> = rssis.iter().map(|&r| prep.rssi_gain(r)).collect();
-        for (units, gain) in decided.iter_mut().zip(&gains) {
-            *units = gain.map(|_| Vec::new());
-        }
-        receiver.project(prep.faded_signal(capture), prep.noise(), &mut |w| {
-            for (units, gain) in decided.iter_mut().zip(&gains) {
-                if let (Some(u), Some(g)) = (units.as_mut(), *gain) {
-                    match certified_argmax(&w, g) {
-                        Some(bin) => u.push(bin as u16),
-                        None => *units = None,
-                    }
-                }
+        let pass = LinearPass {
+            signal: prep.faded_signal(capture),
+            noise: prep.noise(),
+            gains: &gains,
+        };
+        linear.decide(&pass, receiver, &mut |i, result| {
+            if let Some(done) = superposed.get_mut(i) {
+                *done = true;
+                census.superposed += 1;
+                each(i, result);
             }
         });
     }
-    let mut census = PathCensus::default();
-    for (i, (&rssi_dbm, units)) in rssis.iter().zip(decided).enumerate() {
-        if let (Some(receiver), Some(units)) = (linear, units) {
-            census.superposed += 1;
-            each(i, receiver.result(units));
+    for (i, (&rssi_dbm, done)) in rssis.iter().zip(superposed).enumerate() {
+        if done {
             continue;
         }
         if linear.is_some() {
@@ -261,5 +450,28 @@ mod tests {
         let n = [Complex::ZERO; 2];
         assert_eq!(certified_argmax(&window(&s, &n, f64::NAN), 1.0), None);
         assert_eq!(certified_argmax(&window(&s, &n, f64::INFINITY), 1.0), None);
+    }
+
+    #[test]
+    fn window_cache_projects_each_key_once_per_pass() {
+        let mut cache = WindowCache::default();
+        let mut calls = 0;
+        for pass in 0..3 {
+            cache.clear(4);
+            for key in [7usize, 2, 7, 40, 2] {
+                let w = cache.window(key, |s, n| {
+                    calls += 1;
+                    assert!(s.iter().chain(n.iter()).all(|z| *z == Complex::ZERO));
+                    s[0] = Complex::new(key as f64, pass as f64);
+                    n[3] = Complex::new(1.0, 0.0);
+                    (key as f64, 0.5)
+                });
+                assert_eq!(w.signal.len(), 4);
+                assert_eq!(w.signal[0], Complex::new(key as f64, pass as f64));
+                assert_eq!(w.noise[3], Complex::new(1.0, 0.0));
+                assert_eq!((w.signal_bound, w.noise_bound), (key as f64, 0.5));
+            }
+        }
+        assert_eq!(calls, 9, "three distinct keys per pass");
     }
 }

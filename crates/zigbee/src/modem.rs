@@ -9,7 +9,7 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
-use tinysdr_rf::superpose::{LinearReceiver, WindowProjection};
+use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
 
 use crate::chips::CHIP_RATE;
 use crate::oqpsk::{OqpskDemodulator, OqpskModulator, OqpskScratch};
@@ -167,18 +167,23 @@ impl PhyModem for ZigbeePhy {
 /// included); a truncated capture projects fewer windows, and
 /// `count_errors` charges the lost symbols.
 impl LinearReceiver for ZigbeePhy {
-    fn project(
+    fn decide(
         &self,
-        signal: &[Complex],
-        noise: &[Complex],
-        each: &mut dyn FnMut(WindowProjection<'_>),
+        pass: &LinearPass<'_>,
+        _: &mut ReceiverScratch,
+        each: &mut dyn FnMut(usize, DemodResult),
     ) {
-        self.demod.project_symbols(signal, noise, each);
-    }
-
-    fn result(&self, units: Vec<u16>) -> DemodResult {
-        let syms: Vec<u8> = units.iter().map(|&u| u as u8).collect();
-        DemodResult::stream(symbols_to_bytes(&syms), units)
+        decide_stream(
+            pass,
+            pass.signal.len() / self.demod.samples_per_symbol(),
+            each,
+            |window| self.demod.project_symbols(pass.signal, pass.noise, window),
+            |_, bin| bin as u16,
+            |units| {
+                let syms: Vec<u8> = units.iter().map(|&u| u as u8).collect();
+                DemodResult::stream(symbols_to_bytes(&syms), units)
+            },
+        );
     }
 }
 

@@ -1,19 +1,24 @@
 //! Superposed linear receivers against the exact path: for random
 //! linear chains, modems, seeds and RSSI grids, every point
 //! `demodulate_pass` decides equals `apply_prepared_into` +
-//! `demodulate_batch`, and exact ties are refused and handed to the
-//! exact path. (Which curves the waterfall engine superposes is tested
-//! next to it, in `tinysdr_bench::waterfall`.)
+//! `demodulate_batch` — for the stream receivers (LoRa SER, 802.15.4,
+//! BLE) and the framed LoRa PER receiver — and exact ties are refused
+//! and handed to the exact path. (The framed receiver's individual
+//! decisions are tie-tested next to it, in `tinysdr_lora`; which curves
+//! the waterfall engine superposes is tested in
+//! `tinysdr_bench::waterfall`.)
 
 use proptest::prelude::*;
 
+use tinysdr_ble::gfsk::GfskModulator;
+use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::chirp::{ChirpConfig, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::fir::demod_frontend;
-use tinysdr_lora::modem::LoraSerPhy;
+use tinysdr_lora::modem::{LoraPerPhy, LoraSerPhy};
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::{DemodResult, PhyModem};
-use tinysdr_rf::superpose::{demodulate_pass, PathCensus};
+use tinysdr_rf::superpose::{demodulate_pass, PathCensus, ReceiverScratch};
 use tinysdr_zigbee::modem::ZigbeePhy;
 use tinysdr_zigbee::oqpsk::OqpskModulator;
 
@@ -25,9 +30,17 @@ fn both_paths(
     prep: &PreparedPass,
     rssis: &[f64],
 ) -> (Vec<DemodResult>, Vec<DemodResult>, PathCensus) {
-    let mut capture = Vec::new();
     let mut got = vec![DemodResult::empty(); rssis.len()];
-    let census = demodulate_pass(phy, chain, prep, rssis, &mut capture, |i, res| got[i] = res);
+    let mut capture = Vec::new();
+    let census = demodulate_pass(
+        phy,
+        chain,
+        prep,
+        rssis,
+        &mut capture,
+        &mut ReceiverScratch::default(),
+        |i, res| got[i] = res,
+    );
     let exact = rssis
         .iter()
         .map(|&rssi_dbm| {
@@ -69,44 +82,88 @@ fn linear_chain(mask: u32, coherence: usize, nf_db: f64) -> ImpairmentChain {
     chain
 }
 
-/// The modems with a linear receiver: LoRa SER at SF 7–10 × BW 125/500
-/// kHz (indices 0–7) and 802.15.4 (index 8).
-fn linear_modem(idx: usize) -> Box<dyn PhyModem> {
-    if idx < 8 {
-        let sf = 7 + (idx / 2) as u8;
-        let bw_hz = if idx.is_multiple_of(2) { 125e3 } else { 500e3 };
-        Box::new(LoraSerPhy::new(sf, bw_hz))
+/// The stream modems with a linear receiver: LoRa SER at SF 7–10 × BW
+/// 125/500 kHz (indices 0–7), 802.15.4 (index 8) and BLE (index 9).
+fn stream_modem(idx: usize) -> Box<dyn PhyModem> {
+    match idx {
+        0..8 => Box::new(LoraSerPhy::new(sf_of(idx), bw_of(idx))),
+        8 => Box::new(ZigbeePhy::new(2)),
+        _ => Box::new(BleBerPhy::new(4)),
+    }
+}
+
+/// The framed LoRa PER modem at SF 7–9 × BW 125/500 kHz (indices 0–5).
+fn framed_modem(idx: usize) -> Box<dyn PhyModem> {
+    Box::new(LoraPerPhy::new(sf_of(idx), bw_of(idx), 4))
+}
+
+fn sf_of(idx: usize) -> u8 {
+    7 + (idx / 2) as u8
+}
+
+fn bw_of(idx: usize) -> f64 {
+    if idx.is_multiple_of(2) {
+        125e3
     } else {
-        Box::new(ZigbeePhy::new(2))
+        500e3
+    }
+}
+
+/// One prepared pass of `frame` through a random linear chain, decided
+/// both ways on a grid from the noise floor (error rate near 1) to well
+/// above sensitivity (error rate 0): every point must match, none may
+/// run without a linear receiver, and some must superpose.
+fn check_pass(
+    phy: &dyn PhyModem,
+    seed: u64,
+    mask: u32,
+    coherence: usize,
+    frame: &[u8],
+    offset_db: f64,
+) {
+    let chain = linear_chain(mask, coherence, phy.noise_figure_db());
+    let tx = phy.modulate(frame);
+    let prep = prepare(&chain, &tx, phy.sample_rate_hz(), seed);
+    let anchor = phy.sensitivity_anchor_dbm();
+    let rssis: Vec<f64> = (0..8)
+        .map(|i| anchor - 16.0 + offset_db + 6.0 * i as f64)
+        .collect();
+    let (got, exact, census) = both_paths(phy, &chain, &prep, &rssis);
+    prop_assert_eq!(census.exact, 0);
+    prop_assert_eq!(census.superposed + census.fallback, rssis.len() as u64);
+    prop_assert!(census.superposed > 0, "nothing superposed: {:?}", census);
+    for (i, (g, e)) in got.iter().zip(&exact).enumerate() {
+        prop_assert_eq!(g, e, "{} at {} dBm", phy.label(), rssis[i]);
     }
 }
 
 proptest! {
     /// Superposition decides what the exact path decides, point by
-    /// point, on a grid from the noise floor (error rate near 1) to
-    /// well above sensitivity (error rate 0).
+    /// point, for the stream receivers.
     #[test]
     fn superposed_points_equal_the_exact_path(
         seed in any::<u64>(),
-        modem in 0usize..9,
+        modem in 0usize..10,
         mask in 0u32..128,
         coherence in 64usize..4096,
         frame_bytes in prop::collection::vec(any::<u8>(), 6..14),
         offset_db in 0.0f64..4.0,
     ) {
-        let phy = linear_modem(modem);
-        let chain = linear_chain(mask, coherence, phy.noise_figure_db());
-        let tx = phy.modulate(&frame_bytes);
-        let prep = prepare(&chain, &tx, phy.sample_rate_hz(), seed);
-        let anchor = phy.sensitivity_anchor_dbm();
-        let rssis: Vec<f64> = (0..8).map(|i| anchor - 16.0 + offset_db + 6.0 * i as f64).collect();
-        let (got, exact, census) = both_paths(phy.as_ref(), &chain, &prep, &rssis);
-        prop_assert_eq!(census.exact, 0);
-        prop_assert_eq!(census.superposed + census.fallback, rssis.len() as u64);
-        prop_assert!(census.superposed > 0, "nothing superposed: {:?}", census);
-        for (i, (g, e)) in got.iter().zip(&exact).enumerate() {
-            prop_assert_eq!(g, e, "{} at {} dBm", phy.label(), rssis[i]);
-        }
+        check_pass(stream_modem(modem).as_ref(), seed, mask, coherence, &frame_bytes, offset_db);
+    }
+
+    /// The same for the framed LoRa PER receiver: preamble, refine,
+    /// SFD, header and payload decisions over the superposition.
+    #[test]
+    fn superposed_frames_equal_the_exact_path(
+        seed in any::<u64>(),
+        modem in 0usize..6,
+        mask in 0u32..128,
+        coherence in 64usize..4096,
+        payload in prop::collection::vec(any::<u8>(), 1..6),
+        offset_db in 0.0f64..4.0,
+    ) {
+        check_pass(framed_modem(modem).as_ref(), seed, mask, coherence, &payload, offset_db);
     }
 }
 
@@ -172,5 +229,30 @@ fn zigbee_exact_ties_fall_back_to_the_exact_path() {
         assert!(got
             .iter()
             .all(|r| r.units == [a as u16] || r.units == [b as u16]));
+    }
+}
+
+#[test]
+fn ble_exact_ties_fall_back_to_the_exact_path() {
+    // a three-bit capture c·(tₐ + t_b)/2 halfway between two 3-bit
+    // templates: bits 0 and 1 are decided on the whole capture, where
+    // the two correlations are c·(E + ρ)/2 and c·(E + ρ̄)/2 with the
+    // common template energy E (GFSK is constant-envelope): equal
+    // magnitudes, whatever the complex c
+    let phy = BleBerPhy::new(4);
+    let m = GfskModulator::new(4);
+    let template = |p: u8| m.modulate(&[(p >> 2) & 1, (p >> 1) & 1, p & 1]);
+    let c = Complex::from_angle(-1.1).scale(0.8);
+    // pairs whose two templates out-correlate the other six on it
+    for (a, b) in [(1u8, 2u8), (2, 4), (0, 6), (5, 6)] {
+        let (ta, tb) = (template(a), template(b));
+        let tx: Vec<Complex> = ta.iter().zip(&tb).map(|(&x, &y)| (x + y) * c).collect();
+        let chain = ImpairmentChain::new(phy.noise_figure_db());
+        let prep = prepare(&chain, &tx, NOISELESS_FS, 7);
+        let rssis = [-100.0, -94.0, -81.0, -60.0, -33.5];
+        let (got, exact, census) = both_paths(&phy, &chain, &prep, &rssis);
+        assert_eq!(census.fallback, rssis.len() as u64, "{a}/{b}: {census:?}");
+        assert_eq!(got, exact, "{a}/{b}");
+        assert!(got.iter().all(|r| r.units.len() == 3), "{a}/{b}");
     }
 }
