@@ -10,6 +10,7 @@
 //! repro campaign            # million-node campaign scaling (not in `all`)
 //! repro perf                # hot-path perf gates + trajectories (not in `all`)
 //! repro perf --label <text> # the same, naming both trajectory points
+//!                           # (also for campaign and link)
 //! repro link                # packet data plane: ARQ + multi-hop (not in `all`)
 //! repro --quick all         # reduced trial counts for smoke runs
 //! repro --json waterfall    # canonical JSON report on stdout
@@ -124,6 +125,10 @@ fn exit_quietly_on_closed_stdout() {
     }));
 }
 
+/// The experiments that append trajectory points, which `--label`
+/// names.
+const LABELLED: [&str; 3] = ["perf", "campaign", "link"];
+
 /// Remove `--label <text>` from `args` and return the text: `None`
 /// without the flag, an error when it has no value or comes twice.
 fn take_label(args: &mut Vec<String>) -> Result<Option<String>, String> {
@@ -144,8 +149,8 @@ fn take_label(args: &mut Vec<String>) -> Result<Option<String>, String> {
 fn main() {
     exit_quietly_on_closed_stdout();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--label <text>` names `repro perf`'s trajectory points: its value
-    // is not an experiment name
+    // `--label <text>` names the trajectory points of the experiments
+    // that record them: its value is not an experiment name
     let label = take_label(&mut args).unwrap_or_else(|msg| {
         eprintln!("repro: {msg}\n{USAGE}");
         std::process::exit(2);
@@ -175,11 +180,15 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    if label.is_some() && !wanted.contains(&"perf") {
-        eprintln!("repro: --label names the trajectory points of perf\n{USAGE}");
+    let json = args.iter().any(|a| a == "--json");
+    if label.is_some() && (json || !wanted.iter().any(|w| LABELLED.contains(w))) {
+        eprintln!(
+            "repro: --label names the trajectory points of {} (never --json output)\n{USAGE}",
+            LABELLED.join(", ")
+        );
         std::process::exit(2);
     }
-    if args.iter().any(|a| a == "--json") {
+    if json {
         run_json(&wanted, quick);
         return;
     }
@@ -336,7 +345,7 @@ fn main() {
         // and the BENCH_campaign.json trajectory point. Quick: 20k
         // nodes (CI smoke); full: the ROADMAP's million-node fleet.
         let nodes = if quick { 20_000 } else { 1_000_000 };
-        tinysdr_bench::campaign::campaign(nodes, 42, quick);
+        tinysdr_bench::campaign::campaign(nodes, 42, quick, label.as_deref());
     }
     if wanted.contains(&"perf") {
         // hot-path bit-identity gates (asserted) + timed modem and
@@ -362,7 +371,7 @@ fn main() {
         // writes the BENCH_link.json trajectory point. Uses the PHY
         // sweep seed: the curve inherits its loss from the same
         // impairment chain as the waterfalls.
-        tinysdr_bench::link::link(seed, quick);
+        tinysdr_bench::link::link(seed, quick, label.as_deref());
     }
 }
 

@@ -24,7 +24,7 @@ use tinysdr_ota::image::FirmwareImage;
 use tinysdr_ota::json::Value;
 
 use crate::bench_shards;
-use crate::trajectory::record;
+use crate::trajectory::{labelled, record};
 
 /// The firmware image every campaign node downloads: a mid-size MCU
 /// update (the paper's smallest update class, so million-node runs
@@ -207,9 +207,10 @@ fn trajectory_point(
 
 /// The `repro campaign` entry point. Runs the contract gates, then the
 /// scale measurement (`nodes_full` nodes; 1M in the non-quick run),
-/// asserts flat report memory, and appends to `BENCH_campaign.json`.
+/// asserts flat report memory, and appends to `BENCH_campaign.json` a
+/// point carrying the caller's `label` when one is given.
 #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
-pub fn campaign(nodes_full: usize, seed: u64, quick: bool) {
+pub fn campaign(nodes_full: usize, seed: u64, quick: bool, label: Option<&str>) {
     println!("== Campaign scale: streaming aggregation + work stealing + checkpoints ==\n");
     let gate_nodes = if quick { 384 } else { 1024 };
     gate_work_stealing(seed, gate_nodes);
@@ -257,7 +258,7 @@ pub fn campaign(nodes_full: usize, seed: u64, quick: bool) {
         out,
         "campaign",
         quick,
-        trajectory_point(&small, &full, wall_s),
+        labelled(label, trajectory_point(&small, &full, wall_s)),
     ) {
         Ok(()) => println!("trajectory point appended to {out}"),
         Err(e) => println!("could not write {out}: {e}"),

@@ -46,7 +46,7 @@ use tinysdr_rf::impairments::ImpairmentChain;
 use tinysdr_rf::phy::PhyModem;
 
 use crate::bench_shards;
-use crate::trajectory::record;
+use crate::trajectory::{labelled, record};
 
 /// The modem carrying every `repro link` experiment: BLE GFSK at the
 /// radio's native 4 MS/s — the registry PHY with the shortest airtimes,
@@ -543,9 +543,10 @@ fn trajectory_point(
 }
 
 /// The `repro link` entry point: gates, goodput-vs-RSSI, multi-hop
-/// dissemination, `BENCH_link.json`.
+/// dissemination, and a `BENCH_link.json` point carrying the caller's
+/// `label` when one is given.
 #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
-pub fn link(seed: u64, quick: bool) {
+pub fn link(seed: u64, quick: bool, label: Option<&str>) {
     println!(
         "== Packet data plane: framing + ARQ + multi-hop over the event-driven network sim ==\n"
     );
@@ -608,7 +609,8 @@ pub fn link(seed: u64, quick: bool) {
     }
 
     let out = "BENCH_link.json";
-    match record(out, "link", quick, trajectory_point(&curve, &rows, wall_s)) {
+    let point = labelled(label, trajectory_point(&curve, &rows, wall_s));
+    match record(out, "link", quick, point) {
         Ok(()) => println!("\ntrajectory point appended to {out}"),
         Err(e) => println!("\ncould not write {out}: {e}"),
     }

@@ -32,7 +32,7 @@ use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::modem::ZigbeePhy;
 
-use crate::trajectory::record;
+use crate::trajectory::{labelled, record};
 use crate::waterfall::{run_waterfall, WaterfallConfig};
 
 /// The speedup floor `repro perf` (full mode) enforces on the quick
@@ -391,21 +391,18 @@ pub fn perf(quick: bool, label: Option<&str>) {
     );
 
     // the caller's label names both points; without one they carry none
-    let label: Vec<(String, Value)> = label
-        .map(|text| ("label".to_string(), Value::str(text)))
-        .into_iter()
-        .collect();
-    let mut modem = label.clone();
-    modem.extend(report.modem_fields());
-    let mut waterfall = label;
-    waterfall.extend([
-        ("grid".into(), Value::str("quick")),
-        ("shards".into(), Value::num(1.0)),
-        ("grid_points".into(), Value::num(points)),
-        ("wall_ms".into(), Value::num(wall_ms)),
-        ("points_per_s".into(), Value::num(points / (wall_ms / 1e3))),
-        ("speedup_vs_pre".into(), Value::num(speedup)),
-    ]);
+    let modem = labelled(label, report.modem_fields());
+    let waterfall = labelled(
+        label,
+        vec![
+            ("grid".into(), Value::str("quick")),
+            ("shards".into(), Value::num(1.0)),
+            ("grid_points".into(), Value::num(points)),
+            ("wall_ms".into(), Value::num(wall_ms)),
+            ("points_per_s".into(), Value::num(points / (wall_ms / 1e3))),
+            ("speedup_vs_pre".into(), Value::num(speedup)),
+        ],
+    );
     for (path, experiment, fields) in [
         ("BENCH_modem.json", "modem_perf", modem),
         (WATERFALL_TRAJECTORY, "waterfall_perf", waterfall),

@@ -61,6 +61,17 @@ pub fn record(
     std::fs::write(path, doc.write_pretty())
 }
 
+/// `fields` named by the caller's `label` (for example a revision or
+/// change name): a leading `label` field when one is given, nothing
+/// otherwise.
+pub fn labelled(label: Option<&str>, fields: Vec<(String, Value)>) -> Vec<(String, Value)> {
+    label
+        .map(|text| ("label".to_string(), Value::str(text)))
+        .into_iter()
+        .chain(fields)
+        .collect()
+}
+
 /// The points of an existing trajectory document, if it is a schema-1
 /// trajectory of `experiment`.
 fn existing_points(text: &str, experiment: &str) -> Result<Vec<Value>, String> {

@@ -624,13 +624,13 @@ struct WorkerScratch {
 /// [`ImpairmentChain::prepare_pass_from`] runs the seeded,
 /// RSSI-independent ones — phase noise, the fading draws and the full
 /// AWGN vector — once, and [`demodulate_pass`] decides every RSSI point
-/// from it. Behind a chain without ADC stage (seven of the eight default
-/// impairments) every receiver of the grid is linear: it decides each
-/// point from its projections of the faded signal and the noise,
-/// falling back to the exact path for any point it cannot certify; the
-/// `adc13` curves replay the pass per point with
+/// from it. Every receiver of the grid is linear: it decides each point
+/// from its projections of the faded signal and the noise (on the
+/// `adc13` column, against the quantization residual's bound too),
+/// falling back to the exact path for any point it cannot certify,
+/// which replays the pass at that point with
 /// [`ImpairmentChain::apply_prepared_into`] into the worker's single
-/// capture buffer and demodulate it. Both give the exact path's
+/// capture buffer and demodulates it. Both give the exact path's
 /// results. Error counts accumulate per point over passes in exact
 /// integer arithmetic, so the pass-major loop order leaves the totals
 /// bit-identical to the point-major reference.
@@ -862,24 +862,37 @@ mod tests {
 
     /// Every curve of `cfg` through the engine's own `run_curve` on one
     /// worker scratch, held against the point-major exact reference.
-    /// Returns the census of the engine's decisions.
-    fn census_against_exact(cfg: &WaterfallConfig) -> PathCensus {
+    /// Returns the census of the engine's decisions per impairment
+    /// column.
+    fn census_against_exact(cfg: &WaterfallConfig) -> Vec<PathCensus> {
         let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
             .map(|s_idx| Ctx::build(cfg, s_idx))
             .collect();
         let mut ws = WorkerScratch::default();
-        let points = (0..cfg.scenarios.len() * cfg.impairments.len())
-            .flat_map(|curve| run_curve(cfg, &ctxs, curve, &mut ws))
-            .collect();
+        let mut columns = vec![PathCensus::default(); cfg.impairments.len()];
+        let mut points = Vec::new();
+        for curve in 0..cfg.scenarios.len() * cfg.impairments.len() {
+            ws.census = PathCensus::default();
+            points.extend(run_curve(cfg, &ctxs, curve, &mut ws));
+            columns[curve % cfg.impairments.len()] += ws.census;
+        }
         assert_eq!(WaterfallReport { points }, naive_reference(cfg));
-        ws.census
+        columns
+    }
+
+    /// The census of every column together.
+    fn total(columns: &[PathCensus]) -> PathCensus {
+        columns.iter().fold(PathCensus::default(), |mut sum, &c| {
+            sum += c;
+            sum
+        })
     }
 
     #[test]
-    fn only_linear_receivers_on_linear_chains_superpose() {
+    fn every_receiver_superposes_on_every_column() {
         // one short curve per receiver family, on a linear chain, a
-        // fading one and the quantizing one: every receiver superposes
-        // off the quantizing column
+        // fading one and the quantizing one: every receiver decides
+        // some points of every curve by superposition
         let cfg = WaterfallConfig {
             seed: 5,
             shards: 1,
@@ -904,43 +917,58 @@ mod tests {
         for curve in 0..cfg.scenarios.len() * cfg.impairments.len() {
             let mut ws = WorkerScratch::default();
             let points = run_curve(&cfg, &ctxs, curve, &mut ws);
-            let (s_idx, i_idx) = (curve / 3, curve % 3);
-            let decided = (points.len() as u64) * u64::from(cfg.scenarios[s_idx].passes);
-            let superposes = cfg.impairments[i_idx].label != "adc13";
+            let decided = (points.len() as u64) * u64::from(cfg.scenarios[curve / 3].passes);
             let what = format!("{} / {}", points[0].scenario, points[0].impairment);
-            if superposes {
-                assert_eq!(ws.census.exact, 0, "{what}");
-                assert_eq!(ws.census.superposed + ws.census.fallback, decided, "{what}");
-                assert!(ws.census.superposed > 0, "{what}");
-            } else {
-                assert_eq!(ws.census.exact, decided, "{what}");
-            }
+            assert_eq!(ws.census.exact, 0, "{what}");
+            assert_eq!(ws.census.superposed + ws.census.fallback, decided, "{what}");
+            assert!(ws.census.superposed > 0, "{what}: {:?}", ws.census);
         }
         // and every count is the exact path's
-        let census = census_against_exact(&cfg);
+        let census = total(&census_against_exact(&cfg));
         let points_per_column: u64 = cfg
             .scenarios
             .iter()
             .map(|sc| sc.rssi.points().len() as u64 * u64::from(sc.passes))
             .sum();
-        assert_eq!(census.superposed + census.fallback, 2 * points_per_column);
-        assert_eq!(census.exact, points_per_column);
+        assert_eq!(census.superposed + census.fallback, 3 * points_per_column);
+        assert_eq!(census.exact, 0);
     }
 
     /// The full conformance grid at two seeds, every curve both ways:
-    /// the release-mode gate on the superposed path (prints the census).
+    /// the release-mode gate on the superposed path (prints the census
+    /// of every column, `adc13`'s among them, and of the grid).
     #[test]
     #[ignore = "full grid, run in release: cargo test --release -p tinysdr-bench -- --ignored"]
     fn full_grid_superposition_matches_the_exact_path() {
         for seed in [1u64, 7331] {
-            let census = census_against_exact(&WaterfallConfig::full(seed));
-            println!(
-                "seed {seed}: {} superposed, {} fell back, {} exact",
-                census.superposed, census.fallback, census.exact
-            );
-            // the adc13 column is the only one off the linear path
-            assert_eq!(census.exact, 1_320, "seed {seed}");
-            assert_eq!(census.superposed + census.fallback, 9_240, "seed {seed}");
+            let cfg = WaterfallConfig::full(seed);
+            let columns = census_against_exact(&cfg);
+            let census = total(&columns);
+            let adc = cfg
+                .impairments
+                .iter()
+                .position(|named| named.label == "adc13")
+                .map(|i| columns[i])
+                .expect("the full grid has an adc13 column");
+            let labels = cfg.impairments.iter().map(|named| named.label.as_str());
+            for (what, c) in labels
+                .zip(columns.iter().copied())
+                .chain([("grid", census)])
+            {
+                println!(
+                    "seed {seed}, {what}: {} superposed, {} fell back, {} exact",
+                    c.superposed, c.fallback, c.exact
+                );
+            }
+            // every receiver of the grid is linear, so every point tries
+            // the superposition first
+            assert_eq!(census.exact, 0, "seed {seed}");
+            assert_eq!(census.superposed + census.fallback, 10_560, "seed {seed}");
+            assert_eq!(adc.superposed + adc.fallback, 1_320, "seed {seed}");
+            // the seven linear columns superpose every point, and the
+            // residual bound leaves a share of the quantizing one
+            assert_eq!(census.superposed - adc.superposed, 9_240, "seed {seed}");
+            assert!(adc.superposed >= 500, "seed {seed}: {adc:?}");
         }
     }
 

@@ -1,7 +1,10 @@
 //! The `repro` command line: known experiments run, typos fail loudly.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
+
+use tinysdr_ota::json::Value;
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -42,6 +45,7 @@ fn a_label_needs_a_value_and_perf() {
         &["--label", "--quick", "perf"],
         &["--label", "a", "--label", "b", "perf"],
         &["--quick", "--label", "x", "table1"],
+        &["--json", "--label", "x", "link"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -50,6 +54,57 @@ fn a_label_needs_a_value_and_perf() {
             String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
             "{args:?}"
         );
+    }
+}
+
+/// The points of the trajectory file at `path`.
+fn points(path: &Path) -> Vec<Value> {
+    let doc = Value::parse(&std::fs::read_to_string(path).expect("trajectory exists"))
+        .expect("trajectory parses");
+    doc.get("points")
+        .and_then(Value::as_arr)
+        .expect("trajectory has points")
+        .to_vec()
+}
+
+fn full_points(points: &[Value]) -> Vec<&Value> {
+    points
+        .iter()
+        .filter(|p| p.get("mode").and_then(Value::as_str) != Some("quick"))
+        .collect()
+}
+
+#[test]
+fn a_label_names_the_campaign_and_link_points() {
+    for (experiment, file) in [
+        ("campaign", "BENCH_campaign.json"),
+        ("link", "BENCH_link.json"),
+    ] {
+        // run on a copy of the committed trajectory in a directory of
+        // its own, so the committed file is never written
+        let dir = std::env::temp_dir().join(format!("tinysdr_repro_label_{experiment}"));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        let copy = dir.join(file);
+        std::fs::copy(&committed, &copy).expect("copies the trajectory");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--quick", "--label", "rev a", experiment])
+            .current_dir(&dir)
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(0), "{experiment}: {out:?}");
+        let (before, after) = (points(&committed), points(&copy));
+        let last = after.last().expect("a point was appended");
+        assert_eq!(last.get("mode").and_then(Value::as_str), Some("quick"));
+        assert_eq!(
+            last.get("label").and_then(Value::as_str),
+            Some("rev a"),
+            "{experiment}"
+        );
+        // the recorded points stay as they were
+        assert_eq!(full_points(&after), full_points(&before), "{experiment}");
     }
 }
 

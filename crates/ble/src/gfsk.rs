@@ -201,7 +201,8 @@ impl GfskDemodulator {
     /// The windows of [`GfskDemodulator::demodulate_into`] over a signal
     /// and a noise vector of equal length in lock step, handing `each`
     /// the window's eight template correlations of each and their
-    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window. Correlation is linear,
+    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window (and
+    /// `maxₚ ‖tₚ‖₂·√(window length)` on a residual). Correlation is linear,
     /// so the correlations of `g·signal + noise` are `g·S + N` up to
     /// rounding; window `i`'s template `p` reads as [`center_bit`]`(i, p)`.
     ///
@@ -223,13 +224,16 @@ impl GfskDemodulator {
                 noise: &self.templates.correlations(n),
                 signal_bound: self.template_norm * l2_norm(s),
                 noise_bound: self.template_norm * l2_norm(n),
+                residual_gain: self.template_norm * (s.len() as f64).sqrt(),
             });
         }
     }
 
     /// Locate the 8-bit preamble + 32-bit access address in a sample
     /// stream by correlating the discriminator output against the known
-    /// bit pattern. Returns the sample offset of the preamble start.
+    /// bit pattern. Returns the sample offset of the preamble start (the
+    /// first best one), or `None` when the stream is shorter than the
+    /// pattern or no offset correlates to a finite value.
     pub fn find_access_address(&self, x: &[Complex], aa: u32) -> Option<usize> {
         let mut pattern = Vec::with_capacity(40);
         for i in 0..8 {
@@ -245,18 +249,21 @@ impl GfskDemodulator {
         if disc.len() < n_pat {
             return None;
         }
-        let mut best = (0usize, f64::MIN);
-        for off in 0..disc.len() - n_pat {
+        let mut best: Option<(usize, f64)> = None;
+        // a pattern that ends the stream starts at `len − n_pat`
+        for off in 0..=disc.len() - n_pat {
             let mut corr = 0.0;
             for (b, &p) in pattern.iter().enumerate() {
-                // mid-bit sample is the cleanest
-                corr += disc[off + b * self.sps + self.sps / 2] * p as f64;
+                // the peak of bit b's frequency pulse: the modulator
+                // centers it half a sample into the bit, and `disc[k]`
+                // is the phase step into sample k
+                corr += disc[off + b * self.sps + 1] * p as f64;
             }
-            if corr > best.1 {
-                best = (off, corr);
+            if corr.is_finite() && best.is_none_or(|(_, top)| corr > top) {
+                best = Some((off, corr));
             }
         }
-        Some(best.0)
+        best.map(|(off, _)| off)
     }
 }
 
@@ -506,6 +513,34 @@ mod tests {
             (off as i64 - 137).unsigned_abs() <= sps as u64,
             "offset {off} vs expected ~137"
         );
+    }
+
+    #[test]
+    fn access_address_that_ends_the_capture_is_found_at_its_offset() {
+        // the preamble + access address alone, after 100 samples of
+        // silence: the pattern's last bit is the capture's last
+        let bits = crate::packet::AdvPacket::beacon([1, 2, 3, 4, 5, 6], b"x")
+            .unwrap()
+            .to_bits(37);
+        for sps in [4, 8] {
+            let m = GfskModulator::new(sps);
+            let d = GfskDemodulator::new(sps);
+            let mut sig = vec![Complex::ZERO; 100];
+            sig.extend(m.modulate(&bits[..40]));
+            assert_eq!(sig.len(), 100 + 40 * sps);
+            let aa = crate::packet::ACCESS_ADDRESS;
+            assert_eq!(d.find_access_address(&sig, aa), Some(100), "{sps} sps");
+        }
+    }
+
+    #[test]
+    fn access_address_search_without_a_finite_correlation_finds_nothing() {
+        let d = GfskDemodulator::new(4);
+        let aa = crate::packet::ACCESS_ADDRESS;
+        let nan = vec![Complex::new(f64::NAN, 0.0); 400];
+        assert_eq!(d.find_access_address(&nan, aa), None);
+        // too short for the pattern
+        assert_eq!(d.find_access_address(&nan[..159], aa), None);
     }
 
     #[test]

@@ -473,7 +473,9 @@ impl Demodulator {
     /// A window's bound is `√N·‖h‖₁·‖x‖₂` over every sample its FIR
     /// outputs read — the window's own inputs plus the `taps − 1` before
     /// them — which bounds every bin and every partial sum of the
-    /// filter, the unit-modulus dechirp and the FFT.
+    /// filter, the unit-modulus dechirp and the FFT; its residual gain
+    /// is `√N·‖h‖₁·√L` for the `L` samples read, since a residual of at
+    /// most `ρ` per sample has `‖q‖₂ ≤ √L·ρ` there.
     ///
     /// # Panics
     /// Panics if the lengths differ or the demodulator oversamples (an
@@ -501,7 +503,8 @@ impl Demodulator {
                 signal: &spec_s,
                 noise: &spec_n,
                 signal_bound: gain * l2_norm(&signal[read.clone()]),
-                noise_bound: gain * l2_norm(&noise[read]),
+                noise_bound: gain * l2_norm(&noise[read.clone()]),
+                residual_gain: gain * (read.len() as f64).sqrt(),
             });
         }
     }

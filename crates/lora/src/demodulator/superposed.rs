@@ -8,8 +8,8 @@
 //! takes — the preamble gate, the peak symbols, the refine and SFD
 //! magnitude comparisons, the SFD score's sign, the data symbols — is a
 //! comparison whose two sides carry bounds of a few
-//! `δ = MARGIN·(g·A_s + A_n)`, certified as the stream receivers'
-//! argmax is, or refused.
+//! `δ = MARGIN·(g·A_s + A_n + R·ρ) + R·ρ` ([`WindowProjection::delta`]),
+//! certified as the stream receivers' argmax is, or refused.
 
 use tinysdr_dsp::complex::{l2_norm, Complex};
 use tinysdr_rf::superpose::{
@@ -34,13 +34,16 @@ struct SuperposedWindows<'a> {
     /// [`Demodulator::window_gain`].
     window_gain: f64,
     g: f64,
+    /// The point's residual bound `ρ`.
+    rho: f64,
 }
 
 impl SuperposedWindows<'_> {
     /// The projections of the window at `start` against `chirp`, formed
     /// on the pass's first visit. Each bound is `√N·‖h‖₁·‖x‖₂` over the
     /// unfiltered samples the window's FIR outputs read, its history
-    /// included; padding reads nothing.
+    /// included, and the residual gain `√N·‖h‖₁·√L` for the `L` samples
+    /// read; padding reads nothing.
     fn window(&mut self, start: usize, chirp: Chirp) -> WindowProjection<'_> {
         let d = self.demod;
         let ns = d.cfg.samples_per_symbol();
@@ -66,7 +69,8 @@ impl SuperposedWindows<'_> {
                 (start + delay).saturating_sub(history).min(len)..(start + ns + delay).min(len);
             // lint: allow(unchecked-index, both ends are clamped to the equal lengths)
             let (s, n) = (&signal_raw[read.clone()], &noise_raw[read]);
-            (gain * l2_norm(s), gain * l2_norm(n))
+            let residual = gain * (s.len() as f64).sqrt();
+            (gain * l2_norm(s), gain * l2_norm(n), residual)
         })
     }
 }
@@ -85,9 +89,9 @@ impl FrameWindows for SuperposedWindows<'_> {
     /// peak bin. A mean within δ of zero (silence) is refused, since the
     /// exact gate reads quality 0 there.
     fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Uncertain> {
-        let (g, gate) = (self.g, self.demod.preamble_quality);
+        let (g, rho, gate) = (self.g, self.rho, self.demod.preamble_quality);
         let w = self.window(start, Chirp::Up);
-        let delta = w.delta(g);
+        let delta = w.delta(g, rho);
         let mut sum = 0.0;
         let rank = Ranking::of(w.powers(g).inspect(|p| sum += p.sqrt()));
         let mean = sum / w.signal.len() as f64;
@@ -108,9 +112,9 @@ impl FrameWindows for SuperposedWindows<'_> {
     /// Symbol 0 is certified when bin 0 beats every other bin by more
     /// than 2δ, and ruled out when some bin beats bin 0 by more than 2δ.
     fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Uncertain> {
-        let g = self.g;
+        let (g, rho) = (self.g, self.rho);
         let w = self.window(start, Chirp::Up);
-        let delta = w.delta(g);
+        let delta = w.delta(g, rho);
         let rank = Ranking::of(w.powers(g));
         if rank.certified(delta) == Some(0) {
             return Ok(Some(Level {
@@ -126,18 +130,18 @@ impl FrameWindows for SuperposedWindows<'_> {
     }
 
     fn magnitude(&mut self, start: usize, chirp: Chirp) -> Level {
-        let g = self.g;
+        let (g, rho) = (self.g, self.rho);
         let w = self.window(start, chirp);
         Level {
             value: w.powers(g).fold(0.0, f64::max).sqrt(),
-            err: w.delta(g),
+            err: w.delta(g, rho),
         }
     }
 
     fn data_symbol(&mut self, start: usize) -> Result<u16, Uncertain> {
-        let g = self.g;
+        let (g, rho) = (self.g, self.rho);
         let w = self.window(start, Chirp::Up);
-        certified_argmax(&w, g)
+        certified_argmax(&w, g, rho)
             .map(|bin| bin as u16)
             .ok_or(Uncertain)
     }
@@ -160,8 +164,9 @@ impl Demodulator {
     /// Run the framed receive at every point of a superposed pass,
     /// handing `each(point, frame)` the receive of every point whose
     /// decisions were all certified — [`Demodulator::demodulate`]'s
-    /// result on the capture `g·signal + noise`. Points without a gain
-    /// and refused points get no call.
+    /// result on the capture `g·signal + noise + q`, `q` the point's
+    /// quantization residual. Points without a gain and refused points
+    /// get no call.
     ///
     /// # Panics
     /// Panics if the signal and noise lengths differ or the demodulator
@@ -187,7 +192,7 @@ impl Demodulator {
         self.filter_padded(pass.noise, &mut fir, noise);
         windows.clear(self.cfg.samples_per_symbol());
         let window_gain = self.window_gain();
-        for (i, gain) in pass.gains.iter().enumerate() {
+        for (i, (gain, &rho)) in pass.gains.iter().zip(pass.residuals).enumerate() {
             let Some(g) = *gain else {
                 continue;
             };
@@ -198,6 +203,7 @@ impl Demodulator {
                 windows: &mut *windows,
                 window_gain,
                 g,
+                rho,
             };
             if let Ok(frame) = self.receive(&mut source) {
                 each(i, frame);
@@ -262,9 +268,9 @@ mod tests {
     }
 
     /// Hand `check` the superposed source of the filtered capture
-    /// `filtered` (noise zero, gain [`G`], bounds read from the unpadded
-    /// samples) and the exact source of the capture it stands for,
-    /// `G·filtered`.
+    /// `filtered` (noise zero, gain [`G`], no residual, bounds read from
+    /// the unpadded samples) and the exact source of the capture it
+    /// stands for, `G·filtered`.
     fn with_sources(
         filtered: &[Complex],
         check: impl FnOnce(&Demodulator, &mut SuperposedWindows<'_>, &mut ExactWindows<'_>),
@@ -282,6 +288,7 @@ mod tests {
             windows: &mut windows,
             window_gain: d.window_gain(),
             g: G,
+            rho: 0.0,
         };
         let mut buf = Vec::new();
         let mut exact = ExactWindows {
@@ -295,6 +302,18 @@ mod tests {
     fn exact<T>(r: Result<T, Infallible>) -> T {
         let Ok(v) = r;
         v
+    }
+
+    /// Give `fast` the residual bound `ρ` at which `R·ρ = G·gap` on every
+    /// window of `windows`: a decision the superposition certifies by a
+    /// margin of about `G·gap` (more than `2δ(G, 0)`) then lies inside
+    /// `2δ(G, ρ)`, and must be refused.
+    fn cover(fast: &mut SuperposedWindows<'_>, windows: &[(usize, Chirp)], gap: f64) {
+        let r = windows
+            .iter()
+            .map(|&(start, chirp)| fast.window(start, chirp).residual_gain)
+            .fold(f64::INFINITY, f64::min);
+        fast.rho = G * gap.abs() / r;
     }
 
     #[test]
@@ -317,6 +336,9 @@ mod tests {
                 if let Ok(symbol) = got {
                     assert_eq!(symbol, exact(ex.preamble_symbol(0)), "peak {peak}");
                 }
+                // a residual that covers the lead leaves the gate open
+                cover(fast, &[(0, Chirp::Up)], peak - tie);
+                assert!(fast.preamble_symbol(0).is_err(), "peak {peak}");
             });
         }
     }
@@ -339,6 +361,8 @@ mod tests {
                     assert_eq!(symbol, Some(30));
                     assert_eq!(symbol, exact(ex.preamble_symbol(0)));
                 }
+                cover(fast, &[(0, Chirp::Up)], 7.0 - rival);
+                assert!(fast.preamble_symbol(0).is_err(), "rival {rival}");
             });
         }
     }
@@ -362,6 +386,9 @@ mod tests {
                 if let Ok(level) = got {
                     assert_eq!(level.is_some(), exact_peak.is_some(), "rival {rival}");
                 }
+                // |4 + 2.9i| and |4 + 3.1i| sit within 0.06 of 5
+                cover(fast, &[(0, Chirp::Up)], 0.1);
+                assert!(fast.zero_peak(0).is_err(), "rival {rival}");
             });
         }
     }
@@ -397,6 +424,11 @@ mod tests {
                     panic!("both windows peak at bin 0");
                 };
                 assert_eq!(fast.greater(zb, za).is_ok(), certified, "peak {peak}");
+                // a residual that covers the gap leaves both comparisons open
+                cover(fast, &[(0, Chirp::Up), (N, Chirp::Up)], peak - 5.0);
+                let (ma, mb) = (fast.magnitude(0, Chirp::Up), fast.magnitude(N, Chirp::Up));
+                assert!(fast.greater(ma, mb).is_err(), "peak {peak}");
+                assert!(fast.greater(mb, ma).is_err(), "peak {peak}");
             });
         }
     }
@@ -429,6 +461,15 @@ mod tests {
                 let got = d.find_sfd(fast, 0);
                 assert!(matches!(got, Ok(Some(N))), "{got:?}");
                 assert_eq!(got.ok(), Some(exact(d.find_sfd(ex, 0))));
+                // the winning score d₀ + d₁ − u₀ − u₁ carries four window
+                // bounds: a residual of a quarter of it covers its sign
+                let score = fast.magnitude(N, Chirp::Down).value
+                    + fast.magnitude(2 * N, Chirp::Down).value
+                    - fast.magnitude(N, Chirp::Up).value
+                    - fast.magnitude(2 * N, Chirp::Up).value;
+                let windows = [N, 2 * N].map(|start| (start, Chirp::Up));
+                cover(fast, &windows, score / G / 4.0);
+                assert!(d.find_sfd(fast, 0).is_err());
             },
         );
     }
@@ -451,6 +492,8 @@ mod tests {
                     assert_eq!(symbol, 200);
                     assert_eq!(symbol, exact(ex.data_symbol(0)));
                 }
+                cover(fast, &[(0, Chirp::Up)], rival - 5.0);
+                assert!(fast.data_symbol(0).is_err(), "rival {rival}");
             });
         }
     }
@@ -482,6 +525,7 @@ mod tests {
             signal: &signal,
             noise: &noise,
             gains: &gains,
+            residuals: &[0.0; 2],
         };
         let mut decided = 0;
         d.decide_superposed(&pass, &mut ReceiverScratch::default(), |_, _| decided += 1);

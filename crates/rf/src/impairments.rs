@@ -16,6 +16,13 @@
 //! produces bit-identical output on any thread of any shard — the same
 //! contract the OTA campaign engine enforces.
 //!
+//! After the RSSI-independent front half, a prepared pass is
+//! superposable: stages 6–8 are linear, so the capture at RSSI `r` is
+//! `g(r)·s + n` for the pass's faded signal `s` and noise `n`, and stage
+//! 9 adds a residual that [`ImpairmentChain::residual_bounds`] bounds
+//! per point (the AGC keeps every rail below full scale, so nothing
+//! clips). [`crate::superpose`] decides receivers from that form.
+//!
 //! Stage order (TX → antenna → RX):
 //!
 //! 1. fractional sample-timing offset ([`tinysdr_dsp::delay`])
@@ -59,6 +66,11 @@ const TAG_PHASE_NOISE: u64 = 0x7A5E_0001;
 const TAG_FADING: u64 = 0xFADE_0002;
 /// Stream tag for the AWGN stage.
 const TAG_NOISE: u64 = 0xA36A_0003;
+
+/// The fraction of full scale the AGC maps a capture's peak rail to
+/// before stage 9 quantizes it. Below 1, so no rail clips: every
+/// quantized rail lies within half an LSB of its input.
+pub const AGC_TARGET: f64 = 0.9;
 
 /// A deterministic stack of channel impairments ending in calibrated
 /// AWGN. Build with [`ImpairmentChain::new`] plus the `with_*` builder
@@ -210,17 +222,6 @@ impl ImpairmentChain {
     /// ADC word width in bits (`None`: the float path, no quantization).
     pub fn adc_bits(&self) -> Option<u32> {
         self.adc_bits
-    }
-
-    /// `true` exactly when the chain has no ADC stage: every stage after
-    /// the RSSI-independent front half (scale, fade, add noise) is then
-    /// linear, so a capture is `g(r)·s + n` for a prepared pass's faded
-    /// signal `s` and noise `n` ([`PreparedPass::faded_signal`],
-    /// [`PreparedPass::noise`]) and the gain `g(r)` of
-    /// [`PreparedPass::rssi_gain`]. Quantization's AGC and rounding
-    /// break the superposition.
-    pub fn is_linear_after_front(&self) -> bool {
-        self.adc_bits.is_none()
     }
 
     /// `true` if the chain is AWGN-only (no extra impairments).
@@ -376,9 +377,9 @@ impl ImpairmentChain {
         }
     }
 
-    /// Stage 9: ADC quantization with AGC — scale the peak rail near
-    /// full scale, quantize, scale back (the AGC keeps downstream power
-    /// arithmetic in dBm intact).
+    /// Stage 9: ADC quantization with AGC — scale the peak rail to
+    /// [`AGC_TARGET`] of full scale, quantize, scale back (the AGC keeps
+    /// downstream power arithmetic in dBm intact).
     fn quantize_in_place(&self, sig: &mut [Complex]) {
         if self.adc_bits.is_some() {
             let peak = sig.iter().map(|&z| rail(z)).fold(0.0f64, f64::max);
@@ -392,7 +393,7 @@ impl ImpairmentChain {
         if let Some(bits) = self.adc_bits {
             let q = Quantizer::new(bits);
             if peak > 0.0 {
-                let agc = 0.9 / peak;
+                let agc = AGC_TARGET / peak;
                 for z in sig.iter_mut() {
                     *z = q.round_trip_iq(z.scale(agc)).scale(1.0 / agc);
                 }
@@ -511,6 +512,46 @@ impl ImpairmentChain {
         // 9. ADC quantization
         self.quantize_at_peak(out, peak);
     }
+
+    /// A bound `ρ` per point on what stage 9 adds to a prepared pass:
+    /// at the point's gain `g`, every sample of
+    /// [`ImpairmentChain::apply_prepared_into`] lies within `ρ` of the
+    /// capture the chain quantizes, `g·s + n` for the pass's faded
+    /// signal `s` ([`PreparedPass::faded_signal`]) and noise `n`
+    /// ([`PreparedPass::noise`]). Every `ρ` is 0 without ADC stage.
+    ///
+    /// The AGC maps the capture's peak rail `P` to [`AGC_TARGET`] of full
+    /// scale, so nothing clips and each rail rounds by at most half an
+    /// LSB, `P / (2·AGC_TARGET·max_code)` once scaled back; a sample's
+    /// two rails give the `√2`. `P` is bounded without forming the
+    /// capture, by `rail(g·s_k + n_k) ≤ g·max rail(s) + max rail(n)`.
+    /// The factor `1 + 10⁻⁶` covers the rounding of the AGC, the
+    /// quantizer and that bound: a few ε = 2⁻⁵³ of full scale each, at
+    /// most `8ε·max_code ≤ 2⁻²⁷` of an LSB at 24 bits.
+    ///
+    /// `gains` holds each point's stage-6 gain
+    /// ([`PreparedPass::rssi_gain`]); a point without one (a silent
+    /// front half) is bounded at `g = 1`, since stage 6 leaves it
+    /// unscaled.
+    pub fn residual_bounds(
+        &self,
+        signal: &[Complex],
+        noise: &[Complex],
+        gains: &[Option<f64>],
+    ) -> Vec<f64> {
+        let Some(bits) = self.adc_bits else {
+            return vec![0.0; gains.len()];
+        };
+        let max_rail = |x: &[Complex]| x.iter().map(|&z| rail(z)).fold(0.0f64, f64::max);
+        let (signal_peak, noise_peak) = (max_rail(signal), max_rail(noise));
+        // the residual's magnitude per unit of peak rail
+        let per_peak =
+            std::f64::consts::SQRT_2 / (2.0 * AGC_TARGET * Quantizer::new(bits).max_code() as f64);
+        gains
+            .iter()
+            .map(|g| (g.unwrap_or(1.0) * signal_peak + noise_peak) * per_peak * (1.0 + 1e-6))
+            .collect()
+    }
 }
 
 /// The AGC's view of one sample: its larger rail magnitude.
@@ -567,9 +608,10 @@ impl PreparedPass {
 
     /// The front half with its block-fading coefficients applied
     /// (`h∘F`): the front half itself when the chain does not fade,
-    /// otherwise written into `buf`. A chain without ADC stage replays
-    /// the pass at RSSI `r` as `g(r)·faded_signal + noise` up to
-    /// rounding ([`ImpairmentChain::is_linear_after_front`]).
+    /// otherwise written into `buf`. A chain replays the pass at RSSI
+    /// `r` as `g(r)·faded_signal + noise` up to rounding, plus the
+    /// quantization residual that [`ImpairmentChain::residual_bounds`]
+    /// bounds when it has an ADC stage.
     pub fn faded_signal<'a>(&'a self, buf: &'a mut Vec<Complex>) -> &'a [Complex] {
         let Some(block) = self.fading_block else {
             return &self.front;
@@ -839,6 +881,57 @@ mod tests {
                             "chain #{i}, pass {pass} (from front: {from_front}) at {rssi} dBm"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_quantization_residual_stays_within_its_bound() {
+        // random passes, with and without fading, through a quantizing
+        // chain and the same chain without ADC stage: the two captures
+        // differ by at most ρ(g) at every sample of every point
+        let mut rng = StdRng::seed_from_u64(0xADC);
+        let rssis = [-135.0, -118.0, -100.0, -77.0, -40.0, -5.0];
+        let (mut prep, mut scratch) = (PreparedPass::new(), ChainScratch::new());
+        let (mut faded, mut quantized, mut linear) = (Vec::new(), Vec::new(), Vec::new());
+        for bits in [4, 8, 13] {
+            for pass in 0..6u64 {
+                let len = 256 + 384 * pass as usize;
+                let tx: Vec<Complex> = (0..len)
+                    .map(|_| {
+                        let (re, im) = gauss_pair(&mut rng);
+                        Complex::new(re, im)
+                    })
+                    .collect();
+                let mut chain = ImpairmentChain::new(4.5).with_cfo_hz(120.0 * pass as f64);
+                if pass % 2 == 1 {
+                    chain = chain.with_block_fading(64 + 50 * pass as usize);
+                }
+                let adc = chain.clone().with_adc_quantization(bits);
+                adc.prepare_pass_into(&tx, FS, 77 + pass, &mut prep, &mut scratch);
+                let gains: Vec<Option<f64>> = rssis.iter().map(|&r| prep.rssi_gain(r)).collect();
+                let signal = prep.faded_signal(&mut faded).to_vec();
+                let rhos = adc.residual_bounds(&signal, prep.noise(), &gains);
+                assert_eq!(
+                    chain.residual_bounds(&signal, prep.noise(), &gains),
+                    [0.0; 6]
+                );
+                for (&rssi, &rho) in rssis.iter().zip(&rhos) {
+                    adc.apply_prepared_into(&prep, rssi, &mut quantized);
+                    chain.apply_prepared_into(&prep, rssi, &mut linear);
+                    let worst = quantized
+                        .iter()
+                        .zip(&linear)
+                        .map(|(&q, &x)| (q - x).abs())
+                        .fold(0.0, f64::max);
+                    let what = format!("{bits} bits, pass {pass}, {rssi} dBm");
+                    assert!(
+                        rho.is_finite() && worst <= rho,
+                        "{what}: {worst:e} > ρ {rho:e}"
+                    );
+                    // and the bound is no looser than the rounding it covers
+                    assert!(worst > rho / 8.0, "{what}: {worst:e} ≪ ρ {rho:e}");
                 }
             }
         }

@@ -1,27 +1,29 @@
 //! Superposed linear receivers: decide every RSSI point of a prepared
 //! pass from two projections.
 //!
-//! For a chain without ADC stage ([`ImpairmentChain::is_linear_after_front`])
-//! the capture at RSSI `r` is `g(r)·s + n`: `s` the prepared front half
-//! with its fading applied ([`PreparedPass::faded_signal`]), `n` the
-//! prepared noise ([`PreparedPass::noise`]) and `g(r)` the stage-6 gain
-//! ([`PreparedPass::rssi_gain`]). A receiver that is linear in its
-//! capture up to the decisions it takes on each window — LoRa's FIR →
-//! dechirp → FFT, the 802.15.4 and BLE template correlators — maps that
-//! capture to `g·R(s) + R(n)`. So a [`LinearReceiver`] projects `s` and
-//! `n` once per pass, window by window, and decides each point of the
-//! curve from `g·S + N`, with no per-point capture, filter, transform or
-//! correlation.
+//! The capture at RSSI `r` is `g(r)·s + n + q`: `s` the prepared front
+//! half with its fading applied ([`PreparedPass::faded_signal`]), `n` the
+//! prepared noise ([`PreparedPass::noise`]), `g(r)` the stage-6 gain
+//! ([`PreparedPass::rssi_gain`]) and `q` the ADC stage's quantization
+//! residual, every `|q_k|` at most the point's
+//! `ρ = `[`ImpairmentChain::residual_bounds`] (0 without ADC stage). A
+//! receiver that is linear in its capture up to the decisions it takes
+//! on each window — LoRa's FIR → dechirp → FFT, the 802.15.4 and BLE
+//! template correlators — maps that capture to `g·R(s) + R(n) + R(q)`.
+//! So a [`LinearReceiver`] projects `s` and `n` once per pass, window by
+//! window, and decides each point of the curve from `g·S + N`, with no
+//! per-point capture, filter, transform or correlation; `R(q)` is only
+//! bounded, by `R·ρ` per bin.
 //!
 //! The superposition rounds differently from the exact path
-//! (`apply_prepared_into` → `demodulate_batch`), so a point is decided
-//! only when every decision it takes is **certified**: the two sides of
-//! each comparison differ by more than the bounds they carry, a few
-//! `δ = `[`MARGIN`]`·(g·A_s + A_n)` each, on `|Y_fast − Y_exact|`. Any
-//! uncertain decision, non-finite bound or missing gain sends the
-//! **whole point** to the exact path, so the superposed path never needs
-//! a tie rule of its own and every count it produces is the exact path's
-//! count.
+//! (`apply_prepared_into` → `demodulate_batch`) and leaves the residual
+//! out, so a point is decided only when every decision it takes is
+//! **certified**: the two sides of each comparison differ by more than
+//! the bounds they carry, a few [`WindowProjection::delta`] each, on
+//! `|Y_fast − Y_exact|`. Any uncertain decision, non-finite bound or
+//! missing gain sends the **whole point** to the exact path, so the
+//! superposed path never needs a tie rule of its own and every count it
+//! produces is the exact path's count.
 //!
 //! Stream receivers (LoRa SER, 802.15.4, BLE) decide a fixed sequence of
 //! windows by one argmax each and share [`decide_stream`]. The framed
@@ -34,15 +36,20 @@ use crate::impairments::{ImpairmentChain, PreparedPass};
 use crate::phy::{DemodResult, PhyModem};
 
 /// Relative bound on the rounding gap between the superposed and the
-/// exact decision statistic of one bin: for window bounds `A_s`, `A_n`
-/// (see [`WindowProjection`]) and gain `g`,
-/// `|Y_fast − Y_exact| ≤ δ = MARGIN·(g·A_s + A_n)`.
+/// exact decision statistic of one bin. For window bounds `A_s`, `A_n`,
+/// `R` (see [`WindowProjection`]), gain `g` and residual bound `ρ`,
+/// `|Y_fast − Y_exact| ≤ δ = MARGIN·(g·A_s + A_n + R·ρ) + R·ρ`
+/// ([`WindowProjection::delta`]): the first term is rounding, the second
+/// the quantization residual `q` the superposition leaves out (the
+/// receiver is linear, so `|R(q)_k| ≤ R·ρ`). Without ADC stage `ρ = 0`
+/// and rounding is all that is left.
 ///
 /// Derivation. Let ε = 2⁻⁵³. Every value either path forms is bounded by
-/// `g·A_s + A_n` (up to a factor 1 + O(ε)), because `A` bounds every bin
-/// of the receiver's projection *and* every partial sum on the way there
-/// (the bounds are computed from the window's unfiltered inputs, FIR
-/// history included, so filter attenuation cannot hide input energy).
+/// `g·A_s + A_n + R·ρ` (up to a factor 1 + O(ε)): the capture is
+/// `g·s + n + q`, and each of the three bounds covers every bin of the
+/// receiver's projection of its part *and* every partial sum on the way
+/// there (the bounds are computed from the window's unfiltered inputs,
+/// FIR history included, so filter attenuation cannot hide input energy).
 /// Each floating-point operation then moves a bin by at most a few ε
 /// times that bound, accumulated along the chain of operations from
 /// capture to magnitude:
@@ -62,16 +69,17 @@ use crate::phy::{DemodResult, PhyModem};
 /// receiver here. That slack also covers the exact receiver's own
 /// arithmetic after the magnitudes — the mean of ≤ 4096 magnitudes
 /// (≤ 4096ε relative), a quotient, a sum of four magnitudes — each a
-/// relative error of at most ~10⁻¹² on values bounded by `A`. It is a
-/// property of the arithmetic, not a tuning knob: a smaller value risks
-/// a flipped decision; a larger one only sends more points to the exact
-/// path (at real noise levels the certified gap is ~10⁻⁹ of the bin
-/// spread, so almost none fall back).
+/// relative error of at most ~10⁻¹² on values bounded by the same sum.
+/// (The ADC stage's own rounding sits inside `ρ`, whose slack covers
+/// it.) It is a property of the arithmetic, not a tuning knob: a smaller
+/// value risks a flipped decision; a larger one only sends more points
+/// to the exact path (at real noise levels the certified gap is ~10⁻⁹ of
+/// the bin spread, so almost none fall back without ADC stage).
 pub const MARGIN: f64 = 1e-10;
 
 /// One window of a superposed pass: the receiver's decision statistic
-/// for the signal and for the noise window, bin by bin, and a bound on
-/// each.
+/// for the signal and for the noise window, bin by bin, a bound on
+/// each, and the receiver's gain on a bounded residual.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowProjection<'a> {
     /// `R(s)` over the window: one complex statistic per bin.
@@ -85,14 +93,20 @@ pub struct WindowProjection<'a> {
     pub signal_bound: f64,
     /// `A_n`: the same bound for the noise window.
     pub noise_bound: f64,
+    /// `R`: a bound on `|R(q)_k|`, every intermediate sum included, per
+    /// unit of `max_k |q_k|` over the samples the window reads — the
+    /// receiver's bound factor times `√(samples the window reads)`.
+    pub residual_gain: f64,
 }
 
 impl WindowProjection<'_> {
-    /// `δ = MARGIN·(g·A_s + A_n)`: at gain `g`, the bound on the gap
-    /// between any bin of `g·S + N` and the exact receive's bin, and so
-    /// between their magnitudes.
-    pub fn delta(&self, g: f64) -> f64 {
-        MARGIN * (g * self.signal_bound + self.noise_bound)
+    /// `δ = MARGIN·(g·A_s + A_n + R·ρ) + R·ρ`: at gain `g` and residual
+    /// bound `ρ` (0 without ADC stage, where `δ` is the rounding term
+    /// alone), the bound on the gap between any bin of `g·S + N` and
+    /// the exact receive's bin, and so between their magnitudes.
+    pub fn delta(&self, g: f64, rho: f64) -> f64 {
+        let residual = self.residual_gain * rho;
+        MARGIN * (g * self.signal_bound + self.noise_bound + residual) + residual
     }
 
     /// `|g·S_k + N_k|²` for every bin `k`, in bin order.
@@ -150,9 +164,9 @@ impl Ranking {
 }
 
 /// The winning bin of `|g·S + N|` when the exact receiver is certain to
-/// pick it too ([`Ranking::certified`] at the window's `δ`).
-pub fn certified_argmax(w: &WindowProjection<'_>, g: f64) -> Option<usize> {
-    Ranking::of(w.powers(g)).certified(w.delta(g))
+/// pick it too ([`Ranking::certified`] at the window's `δ(g, ρ)`).
+pub fn certified_argmax(w: &WindowProjection<'_>, g: f64, rho: f64) -> Option<usize> {
+    Ranking::of(w.powers(g)).certified(w.delta(g, rho))
 }
 
 /// One prepared pass as a linear receiver sees it.
@@ -165,6 +179,10 @@ pub struct LinearPass<'a> {
     /// The stage-6 gain `g(r)` of each point; `None` (a silent front
     /// half) leaves the point to the exact path.
     pub gains: &'a [Option<f64>],
+    /// The bound `ρ` of each point on its capture's quantization
+    /// residual ([`ImpairmentChain::residual_bounds`]; 0 without ADC
+    /// stage).
+    pub residuals: &'a [f64],
 }
 
 /// A receiver that is linear in its capture up to the decisions it
@@ -174,11 +192,12 @@ pub struct LinearPass<'a> {
 ///
 /// [`LinearReceiver::decide`] hands `each(i, result)` the
 /// [`DemodResult`] the modem's `demodulate` returns for the capture
-/// `g·signal + noise` at `g = gains[i]`, once for every point whose
+/// `g·signal + noise + q` at `g = gains[i]`, once for every point whose
 /// decisions it certified, and never for any other point (points
 /// without a gain included). Certified means: every comparison the
 /// exact receiver makes on that capture is decided the same way for any
-/// rounding of either path within [`MARGIN`]'s bound.
+/// rounding of either path within [`MARGIN`]'s bound and any residual
+/// `q` with every `|q_k| ≤ residuals[i]`.
 pub trait LinearReceiver: Send + Sync {
     /// Decide the points of `pass` it can certify. `scratch` is the
     /// calling worker's, reused across passes.
@@ -215,9 +234,9 @@ pub fn decide_stream(
         .collect();
     let mut window = 0;
     project(&mut |w| {
-        for (point, gain) in units.iter_mut().zip(pass.gains) {
+        for ((point, gain), &rho) in units.iter_mut().zip(pass.gains).zip(pass.residuals) {
             if let (Some(u), Some(g)) = (point.as_mut(), *gain) {
-                match certified_argmax(&w, g) {
+                match certified_argmax(&w, g, rho) {
                     Some(bin) => u.push(unit(window, bin)),
                     None => *point = None,
                 }
@@ -247,8 +266,8 @@ pub struct WindowCache {
     /// Slot-major projections, `width` bins per slot.
     signal: Vec<Complex>,
     noise: Vec<Complex>,
-    /// `(A_s, A_n)` per slot.
-    bounds: Vec<(f64, f64)>,
+    /// `(A_s, A_n, R)` per slot.
+    bounds: Vec<(f64, f64, f64)>,
 }
 
 impl WindowCache {
@@ -267,12 +286,12 @@ impl WindowCache {
     }
 
     /// The window under `key`. On its first visit `project` fills the
-    /// signal and noise bins (zeroed, `width` each) and returns their
-    /// bounds `(A_s, A_n)`.
+    /// signal and noise bins (zeroed, `width` each) and returns the
+    /// window's bounds `(A_s, A_n, R)`.
     pub fn window(
         &mut self,
         key: usize,
-        project: impl FnOnce(&mut [Complex], &mut [Complex]) -> (f64, f64),
+        project: impl FnOnce(&mut [Complex], &mut [Complex]) -> (f64, f64, f64),
     ) -> WindowProjection<'_> {
         if key >= self.slots.len() {
             self.slots.resize(key + 1, 0);
@@ -298,7 +317,7 @@ impl WindowCache {
         };
         let bins = slot * w..(slot + 1) * w;
         // lint: allow(unchecked-index, every slot below bounds.len() holds `width` bins and a bound)
-        let ((signal, noise), (signal_bound, noise_bound)) = (
+        let ((signal, noise), (signal_bound, noise_bound, residual_gain)) = (
             (&self.signal[bins.clone()], &self.noise[bins]),
             self.bounds[slot],
         );
@@ -307,6 +326,7 @@ impl WindowCache {
             noise,
             signal_bound,
             noise_bound,
+            residual_gain,
         }
     }
 }
@@ -330,8 +350,8 @@ pub struct PathCensus {
     /// Points the superposed path refused (an uncertain decision, a
     /// non-finite bound or no gain), decided by the exact path.
     pub fallback: u64,
-    /// Points without a superposed path (nonlinear receiver or a chain
-    /// with an ADC stage), decided by the exact path.
+    /// Points of a modem without a linear receiver, decided by the
+    /// exact path.
     pub exact: u64,
 }
 
@@ -348,13 +368,13 @@ impl std::ops::AddAssign for PathCensus {
 /// points as the receiver certifies them, then every other point in
 /// point order.
 ///
-/// When the chain is linear after its front half and the modem has a
-/// [`LinearReceiver`], the receiver decides every point it can certify
-/// from the faded signal and the noise; every other point — and every
-/// point of a nonlinear receiver or quantizing chain — runs the exact
-/// path, [`ImpairmentChain::apply_prepared_into`] into `capture` and
-/// then [`PhyModem::demodulate_batch`]. Either way each result equals
-/// the exact path's. `capture` is scratch (it also holds a fading pass's
+/// When the modem has a [`LinearReceiver`], the receiver decides every
+/// point it can certify from the faded signal, the noise and the
+/// chain's residual bounds; every other point — and every point of a
+/// modem without one — runs the exact path,
+/// [`ImpairmentChain::apply_prepared_into`] into `capture` and then
+/// [`PhyModem::demodulate_batch`]. Either way each result equals the
+/// exact path's. `capture` is scratch (it also holds a fading pass's
 /// faded signal while the pass is decided); `receiver` is the linear
 /// receiver's, reused across the passes of a curve. Starts no threads.
 pub fn demodulate_pass(
@@ -366,17 +386,18 @@ pub fn demodulate_pass(
     receiver: &mut ReceiverScratch,
     mut each: impl FnMut(usize, DemodResult),
 ) -> PathCensus {
-    let linear = phy
-        .linear_receiver()
-        .filter(|_| chain.is_linear_after_front());
+    let linear = phy.linear_receiver();
     let mut census = PathCensus::default();
     let mut superposed = vec![false; rssis.len()];
     if let Some(linear) = linear {
         let gains: Vec<Option<f64>> = rssis.iter().map(|&r| prep.rssi_gain(r)).collect();
+        let (signal, noise) = (prep.faded_signal(capture), prep.noise());
+        let residuals = chain.residual_bounds(signal, noise, &gains);
         let pass = LinearPass {
-            signal: prep.faded_signal(capture),
-            noise: prep.noise(),
+            signal,
+            noise,
             gains: &gains,
+            residuals: &residuals,
         };
         linear.decide(&pass, receiver, &mut |i, result| {
             if let Some(done) = superposed.get_mut(i) {
@@ -413,6 +434,7 @@ mod tests {
             noise,
             signal_bound: bound,
             noise_bound: bound,
+            residual_gain: bound,
         }
     }
 
@@ -428,7 +450,7 @@ mod tests {
             Complex::ZERO,
             Complex::new(0.0, 0.2),
         ];
-        assert_eq!(certified_argmax(&window(&s, &n, 10.0), 2.0), Some(1));
+        assert_eq!(certified_argmax(&window(&s, &n, 10.0), 2.0, 0.0), Some(1));
     }
 
     #[test]
@@ -436,20 +458,52 @@ mod tests {
         let s = [Complex::new(3.0, 0.0), Complex::new(0.0, 3.0)];
         let n = [Complex::ZERO; 2];
         // an exact tie: no rounding can vouch for either bin
-        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0), None);
+        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0, 0.0), None);
         // a gap inside 2δ is refused, one outside it is certified
         let s = [Complex::new(3.0, 0.0), Complex::new(3.0 + 1e-12, 0.0)];
-        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0), None);
+        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0, 0.0), None);
         let s = [Complex::new(3.0, 0.0), Complex::new(3.0 + 1e-6, 0.0)];
-        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0), Some(1));
+        assert_eq!(certified_argmax(&window(&s, &n, 6.0), 1.0, 0.0), Some(1));
+    }
+
+    #[test]
+    fn a_gap_the_residual_covers_is_refused() {
+        // bins 10⁻⁶ apart: certified on rounding alone (2δ(1, 0) ≈
+        // 2.4·10⁻⁹), refused once the residual term R·ρ = 10⁻⁶ covers
+        // the gap (2δ(1, ρ) > 2·10⁻⁶)
+        let s = [Complex::new(3.0, 0.0), Complex::new(3.0 + 1e-6, 0.0)];
+        let n = [Complex::ZERO; 2];
+        let w = window(&s, &n, 6.0);
+        assert_eq!(certified_argmax(&w, 1.0, 0.0), Some(1));
+        assert_eq!(certified_argmax(&w, 1.0, 1e-6 / 6.0), None);
+    }
+
+    #[test]
+    fn without_a_residual_delta_is_the_rounding_term_bit_for_bit() {
+        let s = [Complex::ZERO];
+        for (a_s, a_n, g) in [(6.0, 0.25, 1.0), (1e-3, 7.5, 3.3e5), (0.0, 0.0, 2.0)] {
+            let w = WindowProjection {
+                signal: &s,
+                noise: &s,
+                signal_bound: a_s,
+                noise_bound: a_n,
+                residual_gain: 17.0,
+            };
+            let rounding = MARGIN * (g * a_s + a_n);
+            assert_eq!(w.delta(g, 0.0).to_bits(), rounding.to_bits());
+            assert!(w.delta(g, 0.5) >= rounding + 17.0 * 0.5);
+        }
     }
 
     #[test]
     fn non_finite_bounds_are_refused() {
         let s = [Complex::new(1.0, 0.0), Complex::ZERO];
         let n = [Complex::ZERO; 2];
-        assert_eq!(certified_argmax(&window(&s, &n, f64::NAN), 1.0), None);
-        assert_eq!(certified_argmax(&window(&s, &n, f64::INFINITY), 1.0), None);
+        assert_eq!(certified_argmax(&window(&s, &n, f64::NAN), 1.0, 0.0), None);
+        assert_eq!(
+            certified_argmax(&window(&s, &n, f64::INFINITY), 1.0, 0.0),
+            None
+        );
     }
 
     #[test]
@@ -464,12 +518,15 @@ mod tests {
                     assert!(s.iter().chain(n.iter()).all(|z| *z == Complex::ZERO));
                     s[0] = Complex::new(key as f64, pass as f64);
                     n[3] = Complex::new(1.0, 0.0);
-                    (key as f64, 0.5)
+                    (key as f64, 0.5, 3.0)
                 });
                 assert_eq!(w.signal.len(), 4);
                 assert_eq!(w.signal[0], Complex::new(key as f64, pass as f64));
                 assert_eq!(w.noise[3], Complex::new(1.0, 0.0));
-                assert_eq!((w.signal_bound, w.noise_bound), (key as f64, 0.5));
+                assert_eq!(
+                    (w.signal_bound, w.noise_bound, w.residual_gain),
+                    (key as f64, 0.5, 3.0)
+                );
             }
         }
         assert_eq!(calls, 9, "three distinct keys per pass");

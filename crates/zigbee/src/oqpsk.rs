@@ -236,7 +236,8 @@ impl OqpskDemodulator {
     /// The windows of [`OqpskDemodulator::demodulate_symbols_into`] over
     /// a signal and a noise vector of equal length in lock step, handing
     /// `each` the window's 16 template correlations of each and their
-    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window. Correlation is linear,
+    /// bounds, `maxₚ ‖tₚ‖₂·‖x‖₂` over the window (and
+    /// `maxₚ ‖tₚ‖₂·√(window length)` on a residual). Correlation is linear,
     /// so the correlations of `g·signal + noise` are `g·S + N` up to
     /// rounding.
     ///
@@ -257,6 +258,7 @@ impl OqpskDemodulator {
                 noise: &self.templates.correlations(n),
                 signal_bound: self.template_norm * l2_norm(s),
                 noise_bound: self.template_norm * l2_norm(n),
+                residual_gain: self.template_norm * (s.len() as f64).sqrt(),
             });
         }
     }

@@ -1,6 +1,6 @@
 //! Superposed linear receivers against the exact path: for random
-//! linear chains, modems, seeds and RSSI grids, every point
-//! `demodulate_pass` decides equals `apply_prepared_into` +
+//! chains (quantizing ones included), modems, seeds and RSSI grids,
+//! every point `demodulate_pass` decides equals `apply_prepared_into` +
 //! `demodulate_batch` — for the stream receivers (LoRa SER, 802.15.4,
 //! BLE) and the framed LoRa PER receiver — and exact ties are refused
 //! and handed to the exact path. (The framed receiver's individual
@@ -58,9 +58,17 @@ fn prepare(chain: &ImpairmentChain, tx: &[Complex], fs: f64, seed: u64) -> Prepa
     prep
 }
 
-/// A random subset of the linear impairments (no ADC stage).
-fn linear_chain(mask: u32, coherence: usize, nf_db: f64) -> ImpairmentChain {
+/// The ADC stages a random chain ends in: none, or the radio's 13-bit
+/// words and two coarser ones.
+const ADC_BITS: [Option<u32>; 4] = [None, Some(13), Some(10), Some(8)];
+
+/// A random subset of the impairments, ending in `adc_bits`-bit
+/// quantization when given.
+fn random_chain(mask: u32, coherence: usize, nf_db: f64, adc_bits: Option<u32>) -> ImpairmentChain {
     let mut chain = ImpairmentChain::new(nf_db);
+    if let Some(bits) = adc_bits {
+        chain = chain.with_adc_quantization(bits);
+    }
     if mask & 1 != 0 {
         chain = chain.with_timing_offset(0.25 + (mask % 7) as f64 * 0.5);
     }
@@ -109,19 +117,19 @@ fn bw_of(idx: usize) -> f64 {
     }
 }
 
-/// One prepared pass of `frame` through a random linear chain, decided
-/// both ways on a grid from the noise floor (error rate near 1) to well
-/// above sensitivity (error rate 0): every point must match, none may
-/// run without a linear receiver, and some must superpose.
+/// One prepared pass of `frame` through a random chain, decided both
+/// ways on a grid from the noise floor (error rate near 1) to well above
+/// sensitivity (error rate 0): every point must match, none may run
+/// without a linear receiver, and some must superpose unless the ADC
+/// words are coarser than the radio's.
 fn check_pass(
     phy: &dyn PhyModem,
     seed: u64,
-    mask: u32,
-    coherence: usize,
+    (mask, coherence, adc_bits): (u32, usize, Option<u32>),
     frame: &[u8],
     offset_db: f64,
 ) {
-    let chain = linear_chain(mask, coherence, phy.noise_figure_db());
+    let chain = random_chain(mask, coherence, phy.noise_figure_db(), adc_bits);
     let tx = phy.modulate(frame);
     let prep = prepare(&chain, &tx, phy.sample_rate_hz(), seed);
     let anchor = phy.sensitivity_anchor_dbm();
@@ -131,9 +139,21 @@ fn check_pass(
     let (got, exact, census) = both_paths(phy, &chain, &prep, &rssis);
     prop_assert_eq!(census.exact, 0);
     prop_assert_eq!(census.superposed + census.fallback, rssis.len() as u64);
-    prop_assert!(census.superposed > 0, "nothing superposed: {:?}", census);
+    // the coarse words are there to stress the residual bound: their
+    // half-LSB residual can cover every gap, so only the radio's
+    // 13-bit words must leave some point to superpose
+    if adc_bits.is_none_or(|bits| bits >= 13) {
+        prop_assert!(census.superposed > 0, "nothing superposed: {:?}", census);
+    }
     for (i, (g, e)) in got.iter().zip(&exact).enumerate() {
-        prop_assert_eq!(g, e, "{} at {} dBm", phy.label(), rssis[i]);
+        prop_assert_eq!(
+            g,
+            e,
+            "{} at {} dBm, ADC {:?}",
+            phy.label(),
+            rssis[i],
+            adc_bits
+        );
     }
 }
 
@@ -146,10 +166,12 @@ proptest! {
         modem in 0usize..10,
         mask in 0u32..128,
         coherence in 64usize..4096,
+        adc in 0usize..4,
         frame_bytes in prop::collection::vec(any::<u8>(), 6..14),
         offset_db in 0.0f64..4.0,
     ) {
-        check_pass(stream_modem(modem).as_ref(), seed, mask, coherence, &frame_bytes, offset_db);
+        let chain = (mask, coherence, ADC_BITS[adc]);
+        check_pass(stream_modem(modem).as_ref(), seed, chain, &frame_bytes, offset_db);
     }
 
     /// The same for the framed LoRa PER receiver: preamble, refine,
@@ -160,10 +182,12 @@ proptest! {
         modem in 0usize..6,
         mask in 0u32..128,
         coherence in 64usize..4096,
+        adc in 0usize..4,
         payload in prop::collection::vec(any::<u8>(), 1..6),
         offset_db in 0.0f64..4.0,
     ) {
-        check_pass(framed_modem(modem).as_ref(), seed, mask, coherence, &payload, offset_db);
+        let chain = (mask, coherence, ADC_BITS[adc]);
+        check_pass(framed_modem(modem).as_ref(), seed, chain, &payload, offset_db);
     }
 }
 
