@@ -27,6 +27,7 @@ use tinysdr_lora::demodulator::Demodulator;
 use tinysdr_lora::modem::LoraSerPhy;
 use tinysdr_lora::modulator::Modulator;
 use tinysdr_lora::packet::Frame;
+use tinysdr_ota::checkpoint::checksum;
 use tinysdr_ota::json::Value;
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::PhyModem;
@@ -58,6 +59,11 @@ fn pre_batching_wall_ms(path: &str) -> Option<f64> {
         .filter(|ms| ms.is_finite())
 }
 
+/// Checksum of every `apply` capture gate 1a makes (both seeds, three
+/// RSSI points each, in that order), recorded from the stage-by-stage
+/// chain path that preceded the single prepared replay.
+const CHAIN_GOLDEN: u64 = 0xc05c_e9ab_77fe_bc89;
+
 /// Gate 1a: the buffered chain paths are bit-identical to `apply` —
 /// `apply_into` with reused scratch, and the prepared-pass replay that
 /// the sweep engine leans on — across a chain stacking every stage.
@@ -75,16 +81,23 @@ fn gate_chain_bit_identity() {
     let mut scratch = ChainScratch::new();
     let mut prep = PreparedPass::new();
     let mut out = Vec::new();
+    let mut bytes = Vec::new();
     for seed in [1u64, 99] {
         chain.prepare_pass_into(&tx, fs, seed, &mut prep, &mut scratch);
         for rssi_dbm in [-60.0, -100.0, -130.0] {
             let reference = chain.apply(&tx, rssi_dbm, fs, seed);
+            for z in &reference {
+                bytes.extend(z.re.to_bits().to_le_bytes());
+                bytes.extend(z.im.to_bits().to_le_bytes());
+            }
             chain.apply_into(&tx, rssi_dbm, fs, seed, &mut out, &mut scratch);
             assert_eq!(reference, out, "apply_into diverged at {rssi_dbm} dBm");
             chain.apply_prepared_into(&prep, rssi_dbm, &mut out);
             assert_eq!(reference, out, "prepared replay diverged at {rssi_dbm} dBm");
         }
     }
+    let digest = checksum(&bytes);
+    assert_eq!(digest, CHAIN_GOLDEN, "apply digest {digest:#018x}");
 }
 
 /// Gate 1b: every modem's batch overrides are bit-identical to the
@@ -481,6 +494,11 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_waterfall.json");
         let pre_ms = pre_batching_wall_ms(path).expect("pre-batching point with a finite wall_ms");
         assert!(pre_ms > 0.0, "{pre_ms}");
+    }
+
+    #[test]
+    fn chain_gate_holds() {
+        gate_chain_bit_identity();
     }
 
     #[test]

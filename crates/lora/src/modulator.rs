@@ -259,6 +259,61 @@ mod tests {
         Modulator::new(chirp, FrameParams::new(code));
     }
 
+    /// Continue the FNV-1a digest `h` over every sample's `re` and `im`
+    /// bit patterns.
+    fn digest(mut h: u64, samples: &[Complex]) -> u64 {
+        for z in samples {
+            for word in [z.re.to_bits(), z.im.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Digest of one transmitter's frames (CR 4/5 and 4/8) and symbol
+    /// streams at SF 7–10 and BW 125/250/500 kHz, one sample per chip.
+    fn waveform_digest(
+        frame: impl Fn(ChirpConfig, FrameParams, &[u8]) -> Vec<Complex>,
+        stream: impl Fn(ChirpConfig, FrameParams, &[u16]) -> Vec<Complex>,
+    ) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325;
+        for sf in 7..=10u8 {
+            for bw in [125e3, 250e3, 500e3] {
+                let chirp = ChirpConfig::new(sf, bw, 1);
+                for cr in [1, 4] {
+                    let fp = FrameParams::new(CodeParams::new(sf, cr));
+                    h = digest(h, &frame(chirp, fp, b"golden"));
+                }
+                let fp = FrameParams::new(CodeParams::new(sf, 1));
+                let symbols: Vec<u16> = (0..16u16).map(|k| (k * 37) % (1 << sf)).collect();
+                h = digest(h, &stream(chirp, fp, &symbols));
+            }
+        }
+        h
+    }
+
+    /// The LUT transmitter's waveforms.
+    const LUT_GOLDEN: u64 = 0xe66f_b00d_55c2_bf3d;
+    /// The ideal-chirp transmitter's waveforms, recorded from the
+    /// separate reference modulator that built its own frames.
+    const IDEAL_GOLDEN: u64 = 0x85ae_fde5_b785_5fa1;
+
+    #[test]
+    fn waveforms_match_the_golden_digests() {
+        let lut = waveform_digest(
+            |c, fp, p| Modulator::new(c, fp).modulate(p),
+            |c, fp, s| Modulator::new(c, fp).modulate_symbols(s),
+        );
+        assert_eq!(lut, LUT_GOLDEN, "LUT digest {lut:#018x}");
+        let ideal = waveform_digest(
+            |c, fp, p| ReferenceModulator::new(c, fp).modulate(p),
+            |c, fp, s| ReferenceModulator::new(c, fp).modulate_symbols(s),
+        );
+        assert_eq!(ideal, IDEAL_GOLDEN, "ideal digest {ideal:#018x}");
+    }
+
     #[test]
     fn reference_and_quantized_agree_closely() {
         let chirp = ChirpConfig::new(8, 125e3, 1);

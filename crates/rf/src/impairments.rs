@@ -852,6 +852,39 @@ mod tests {
         }
     }
 
+    /// FNV-1a offset basis: the digest of no samples.
+    const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+    /// Continue the FNV-1a digest `h` over every sample's `re` and `im`
+    /// bit patterns.
+    fn digest(mut h: u64, samples: &[Complex]) -> u64 {
+        for z in samples {
+            for word in [z.re.to_bits(), z.im.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    /// `apply` over the contract grid at three RSSI points each,
+    /// recorded from the stage-by-stage path (stages 6–9 one after the
+    /// other over the whole capture) that preceded the single replay.
+    const APPLY_GOLDEN: u64 = 0xc5f7_9c92_1116_087c;
+
+    #[test]
+    fn apply_matches_the_golden_digest_across_the_grid() {
+        let tx = ideal_tone(40e3, FS, 4096);
+        let mut h = FNV_BASIS;
+        for (i, chain) in contract_grid().into_iter().enumerate() {
+            for &rssi in &[-60.0, -95.0, -120.0] {
+                h = digest(h, &chain.apply(&tx, rssi, FS, 1000 + i as u64));
+            }
+        }
+        assert_eq!(h, APPLY_GOLDEN, "apply digest {h:#018x}");
+    }
+
     #[test]
     fn prepared_pass_is_bit_identical_to_apply() {
         let tx = ideal_tone(40e3, FS, 4096);
