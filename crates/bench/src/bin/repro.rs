@@ -21,6 +21,11 @@
 //! pipe early (`repro all | head`) ends the run with exit 0, like any
 //! other filter in a pipeline.
 //!
+//! Figs. 10–12 are views of the `waterfall` engine: each sweeps its
+//! modems over the single clean chain (calibrated AWGN at the
+//! receiver's noise figure) and reads every curve's sensitivity from
+//! the sweep report. Figs. 8 and 15 run their own scenes.
+//!
 //! `--json` works for exactly one of `waterfall`, `campaign`,
 //! `energy`, `perf`, or `link` and prints the experiment's canonical JSON
 //! document — the *same* bytes a `tinysdr-testbedd` job of the same
@@ -42,8 +47,8 @@
 //! asserted), the flat-report-memory check, and the
 //! `BENCH_campaign.json` trajectory point (`--quick`: 20k nodes — the
 //! third CI smoke step; full: 1M nodes). `perf` runs the hot-path
-//! bit-identity gates (buffered == allocating, batch == scalar,
-//! prepared-pass replay == `apply`), times the modem workloads and the
+//! bit-identity gates (`apply` == its recorded digest, prepared-pass
+//! replay == `apply`, batch == scalar), times the modem workloads and the
 //! quick waterfall grid, and writes the `BENCH_modem.json` /
 //! `BENCH_waterfall.json` trajectory points next to the recorded
 //! pre-refactor reference (`--quick`: CI-sized reps, no wall-clock
@@ -58,6 +63,7 @@
 use tinysdr_bench::phy_experiments as phy;
 use tinysdr_bench::system_experiments as sys;
 use tinysdr_bench::{bench_shards, print_facts, print_series, verdict, Series};
+use tinysdr_ble::modem::CC2650_SENSITIVITY_DBM;
 
 struct Effort {
     packets: u32,
@@ -108,6 +114,18 @@ const EXPERIMENTS: &[&str] = &[
     "perf",
     "link",
 ];
+
+/// Print a figure's curves as one table, then each curve's
+/// sensitivity (`what`: the error rate it is read at).
+fn print_curves(title: &str, what: &str, curves: &[(Series, Option<f64>)]) {
+    let series: Vec<Series> = curves.iter().map(|(s, _)| s.clone()).collect();
+    print_series(title, "RSSI dBm", &series);
+    for (s, sens) in curves {
+        if let Some(dbm) = sens {
+            println!("  {} {what} sensitivity: {dbm:.1} dBm", s.label);
+        }
+    }
+}
 
 /// End the process quietly with exit 0 when stdout's reader is gone.
 /// `print!` reports a write error as a panic whose message starts
@@ -218,7 +236,7 @@ fn main() {
         print_facts("Table 6: FPGA utilization for LoRa", &sys::table6());
     }
     if want("fig8") {
-        let (spectrum, spur) = phy::fig8(seed);
+        let (spectrum, spur) = phy::fig8();
         print_series(
             "Fig 8: single-tone spectrum (around 915 MHz)",
             "MHz",
@@ -241,42 +259,32 @@ fn main() {
         println!("  {}", verdict("platform @14 dBm (mW)", p14, 283.0, 0.05));
     }
     if want("fig10") {
-        let curves = phy::fig10(effort.packets, seed);
-        print_series(
+        print_curves(
             "Fig 10: LoRa modulator PER vs RSSI (%)",
-            "RSSI dBm",
-            &curves,
+            "10%-PER",
+            &phy::fig10(effort.packets, seed),
         );
-        for c in &curves {
-            if let Some(s) = phy::curve_sensitivity_dbm(c, 10.0) {
-                println!("  {} 10%-PER sensitivity: {s:.1} dBm", c.label);
-            }
-        }
         println!("  paper: -126 dBm at SF8/BW125");
     }
     if want("fig11") {
-        let curves = phy::fig11(effort.symbols, seed);
-        print_series(
+        print_curves(
             "Fig 11: LoRa demodulator chirp SER vs RSSI (%)",
-            "RSSI dBm",
-            &curves,
+            "10%-SER",
+            &phy::fig11(effort.symbols, seed),
         );
-        for c in &curves {
-            if let Some(s) = phy::curve_sensitivity_dbm(c, 10.0) {
-                println!("  {} 10%-SER sensitivity: {s:.1} dBm", c.label);
-            }
-        }
         println!("  paper: demodulates down to -126 dBm (SF8/BW125)");
     }
     if want("fig12") {
-        let (curve, cc2650) = phy::fig12(effort.bits, seed);
+        let (curve, sens) = phy::fig12(effort.bits, seed);
         print_series(
             "Fig 12: BLE beacon BER vs RSSI",
             "RSSI dBm",
             std::slice::from_ref(&curve),
         );
-        if let Some(s) = tinysdr_dsp::stats::threshold_crossing(&curve.points, 1e-3) {
-            println!("  BER=1e-3 sensitivity: {s:.1} dBm (paper: -94; CC2650 ref {cc2650:.0})");
+        if let Some(s) = sens {
+            println!(
+                "  BER=1e-3 sensitivity: {s:.1} dBm (paper: -94; CC2650 ref {CC2650_SENSITIVITY_DBM:.0})"
+            );
         }
     }
     if want("fig13") {

@@ -708,8 +708,11 @@ fn run_curve(
 /// step).
 ///
 /// # Panics
-/// Propagates a panic from any sweep shard: a dead shard must abort
-/// the sweep, or the determinism contract would hide missing points.
+/// Panics if two scenarios or two impairments share a label: the
+/// report keys its curves by label, so their points would merge into
+/// one curve. Propagates a panic from any sweep shard: a dead shard
+/// must abort the sweep, or the determinism contract would hide
+/// missing points.
 pub fn run_waterfall(cfg: &WaterfallConfig) -> WaterfallReport {
     // nobody else holds the token, so nothing can cancel the sweep
     run_waterfall_cancellable(cfg, &CancelToken::new()).expect_complete()
@@ -756,8 +759,14 @@ impl SweepRun {
 /// [`run_waterfall`].
 ///
 /// # Panics
-/// Propagates a panic from any sweep shard, like [`run_waterfall`].
+/// On a repeated scenario or impairment label, and propagates a panic
+/// from any sweep shard, like [`run_waterfall`].
 pub fn run_waterfall_cancellable(cfg: &WaterfallConfig, cancel: &CancelToken) -> SweepRun {
+    assert_unique("scenario", cfg.scenarios.iter().map(SweepScenario::label));
+    assert_unique(
+        "impairment",
+        cfg.impairments.iter().map(|imp| imp.label.clone()),
+    );
     let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
         .map(|s_idx| Ctx::build(cfg, s_idx))
         .collect();
@@ -783,6 +792,19 @@ pub fn run_waterfall_cancellable(cfg: &WaterfallConfig, cancel: &CancelToken) ->
         };
     }
     SweepRun::Complete(WaterfallReport { points })
+}
+
+/// Panic if `labels` repeats one: each label keys one curve set of
+/// the report.
+fn assert_unique(kind: &str, labels: impl Iterator<Item = String>) {
+    let mut seen: Vec<String> = Vec::new();
+    for label in labels {
+        assert!(
+            !seen.contains(&label),
+            "duplicate {kind} label {label:?}: its curves would merge in the report"
+        );
+        seen.push(label);
+    }
 }
 
 #[cfg(test)]
@@ -1068,6 +1090,27 @@ mod tests {
             SweepRun::Cancelled { curves_done, .. } => assert_eq!(curves_done, 0),
             SweepRun::Complete(_) => panic!("cancelled token completed sharded sweep"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate scenario label \"LoRa SER SF7 BW125\"")]
+    fn repeated_scenario_label_panics() {
+        // two scenarios answering to one label would interleave into one
+        // non-ascending curve, and its sensitivity would read that
+        let mut cfg = tiny();
+        cfg.scenarios.push(cfg.scenarios[0].clone().with_passes(2));
+        run_waterfall(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate impairment label \"cfo30\"")]
+    fn repeated_impairment_label_panics() {
+        let mut cfg = tiny();
+        cfg.impairments.push(NamedImpairment::new(
+            "cfo30",
+            ImpairmentChain::new(0.0).with_cfo_hz(60.0),
+        ));
+        run_waterfall(&cfg);
     }
 
     #[test]

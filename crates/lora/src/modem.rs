@@ -22,7 +22,7 @@ use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverS
 use tinysdr_rf::{at86rf215, sx1276};
 
 use crate::demodulator::{DemodFrame, Demodulator};
-use crate::modulator::Modulator;
+use crate::modulator::{Modulator, Transmitter};
 use crate::packet::FrameParams;
 use crate::phy::CodeParams;
 
@@ -83,6 +83,13 @@ impl LoraSerPhy {
             modulator: Modulator::standard(sf, bw_hz, 1, 1),
             demod: Demodulator::standard(sf, bw_hz, 1, 1),
         }
+    }
+
+    /// Builder: transmit `transmitter`'s chirps (default
+    /// [`Transmitter::TinySdr`]); the receiver and the label stay.
+    pub fn with_transmitter(mut self, transmitter: Transmitter) -> Self {
+        self.modulator = self.modulator.with_transmitter(transmitter);
+        self
     }
 
     /// Spreading factor.
@@ -206,6 +213,7 @@ impl LinearReceiver for LoraSerPhy {
 pub struct LoraPerPhy {
     params: sx1276::LoRaParams,
     frame_params: FrameParams,
+    transmitter: Transmitter,
     /// Lazily built DSP state (modulator + demodulator with FFT plan
     /// and chirp references): the air-time path never touches samples,
     /// and the OTA campaign builds one of these per session.
@@ -219,6 +227,7 @@ impl Clone for LoraPerPhy {
         LoraPerPhy {
             params: self.params,
             frame_params: self.frame_params,
+            transmitter: self.transmitter,
             modem: std::sync::OnceLock::new(),
         }
     }
@@ -243,6 +252,7 @@ impl LoraPerPhy {
         LoraPerPhy {
             params,
             frame_params,
+            transmitter: Transmitter::TinySdr,
             modem: std::sync::OnceLock::new(),
         }
     }
@@ -258,8 +268,17 @@ impl LoraPerPhy {
         LoraPerPhy {
             params,
             frame_params: fp,
+            transmitter: Transmitter::TinySdr,
             modem: std::sync::OnceLock::new(),
         }
+    }
+
+    /// Builder: transmit `transmitter`'s chirps (default
+    /// [`Transmitter::TinySdr`]); the receiver and the label stay.
+    pub fn with_transmitter(mut self, transmitter: Transmitter) -> Self {
+        self.transmitter = transmitter;
+        self.modem = std::sync::OnceLock::new();
+        self
     }
 
     /// The analytic modem parameters (Semtech AN1200.13 terms).
@@ -271,7 +290,7 @@ impl LoraPerPhy {
         self.modem.get_or_init(|| {
             let chirp = tinysdr_dsp::chirp::ChirpConfig::new(self.params.sf, self.params.bw_hz, 1);
             (
-                Modulator::new(chirp, self.frame_params),
+                Modulator::new(chirp, self.frame_params).with_transmitter(self.transmitter),
                 Demodulator::new(chirp, self.frame_params),
             )
         })
@@ -443,6 +462,32 @@ mod tests {
         assert_eq!(phy.noise_figure_db(), at86rf215::NOISE_FIGURE_DB);
         assert!((phy.sensitivity_anchor_dbm() + 126.0).abs() < 0.5);
         assert_eq!(phy.center_frequency_hz(), 915e6);
+    }
+
+    #[test]
+    fn sx1276_transmitter_changes_only_the_waveform() {
+        // both modems keep their label and receiver, and emit the
+        // ideal-chirp modulator's frames and streams (a clone too)
+        let chirp = tinysdr_dsp::chirp::ChirpConfig::new(8, 250e3, 1);
+        let ideal = |cr| {
+            Modulator::new(chirp, FrameParams::new(CodeParams::new(8, cr)))
+                .with_transmitter(Transmitter::Sx1276)
+        };
+        let frame = [0xA5u8, 0x5A, 0xC3];
+        let per = LoraPerPhy::new(8, 250e3, 4);
+        let sx = per.clone().with_transmitter(Transmitter::Sx1276);
+        assert_eq!(sx.label(), per.label());
+        assert_ne!(sx.modulate(&frame), per.modulate(&frame));
+        assert_eq!(sx.clone_box().modulate(&frame), ideal(4).modulate(&frame));
+        let rx = sx.demodulate(&sx.modulate(&frame));
+        assert!(sx.count_errors(&frame, &rx).is_clean());
+        let ser = LoraSerPhy::new(8, 250e3);
+        let sx = ser.clone().with_transmitter(Transmitter::Sx1276);
+        assert_eq!(sx.label(), ser.label());
+        assert_eq!(
+            sx.clone_box().modulate(&frame),
+            ideal(1).modulate_symbols(&frame_to_symbols(&frame, 8))
+        );
     }
 
     #[test]

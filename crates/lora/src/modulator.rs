@@ -12,13 +12,28 @@
 //! The modulator here is exactly that: [`crate::packet::Frame`] plays
 //! the Packet Generator; [`ChirpGenerator`] (squared phase accumulator +
 //! quantized LUT) plays the Chirp Generator; the output is the sample
-//! stream handed to the I/Q serializer.
+//! stream handed to the I/Q serializer. The same frame builder also
+//! stands in for the SX1276 comparator of Figs. 10 and 11, fed by ideal
+//! (unquantized) chirps instead ([`Transmitter::Sx1276`]).
 
-use tinysdr_dsp::chirp::{ChirpConfig, ChirpDirection, ChirpGenerator};
+use tinysdr_dsp::chirp::{ideal_chirp, ChirpConfig, ChirpDirection, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
 
 use crate::packet::{Frame, FrameParams};
 use crate::phy::CodeParams;
+
+/// Which transmitter's chirps a [`Modulator`] emits; both build the
+/// same frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Transmitter {
+    /// TinySDR's FPGA chirp generator: squared phase accumulator and
+    /// quantized LUT.
+    #[default]
+    TinySdr,
+    /// Ideal (unquantized) chirps: the SX1276 comparator transmitter of
+    /// Fig. 10 and the signal source of Fig. 11.
+    Sx1276,
+}
 
 /// The modulator: one instance per (SF, BW, OSR) configuration.
 #[derive(Debug, Clone)]
@@ -26,6 +41,7 @@ pub struct Modulator {
     chirp_cfg: ChirpConfig,
     generator: ChirpGenerator,
     frame_params: FrameParams,
+    transmitter: Transmitter,
 }
 
 impl Modulator {
@@ -42,7 +58,15 @@ impl Modulator {
             chirp_cfg,
             generator: ChirpGenerator::new(chirp_cfg),
             frame_params,
+            transmitter: Transmitter::TinySdr,
         }
+    }
+
+    /// Builder: emit `transmitter`'s chirps (default
+    /// [`Transmitter::TinySdr`]).
+    pub fn with_transmitter(mut self, transmitter: Transmitter) -> Self {
+        self.transmitter = transmitter;
+        self
     }
 
     /// Convenience: standard frame around a payload at `(sf, bw, osr)`.
@@ -76,9 +100,9 @@ impl Modulator {
     }
 
     /// [`Modulator::modulate_frame`] into a caller-owned buffer (cleared
-    /// first): every chirp is appended directly via
-    /// [`ChirpGenerator::append_chirp`], so a batch of frames reuses one
-    /// allocation. Bit-identical to the allocating path.
+    /// first): every chirp is appended directly to `out`, so a batch of
+    /// frames reuses one allocation. Bit-identical to the allocating
+    /// path.
     pub fn modulate_frame_into(&self, frame: &Frame, out: &mut Vec<Complex>) {
         let spsym = self.chirp_cfg.samples_per_symbol();
         let total =
@@ -88,24 +112,22 @@ impl Modulator {
 
         // preamble: zero-shift upchirps
         for _ in 0..self.frame_params.preamble_len {
-            self.generator.append_chirp(0, ChirpDirection::Up, out);
+            self.append_chirp(0, ChirpDirection::Up, out);
         }
         // sync word: two upchirps
         for &s in &self.frame_params.sync_word {
-            self.generator
-                .append_chirp(s as u32, ChirpDirection::Up, out);
+            self.append_chirp(s as u32, ChirpDirection::Up, out);
         }
         // SFD: 2.25 downchirps (the quarter symbol is a truncated full
         // downchirp — the same samples `fractional_downchirp(1, 4)` keeps)
-        self.generator.append_chirp(0, ChirpDirection::Down, out);
-        self.generator.append_chirp(0, ChirpDirection::Down, out);
+        self.append_chirp(0, ChirpDirection::Down, out);
+        self.append_chirp(0, ChirpDirection::Down, out);
         let sfd_tail = out.len();
-        self.generator.append_chirp(0, ChirpDirection::Down, out);
+        self.append_chirp(0, ChirpDirection::Down, out);
         out.truncate(sfd_tail + spsym / 4);
         // payload symbols
         for &s in &frame.symbols {
-            self.generator
-                .append_chirp(s as u32, ChirpDirection::Up, out);
+            self.append_chirp(s as u32, ChirpDirection::Up, out);
         }
     }
 
@@ -124,14 +146,21 @@ impl Modulator {
         out.clear();
         out.reserve(symbols.len() * self.chirp_cfg.samples_per_symbol());
         for &s in symbols {
-            self.generator
-                .append_chirp(s as u32, ChirpDirection::Up, out);
+            self.append_chirp(s as u32, ChirpDirection::Up, out);
         }
     }
 
     /// Samples in one symbol period.
     pub fn samples_per_symbol(&self) -> usize {
         self.chirp_cfg.samples_per_symbol()
+    }
+
+    /// Append one chirp from the configured transmitter.
+    fn append_chirp(&self, symbol: u32, dir: ChirpDirection, out: &mut Vec<Complex>) {
+        match self.transmitter {
+            Transmitter::TinySdr => self.generator.append_chirp(symbol, dir, out),
+            Transmitter::Sx1276 => out.extend(ideal_chirp(&self.chirp_cfg, symbol, dir)),
+        }
     }
 }
 
@@ -141,58 +170,6 @@ impl Modulator {
 pub fn single_tone(freq_offset_hz: f64, fs: f64, n: usize) -> Vec<Complex> {
     let mut nco = tinysdr_dsp::nco::Nco::new(freq_offset_hz, fs);
     nco.take(n)
-}
-
-/// Re-export for callers that need raw chirps.
-pub use tinysdr_dsp::chirp::ideal_chirp;
-
-/// An "SX1276-style" reference modulator: same frame structure, ideal
-/// (unquantized) chirps. This is the transmitter used as the comparator
-/// in Fig. 10 and the signal source in Fig. 11.
-#[derive(Debug, Clone)]
-pub struct ReferenceModulator {
-    chirp_cfg: ChirpConfig,
-    frame_params: FrameParams,
-}
-
-impl ReferenceModulator {
-    /// Build a reference modulator.
-    pub fn new(chirp_cfg: ChirpConfig, frame_params: FrameParams) -> Self {
-        assert_eq!(chirp_cfg.sf, frame_params.code.sf);
-        ReferenceModulator {
-            chirp_cfg,
-            frame_params,
-        }
-    }
-
-    /// Modulate payload bytes with ideal chirps.
-    pub fn modulate(&self, payload: &[u8]) -> Vec<Complex> {
-        let frame = Frame::from_payload(payload, self.frame_params);
-        let mut out = Vec::new();
-        for _ in 0..self.frame_params.preamble_len {
-            out.extend(ideal_chirp(&self.chirp_cfg, 0, ChirpDirection::Up));
-        }
-        for &s in &self.frame_params.sync_word {
-            out.extend(ideal_chirp(&self.chirp_cfg, s as u32, ChirpDirection::Up));
-        }
-        let down = ideal_chirp(&self.chirp_cfg, 0, ChirpDirection::Down);
-        out.extend(down.iter().copied());
-        out.extend(down.iter().copied());
-        out.extend(down[..down.len() / 4].iter().copied());
-        for &s in &frame.symbols {
-            out.extend(ideal_chirp(&self.chirp_cfg, s as u32, ChirpDirection::Up));
-        }
-        out
-    }
-
-    /// Modulate a bare symbol stream with ideal chirps.
-    pub fn modulate_symbols(&self, symbols: &[u16]) -> Vec<Complex> {
-        let mut out = Vec::new();
-        for &s in symbols {
-            out.extend(ideal_chirp(&self.chirp_cfg, s as u32, ChirpDirection::Up));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -294,10 +271,14 @@ mod tests {
         h
     }
 
+    fn ideal(chirp: ChirpConfig, fp: FrameParams) -> Modulator {
+        Modulator::new(chirp, fp).with_transmitter(Transmitter::Sx1276)
+    }
+
     /// The LUT transmitter's waveforms.
     const LUT_GOLDEN: u64 = 0xe66f_b00d_55c2_bf3d;
-    /// The ideal-chirp transmitter's waveforms, recorded from the
-    /// separate reference modulator that built its own frames.
+    /// The ideal-chirp transmitter's waveforms, recorded from a separate
+    /// reference modulator that built its own frames.
     const IDEAL_GOLDEN: u64 = 0x85ae_fde5_b785_5fa1;
 
     #[test]
@@ -308,8 +289,8 @@ mod tests {
         );
         assert_eq!(lut, LUT_GOLDEN, "LUT digest {lut:#018x}");
         let ideal = waveform_digest(
-            |c, fp, p| ReferenceModulator::new(c, fp).modulate(p),
-            |c, fp, s| ReferenceModulator::new(c, fp).modulate_symbols(s),
+            |c, fp, p| ideal(c, fp).modulate(p),
+            |c, fp, s| ideal(c, fp).modulate_symbols(s),
         );
         assert_eq!(ideal, IDEAL_GOLDEN, "ideal digest {ideal:#018x}");
     }
@@ -319,7 +300,7 @@ mod tests {
         let chirp = ChirpConfig::new(8, 125e3, 1);
         let fp = FrameParams::new(CodeParams::new(8, 1));
         let q = Modulator::new(chirp, fp).modulate(b"abc");
-        let i = ReferenceModulator::new(chirp, fp).modulate(b"abc");
+        let i = ideal(chirp, fp).modulate(b"abc");
         assert_eq!(q.len(), i.len());
         let corr: Complex = q
             .iter()

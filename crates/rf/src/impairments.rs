@@ -16,6 +16,14 @@
 //! produces bit-identical output on any thread of any shard — the same
 //! contract the OTA campaign engine enforces.
 //!
+//! Every capture takes one path through the stages:
+//! [`ImpairmentChain::prepare_pass_into`] runs the RSSI-independent
+//! work of a `(tx, fs, seed)` pass (stages 1–5, the fading draws and
+//! the AWGN vector), and [`ImpairmentChain::apply_prepared_into`]
+//! replays it at one RSSI point (stages 6–9). [`ImpairmentChain::apply`]
+//! is that pair with fresh buffers; a sweep prepares once per pass and
+//! replays per point.
+//!
 //! After the RSSI-independent front half, a prepared pass is
 //! superposable: stages 6–8 are linear, so the capture at RSSI `r` is
 //! `g(r)·s + n` for the pass's faded signal `s` and noise `n`, and stage
@@ -41,7 +49,7 @@ use tinysdr_dsp::complex::{mean_power, Complex};
 use tinysdr_dsp::delay::{fractional_delay_into, resample_drift_into, DelayScratch};
 use tinysdr_dsp::fixed::Quantizer;
 
-use crate::channel::{gauss_pair, set_rssi, AwgnChannel};
+use crate::channel::{gauss_pair, AwgnChannel};
 use crate::units::{db_to_lin, dbm_to_mw};
 
 /// splitmix64 finalizer (same avalanche the OTA seed derivation uses);
@@ -74,8 +82,9 @@ pub const AGC_TARGET: f64 = 0.9;
 
 /// A deterministic stack of channel impairments ending in calibrated
 /// AWGN. Build with [`ImpairmentChain::new`] plus the `with_*` builder
-/// methods; apply with [`ImpairmentChain::apply`] (or the allocation-free
-/// [`ImpairmentChain::apply_into`]).
+/// methods; apply with [`ImpairmentChain::apply`], or prepare a pass once
+/// ([`ImpairmentChain::prepare_pass_into`]) and replay it per RSSI point
+/// ([`ImpairmentChain::apply_prepared_into`]).
 ///
 /// The fields are private so the builder invariants (non-negative timing
 /// offset, valid ADC word width, …) cannot be bypassed by hand-editing a
@@ -243,72 +252,15 @@ impl ImpairmentChain {
     /// Deterministic: the output depends only on `(self, tx, rssi_dbm,
     /// fs, seed)` — never on threads, shards or call order.
     ///
-    /// This is a thin wrapper over [`ImpairmentChain::apply_into`] with
-    /// fresh buffers; hot loops should hold a [`ChainScratch`] and call
-    /// `apply_into` directly.
+    /// This is [`ImpairmentChain::prepare_pass_into`] followed by
+    /// [`ImpairmentChain::apply_prepared_into`] with fresh buffers; a
+    /// sweep over many RSSI points prepares once and replays per point.
     pub fn apply(&self, tx: &[Complex], rssi_dbm: f64, fs: f64, seed: u64) -> Vec<Complex> {
+        let mut prep = PreparedPass::new();
+        self.prepare_pass_into(tx, fs, seed, &mut prep, &mut ChainScratch::new());
         let mut out = Vec::new();
-        let mut scratch = ChainScratch::new();
-        self.apply_into(tx, rssi_dbm, fs, seed, &mut out, &mut scratch);
+        self.apply_prepared_into(&prep, rssi_dbm, &mut out);
         out
-    }
-
-    /// [`ImpairmentChain::apply`] into a caller-owned output buffer,
-    /// running all nine stages with zero steady-state allocation once
-    /// `out` and `scratch` have grown to the working size. Bit-identical
-    /// to `apply` for every `(chain, tx, rssi_dbm, fs, seed)` — buffer
-    /// reuse changes where samples live, never the order of a single
-    /// floating-point operation.
-    pub fn apply_into(
-        &self,
-        tx: &[Complex],
-        rssi_dbm: f64,
-        fs: f64,
-        seed: u64,
-        out: &mut Vec<Complex>,
-        scratch: &mut ChainScratch,
-    ) {
-        // stages 1–5 (RSSI-independent front half)
-        self.apply_front_into(tx, fs, seed, out, scratch);
-        // 6. scale to the wanted RSSI
-        set_rssi(out, rssi_dbm);
-        // 7. block Rayleigh fading (after scaling: the noise floor is
-        // fixed by physics, the signal fades around the mean RSSI)
-        if let Some(block) = self.fading_block_samples {
-            let mut rng = StdRng::seed_from_u64(stage_seed(seed, TAG_FADING));
-            let len = out.len();
-            let mut i = 0;
-            while i < len {
-                let (re, im) = gauss_pair(&mut rng);
-                let h = Complex::new(re, im).scale(std::f64::consts::FRAC_1_SQRT_2);
-                for z in out[i..(i + block).min(len)].iter_mut() {
-                    *z *= h;
-                }
-                i += block;
-            }
-        }
-        // 8. calibrated AWGN
-        let mut awgn = AwgnChannel::new(self.noise_figure_db, stage_seed(seed, TAG_NOISE));
-        awgn.add_noise(out, fs);
-        // 9. ADC quantization
-        self.quantize_in_place(out);
-    }
-
-    /// Stages 1–5 of the chain (timing, drift, I/Q imbalance, CFO, phase
-    /// noise) into `out`. Everything here is independent of the target
-    /// RSSI: the randomized stage keys its RNG stream on `seed` alone,
-    /// so a sweep can run the front half once per `(waveform, seed)` and
-    /// reuse it across every RSSI point of a curve — bit-identically.
-    fn apply_front_into(
-        &self,
-        tx: &[Complex],
-        fs: f64,
-        seed: u64,
-        out: &mut Vec<Complex>,
-        scratch: &mut ChainScratch,
-    ) {
-        self.prepare_front_into(tx, fs, out, scratch);
-        self.apply_phase_noise(out, fs, seed);
     }
 
     /// Stages 1–4 of the chain (timing, drift, I/Q imbalance, CFO) into
@@ -377,18 +329,11 @@ impl ImpairmentChain {
         }
     }
 
-    /// Stage 9: ADC quantization with AGC — scale the peak rail to
-    /// [`AGC_TARGET`] of full scale, quantize, scale back (the AGC keeps
-    /// downstream power arithmetic in dBm intact).
-    fn quantize_in_place(&self, sig: &mut [Complex]) {
-        if self.adc_bits.is_some() {
-            let peak = sig.iter().map(|&z| rail(z)).fold(0.0f64, f64::max);
-            self.quantize_at_peak(sig, peak);
-        }
-    }
-
-    /// Stage 9 against a peak rail the caller already folded (in
-    /// sample order, from 0, with `f64::max`).
+    /// Stage 9, ADC quantization with AGC, against a peak rail the
+    /// caller already folded (in sample order, from 0, with `f64::max`):
+    /// scale the peak rail to [`AGC_TARGET`] of full scale, quantize,
+    /// scale back (the AGC keeps downstream power arithmetic in dBm
+    /// intact).
     fn quantize_at_peak(&self, sig: &mut [Complex], peak: f64) {
         if let Some(bits) = self.adc_bits {
             let q = Quantizer::new(bits);
@@ -466,13 +411,13 @@ impl ImpairmentChain {
     /// Replay a prepared pass at one RSSI point: copy the front half,
     /// scale to `rssi_dbm`, apply the precomputed fading blocks, add the
     /// precomputed noise vector, quantize. Must be called with the same
-    /// chain that prepared `prep`; the output is then bit-identical to
-    /// [`ImpairmentChain::apply`] at the same `(tx, rssi_dbm, fs, seed)`.
+    /// chain that prepared `prep`; the output is then what
+    /// [`ImpairmentChain::apply`] returns at the same `(tx, rssi_dbm, fs,
+    /// seed)`.
     ///
     /// Stages 6–8 and the AGC peak run as one pass over the capture,
-    /// each sample taking the stages in chain order with the same
-    /// arithmetic as the stage-by-stage route; stage 9 is a second pass,
-    /// only when the chain quantizes.
+    /// each sample taking the stages in chain order; stage 9 is a second
+    /// pass, only when the chain quantizes.
     pub fn apply_prepared_into(&self, prep: &PreparedPass, rssi_dbm: f64, out: &mut Vec<Complex>) {
         // 6. scale to the wanted RSSI
         let gain = prep.rssi_gain(rssi_dbm);
@@ -486,11 +431,11 @@ impl ImpairmentChain {
                 if let Some(g) = gain {
                     z = z.scale(g);
                 }
-                // 7. fading: the same per-block coefficient `apply` draws
+                // 7. fading: the block's prepared coefficient
                 if let Some(h) = fade {
                     z *= h;
                 }
-                // 8. AWGN: the same per-sample draw `add_noise` makes
+                // 8. AWGN: the sample's prepared draw
                 z += n;
                 if agc {
                     peak = peak.max(rail(z));
@@ -560,9 +505,10 @@ fn rail(z: Complex) -> f64 {
     z.re.abs().max(z.im.abs())
 }
 
-/// Reusable scratch buffers for [`ImpairmentChain::apply_into`]: the
-/// interpolation window/kernel plus a ping-pong buffer for the
-/// resampling stage. One per worker thread is enough.
+/// Reusable scratch buffers for the chain's front half
+/// ([`ImpairmentChain::prepare_front_into`]): the interpolation
+/// window/kernel plus a ping-pong buffer for the resampling stage. One
+/// per worker thread is enough.
 #[derive(Debug, Clone, Default)]
 pub struct ChainScratch {
     delay: DelayScratch,
@@ -833,23 +779,6 @@ mod tests {
                 .with_block_fading(256)
                 .with_adc_quantization(10),
         ]
-    }
-
-    #[test]
-    fn apply_into_is_bit_identical_to_apply_across_the_grid() {
-        let tx = ideal_tone(40e3, FS, 4096);
-        let mut out = Vec::new();
-        let mut scratch = ChainScratch::new();
-        for (i, chain) in contract_grid().into_iter().enumerate() {
-            for &rssi in &[-60.0, -95.0, -120.0] {
-                let seed = 1000 + i as u64;
-                let reference = chain.apply(&tx, rssi, FS, seed);
-                // reuse out+scratch across the whole grid: growth and
-                // leftover contents must never leak into the result
-                chain.apply_into(&tx, rssi, FS, seed, &mut out, &mut scratch);
-                assert_eq!(out, reference, "chain #{i} at {rssi} dBm diverged");
-            }
-        }
     }
 
     /// FNV-1a offset basis: the digest of no samples.

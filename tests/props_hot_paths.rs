@@ -36,9 +36,10 @@ fn tone(seed: u64, n: usize) -> Vec<Complex> {
 }
 
 proptest! {
-    /// `apply_into` (reused scratch) and the prepared-pass replay are
-    /// bit-identical to `apply` for a random subset of the nine chain
-    /// stages, any seed and any RSSI.
+    /// The prepared-pass replay through dirty reused buffers (scratch,
+    /// pass state and output all left over from another signal) is
+    /// bit-identical to `apply` with fresh ones, for a random subset of
+    /// the nine chain stages, any seed and any RSSI.
     #[test]
     fn chain_buffered_and_prepared_match_apply(
         seed in any::<u64>(),
@@ -74,19 +75,19 @@ proptest! {
         let reference = chain.apply(&tx, rssi_dbm, fs, seed);
 
         let mut scratch = ChainScratch::new();
-        let mut out = Vec::new();
-        chain.apply_into(&tx, rssi_dbm, fs, seed, &mut out, &mut scratch);
-        prop_assert_eq!(&reference, &out);
-
         let mut prep = PreparedPass::new();
+        let mut out = Vec::new();
+        chain.prepare_pass_into(&tone(!sig_seed, 1536), fs, !seed, &mut prep, &mut scratch);
+        chain.apply_prepared_into(&prep, rssi_dbm - 7.0, &mut out);
         chain.prepare_pass_into(&tx, fs, seed, &mut prep, &mut scratch);
         chain.apply_prepared_into(&prep, rssi_dbm, &mut out);
         prop_assert_eq!(&reference, &out);
     }
 
     /// The `_into` DSP variants (FFT, fractional delay, drift
-    /// resampler, FIR, Gaussian shaper, chirp generator) are
-    /// bit-identical to their allocating references on random signals.
+    /// resampler, FIR, chirp generator) are bit-identical to their
+    /// allocating references on random signals, and the Gaussian
+    /// shaper's output into a dirty buffer to a fresh one.
     #[test]
     fn dsp_into_variants_match_allocating(
         sig_seed in any::<u64>(),
@@ -127,9 +128,12 @@ proptest! {
 
         let shaper = GaussianFilter::ble(4);
         let bits: Vec<i8> = (0..n / 8).map(|i| if (sig_seed >> (i % 64)) & 1 == 1 { 1 } else { -1 }).collect();
-        let mut freq = Vec::new();
+        // into a dirty buffer longer than the trajectory and a fresh one
+        let mut freq = vec![f64::NAN; 3 * n];
         shaper.shape_into(&bits, 4, &mut freq);
-        prop_assert_eq!(shaper.shape(&bits, 4), freq);
+        let mut fresh = Vec::new();
+        shaper.shape_into(&bits, 4, &mut fresh);
+        prop_assert_eq!(fresh, freq);
 
         let gen = ChirpGenerator::new(ChirpConfig::new(7, 125e3, 1));
         for dir in [ChirpDirection::Up, ChirpDirection::Down] {

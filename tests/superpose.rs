@@ -16,6 +16,7 @@ use tinysdr_dsp::chirp::{ChirpConfig, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::fir::demod_frontend;
 use tinysdr_lora::modem::{LoraPerPhy, LoraSerPhy};
+use tinysdr_lora::modulator::Transmitter;
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::{DemodResult, PhyModem};
 use tinysdr_rf::superpose::{demodulate_pass, PathCensus, ReceiverScratch};
@@ -90,31 +91,37 @@ fn random_chain(mask: u32, coherence: usize, nf_db: f64, adc_bits: Option<u32>) 
     chain
 }
 
-/// The stream modems with a linear receiver: LoRa SER at SF 7–10 × BW
-/// 125/500 kHz (indices 0–7), 802.15.4 (index 8) and BLE (index 9).
+/// The stream modems with a linear receiver: LoRa SER at SF 7–10
+/// (indices 0–23, see [`lora_case`]), 802.15.4 (index 24) and BLE
+/// (index 25).
 fn stream_modem(idx: usize) -> Box<dyn PhyModem> {
     match idx {
-        0..8 => Box::new(LoraSerPhy::new(sf_of(idx), bw_of(idx))),
-        8 => Box::new(ZigbeePhy::new(2)),
+        0..24 => {
+            let (sf, bw, tx) = lora_case(idx);
+            Box::new(LoraSerPhy::new(sf, bw).with_transmitter(tx))
+        }
+        24 => Box::new(ZigbeePhy::new(2)),
         _ => Box::new(BleBerPhy::new(4)),
     }
 }
 
-/// The framed LoRa PER modem at SF 7–9 × BW 125/500 kHz (indices 0–5).
+/// The framed LoRa PER modem at SF 7–9 (indices 0–17, see
+/// [`lora_case`]).
 fn framed_modem(idx: usize) -> Box<dyn PhyModem> {
-    Box::new(LoraPerPhy::new(sf_of(idx), bw_of(idx), 4))
+    let (sf, bw, tx) = lora_case(idx);
+    Box::new(LoraPerPhy::new(sf, bw, 4).with_transmitter(tx))
 }
 
-fn sf_of(idx: usize) -> u8 {
-    7 + (idx / 2) as u8
-}
-
-fn bw_of(idx: usize) -> f64 {
-    if idx.is_multiple_of(2) {
-        125e3
+/// LoRa case `idx`: both transmitters (the LUT and the ideal chirps) at
+/// each of BW 125/250/500 kHz, six cases per SF from SF7 up.
+fn lora_case(idx: usize) -> (u8, f64, Transmitter) {
+    let tx = if idx.is_multiple_of(2) {
+        Transmitter::TinySdr
     } else {
-        500e3
-    }
+        Transmitter::Sx1276
+    };
+    let bw = [125e3, 250e3, 500e3][(idx / 2) % 3];
+    (7 + (idx / 6) as u8, bw, tx)
 }
 
 /// One prepared pass of `frame` through a random chain, decided both
@@ -163,7 +170,7 @@ proptest! {
     #[test]
     fn superposed_points_equal_the_exact_path(
         seed in any::<u64>(),
-        modem in 0usize..10,
+        modem in 0usize..26,
         mask in 0u32..128,
         coherence in 64usize..4096,
         adc in 0usize..4,
@@ -179,7 +186,7 @@ proptest! {
     #[test]
     fn superposed_frames_equal_the_exact_path(
         seed in any::<u64>(),
-        modem in 0usize..6,
+        modem in 0usize..18,
         mask in 0u32..128,
         coherence in 64usize..4096,
         adc in 0usize..4,
