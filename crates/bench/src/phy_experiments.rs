@@ -80,6 +80,27 @@ fn view(
     (s, report.sensitivity_dbm(scenario, "clean", threshold))
 }
 
+/// One SF8 LoRa scenario per bandwidth (250, then 125 kHz) swept over
+/// the clean chain at `seed`, each curve (error rate in %) labelled
+/// `"{prefix}SF8 BW…"` with its 10 % sensitivity.
+fn lora_curves(
+    prefix: &str,
+    seed: u64,
+    scenario: impl Fn(f64) -> SweepScenario,
+) -> Vec<(Series, Option<f64>)> {
+    let bws = [250e3, 125e3];
+    let report = clean_sweep(bws.iter().map(|&bw| scenario(bw)).collect(), seed);
+    report
+        .scenario_labels()
+        .iter()
+        .zip(bws)
+        .map(|(sc, bw)| {
+            let label = format!("{prefix}SF8 BW{}", bw / 1e3);
+            view(&report, sc, label, 100.0, LORA_THRESHOLD)
+        })
+        .collect()
+}
+
 /// Fig. 10: LoRa modulator PER vs RSSI — TinySDR TX and SX1276 TX, both
 /// at SF8 CR 4/8 with BW 250 and 125 kHz, `packets` three-byte frames
 /// per point, received on the SX1276-model receiver. Both transmitters
@@ -87,15 +108,14 @@ fn view(
 /// draws. Returns the four curves (PER in %) with their 10 %-PER
 /// sensitivities.
 pub fn fig10(packets: u32, seed: u64) -> Vec<(Series, Option<f64>)> {
-    let bws = [250e3, 125e3];
-    let mut out = Vec::new();
-    for (name, tx) in [
-        ("TinySDR", Transmitter::TinySdr),
-        ("SX1276", Transmitter::Sx1276),
-    ] {
-        let scenarios = bws
-            .iter()
-            .map(|&bw| {
+    let transmitters = [
+        ("TinySDR ", Transmitter::TinySdr),
+        ("SX1276 ", Transmitter::Sx1276),
+    ];
+    transmitters
+        .into_iter()
+        .flat_map(|(prefix, tx)| {
+            lora_curves(prefix, seed, |bw| {
                 // CR 4/8: the diagonal interleaver spreads one corrupted
                 // symbol to at most one bit per codeword, so Hamming(8,4)
                 // absorbs isolated symbol errors — this is what puts LoRa
@@ -106,14 +126,8 @@ pub fn fig10(packets: u32, seed: u64) -> Vec<(Series, Option<f64>)> {
                     .with_passes(packets)
                     .with_rssi(RssiGrid::new(-135, -99, 2))
             })
-            .collect();
-        let report = clean_sweep(scenarios, seed);
-        for (scenario, bw) in report.scenario_labels().iter().zip(bws) {
-            let label = format!("{name} SF8 BW{}", bw / 1e3);
-            out.push(view(&report, scenario, label, 100.0, LORA_THRESHOLD));
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// Fig. 11: TinySDR demodulator chirp-symbol error rate vs RSSI at SF8,
@@ -121,25 +135,11 @@ pub fn fig10(packets: u32, seed: u64) -> Vec<(Series, Option<f64>)> {
 /// NF 4.5 dB), `symbols` random chirps per point. Returns both curves
 /// (SER in %) with their 10 %-SER sensitivities.
 pub fn fig11(symbols: usize, seed: u64) -> Vec<(Series, Option<f64>)> {
-    let bws = [250e3, 125e3];
-    let scenarios = bws
-        .iter()
-        .map(|&bw| {
-            let phy = LoraSerPhy::new(8, bw).with_transmitter(Transmitter::Sx1276);
-            // SF8: one byte per chirp symbol
-            SweepScenario::new(Box::new(phy), symbols).with_rssi(RssiGrid::new(-140, -100, 2))
-        })
-        .collect();
-    let report = clean_sweep(scenarios, seed);
-    report
-        .scenario_labels()
-        .iter()
-        .zip(bws)
-        .map(|(scenario, bw)| {
-            let label = format!("SF8 BW{}", bw / 1e3);
-            view(&report, scenario, label, 100.0, LORA_THRESHOLD)
-        })
-        .collect()
+    lora_curves("", seed, |bw| {
+        let phy = LoraSerPhy::new(8, bw).with_transmitter(Transmitter::Sx1276);
+        // SF8: one byte per chirp symbol
+        SweepScenario::new(Box::new(phy), symbols).with_rssi(RssiGrid::new(-140, -100, 2))
+    })
 }
 
 /// Fig. 12: BLE BER vs RSSI (TinySDR GFSK transmitter, CC2650-class

@@ -7,7 +7,9 @@
 //! `scenario × impairment × RSSI` points, each running a real modem
 //! end-to-end (TX → [`ImpairmentChain`] → RX) and reporting exact
 //! `(errors, trials)` counts, plus the derived sensitivity (the RSSI at
-//! which the curve crosses a target error rate).
+//! which the curve crosses a target error rate). The paper's Figs.
+//! 10–12 are sweeps of this engine over its `clean` chain
+//! ([`crate::phy_experiments`]).
 //!
 //! The sweep engine is **protocol-agnostic**: every modem enters as a
 //! [`PhyModem`] trait object, and its label, sample rate, noise figure
