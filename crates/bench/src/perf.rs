@@ -61,9 +61,11 @@ fn pre_batching_wall_ms(path: &str) -> Option<f64> {
 }
 
 /// Checksum of every `apply` capture gate 1a makes (both seeds, three
-/// RSSI points each, in that order), recorded from the stage-by-stage
-/// chain path that preceded the single prepared replay.
-const CHAIN_GOLDEN: u64 = 0xc05c_e9ab_77fe_bc89;
+/// RSSI points each, in that order), recorded from `apply` (one prepare
+/// and one replay) with the sine-free windowed-sinc taps of
+/// `tinysdr_dsp::delay` in the timing and drift stages. The sinc-form
+/// taps before them gave `0xc05c_e9ab_77fe_bc89`.
+const CHAIN_GOLDEN: u64 = 0xbba0_c179_833f_88fe;
 
 /// Gate 1a: across a chain stacking every stage, `apply` reproduces
 /// the recorded digest, and the prepared-pass replay that the sweep

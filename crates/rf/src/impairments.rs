@@ -798,9 +798,10 @@ mod tests {
     }
 
     /// `apply` over the contract grid at three RSSI points each,
-    /// recorded from the stage-by-stage path (stages 6–9 one after the
-    /// other over the whole capture) that preceded the single replay.
-    const APPLY_GOLDEN: u64 = 0xc5f7_9c92_1116_087c;
+    /// recorded with the sine-free (barycentric) windowed-sinc taps of
+    /// `tinysdr_dsp::delay` in the timing and drift stages. The sinc-form
+    /// taps before them gave `0xc5f7_9c92_1116_087c`.
+    const APPLY_GOLDEN: u64 = 0x5b7f_45df_3a60_57b7;
 
     #[test]
     fn apply_matches_the_golden_digest_across_the_grid() {
