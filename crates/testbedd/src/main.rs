@@ -3,12 +3,14 @@
 //! ```text
 //! tinysdr-testbedd [--root DIR] [--addr HOST:PORT] [--workers N]   serve until POST /v1/shutdown
 //! tinysdr-testbedd --smoke [--root DIR]                            end-to-end self-test (CI gate)
-//! tinysdr-testbedd --bench [--root DIR]                            queue throughput -> BENCH_testbedd.json
+//! tinysdr-testbedd --bench [--root DIR] [--label TEXT]             queue throughput -> BENCH_testbedd.json
 //! ```
 //!
-//! An unknown flag, a flag missing its value, or a non-numeric
-//! `--workers` prints the usage to stderr and exits 2 before anything
-//! binds a port.
+//! An unknown flag, a flag missing its value, a non-numeric
+//! `--workers`, a repeated `--label`, or `--label` without `--bench`
+//! prints the usage to stderr and exits 2 before anything binds a port.
+//! `--label` names the trajectory points `--bench` appends (for example
+//! a revision).
 //!
 //! `--smoke` boots the daemon on an ephemeral loopback port, submits a
 //! small campaign over real HTTP, waits for completion, verifies the
@@ -24,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use tinysdr_bench::trajectory::record;
+use tinysdr_bench::trajectory::{labelled, record};
 use tinysdr_dsp::cancel::CancelToken;
 use tinysdr_ota::json::Value;
 use tinysdr_testbedd::clock::{Clock, SystemClock};
@@ -37,7 +39,7 @@ use tinysdr_testbedd::store::ArtifactStore;
 const USAGE: &str = "usage:\n\
 \x20 tinysdr-testbedd [--root DIR] [--addr HOST:PORT] [--workers N]\n\
 \x20 tinysdr-testbedd --smoke [--root DIR]\n\
-\x20 tinysdr-testbedd --bench [--root DIR]\n";
+\x20 tinysdr-testbedd --bench [--root DIR] [--label TEXT]\n";
 
 /// What the command line asks for.
 enum Mode {
@@ -52,6 +54,7 @@ struct Cli {
     root: Option<String>,
     addr: Option<String>,
     workers: Option<usize>,
+    label: Option<String>,
 }
 
 /// Parse the arguments after the program name. `Ok(None)` is
@@ -62,6 +65,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         root: None,
         addr: None,
         workers: None,
+        label: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -72,6 +76,16 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--bench" => cli.mode = Mode::Bench,
             "--root" => cli.root = Some(value()?),
             "--addr" => cli.addr = Some(value()?),
+            "--label" => {
+                if cli.label.is_some() {
+                    return Err("--label given twice".into());
+                }
+                let text = value()?;
+                if text.starts_with("--") {
+                    return Err("--label needs a value".into());
+                }
+                cli.label = Some(text);
+            }
             "--workers" => {
                 let n = value()?;
                 cli.workers = Some(
@@ -81,6 +95,9 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
+    }
+    if cli.label.is_some() && !matches!(cli.mode, Mode::Bench) {
+        return Err("--label names the --bench trajectory points".into());
     }
     Ok(Some(cli))
 }
@@ -104,7 +121,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| std::env::temp_dir().join("tinysdr-testbedd"));
     match cli.mode {
         Mode::Smoke => return smoke(&root),
-        Mode::Bench => return bench(&root),
+        Mode::Bench => return bench(&root, cli.label.as_deref()),
         Mode::Serve => {}
     }
     let addr = cli.addr.unwrap_or_else(|| "127.0.0.1:8070".to_string());
@@ -236,9 +253,10 @@ fn smoke(root: &Path) -> ExitCode {
 }
 
 /// Queue throughput across worker counts; appends one full point per
-/// worker count to `BENCH_testbedd.json` in the current directory.
+/// worker count, named by `label` when one is given, to
+/// `BENCH_testbedd.json` in the current directory.
 #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
-fn bench(root: &Path) -> ExitCode {
+fn bench(root: &Path, label: Option<&str>) -> ExitCode {
     const JOBS: usize = 48;
     for workers in [1usize, 2, 4] {
         let run_root = root.join(format!("bench-w{workers}"));
@@ -287,13 +305,16 @@ fn bench(root: &Path) -> ExitCode {
             "bench: workers={workers} jobs={JOBS} wall={wall_s:.3}s rate={:.1} jobs/s wait={queue_wait_ms_mean:.1}ms",
             JOBS as f64 / wall_s
         );
-        let point = vec![
-            ("workers".into(), Value::num(workers as f64)),
-            ("jobs".into(), Value::num(JOBS as f64)),
-            ("wall_s".into(), Value::num(wall_s)),
-            ("jobs_per_s".into(), Value::num(JOBS as f64 / wall_s)),
-            ("queue_wait_ms_mean".into(), Value::num(queue_wait_ms_mean)),
-        ];
+        let point = labelled(
+            label,
+            vec![
+                ("workers".into(), Value::num(workers as f64)),
+                ("jobs".into(), Value::num(JOBS as f64)),
+                ("wall_s".into(), Value::num(wall_s)),
+                ("jobs_per_s".into(), Value::num(JOBS as f64 / wall_s)),
+                ("queue_wait_ms_mean".into(), Value::num(queue_wait_ms_mean)),
+            ],
+        );
         if let Err(e) = record("BENCH_testbedd.json", "testbedd_queue", false, point) {
             eprintln!("bench: write: {e}");
             return ExitCode::FAILURE;
