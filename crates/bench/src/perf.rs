@@ -63,8 +63,7 @@ fn pre_batching_wall_ms(path: &str) -> Option<f64> {
 /// Checksum of every `apply` capture gate 1a makes (both seeds, three
 /// RSSI points each, in that order), recorded from `apply` (one prepare
 /// and one replay) with the sine-free windowed-sinc taps of
-/// `tinysdr_dsp::delay` in the timing and drift stages. The sinc-form
-/// taps before them gave `0xc05c_e9ab_77fe_bc89`.
+/// `tinysdr_dsp::delay` in the timing and drift stages.
 const CHAIN_GOLDEN: u64 = 0xbba0_c179_833f_88fe;
 
 /// Gate 1a: across a chain stacking every stage, `apply` reproduces

@@ -799,8 +799,7 @@ mod tests {
 
     /// `apply` over the contract grid at three RSSI points each,
     /// recorded with the sine-free (barycentric) windowed-sinc taps of
-    /// `tinysdr_dsp::delay` in the timing and drift stages. The sinc-form
-    /// taps before them gave `0xc5f7_9c92_1116_087c`.
+    /// `tinysdr_dsp::delay` in the timing and drift stages.
     const APPLY_GOLDEN: u64 = 0x5b7f_45df_3a60_57b7;
 
     #[test]
