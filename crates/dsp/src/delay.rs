@@ -259,6 +259,19 @@ mod tests {
             .collect()
     }
 
+    /// `Σ_k h[k]·x[base − HALF + k]` over the samples inside `x`, in tap
+    /// order.
+    fn sinc_mac(x: &[Complex], base: i64, h: &[f64]) -> Complex {
+        let mut acc = Complex::ZERO;
+        for (k, &hk) in h.iter().enumerate() {
+            let i = base - HALF as i64 + k as i64;
+            if i >= 0 && (i as usize) < x.len() {
+                acc += x[i as usize].scale(hk);
+            }
+        }
+        acc
+    }
+
     /// [`fractional_delay_into`] on the sinc-form kernel.
     fn sinc_delayed(x: &[Complex], delay: f64) -> Vec<Complex> {
         let di = delay.floor() as usize;
@@ -267,19 +280,8 @@ mod tests {
         for t in &mut h {
             *t /= sum;
         }
-        let half = HALF as i64;
         (0..x.len() + di + 1)
-            .map(|n| {
-                let base = n as i64 - di as i64;
-                let mut acc = Complex::ZERO;
-                for (k, &hk) in h.iter().enumerate() {
-                    let m = base - half + k as i64;
-                    if m >= 0 && (m as usize) < x.len() {
-                        acc += x[m as usize].scale(hk);
-                    }
-                }
-                acc
-            })
+            .map(|n| sinc_mac(x, n as i64 - di as i64, &h))
             .collect()
     }
 
@@ -287,21 +289,13 @@ mod tests {
     /// sample, `μ == 0` included.
     fn sinc_drifted(x: &[Complex], ppm: f64) -> Vec<Complex> {
         let ratio = 1.0 + ppm * 1e-6;
-        let half = HALF as i64;
         (0..(x.len() as f64 / ratio).ceil() as usize)
             .map(|m| {
                 let t = m as f64 * ratio;
                 let base = t.floor() as i64;
                 let h = sinc_taps(t - base as f64);
                 let norm: f64 = h.iter().sum();
-                let mut acc = Complex::ZERO;
-                for (k, &hk) in h.iter().enumerate() {
-                    let i = base - half + k as i64;
-                    if i >= 0 && (i as usize) < x.len() {
-                        acc += x[i as usize].scale(hk);
-                    }
-                }
-                acc.scale(1.0 / norm)
+                sinc_mac(x, base, &h).scale(1.0 / norm)
             })
             .collect()
     }
