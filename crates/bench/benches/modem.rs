@@ -97,50 +97,6 @@ fn bench_ble_mod(c: &mut Criterion) {
     g.finish();
 }
 
-/// The batched [`tinysdr_rf::phy::PhyModem`] seam: one scratch set
-/// amortized across a batch of frames/captures per PHY family — the
-/// hot path `bench::waterfall` drives (see `BENCH_modem.json`).
-fn bench_phy_batch(c: &mut Criterion) {
-    use tinysdr_rf::phy::PhyModem;
-    let phys: Vec<Box<dyn PhyModem>> = vec![
-        Box::new(tinysdr_lora::modem::LoraSerPhy::new(8, 125e3)),
-        Box::new(tinysdr_ble::modem::BleBerPhy::new(4)),
-        Box::new(tinysdr_zigbee::modem::ZigbeePhy::new(2)),
-    ];
-    let mut g = c.benchmark_group("phy_batch");
-    g.sample_size(10);
-    for phy in &phys {
-        let frames: Vec<Vec<u8>> = (0..8u8)
-            .map(|f| {
-                (0..24u32)
-                    .map(|i| (i * 131 + 7 + u32::from(f)) as u8)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut waves = Vec::new();
-        phy.modulate_batch(&refs, &mut waves);
-        let samples: u64 = waves.iter().map(|w| w.len() as u64).sum();
-        g.throughput(Throughput::Elements(samples));
-        g.bench_with_input(
-            BenchmarkId::new("modulate_x8", phy.label()),
-            &refs,
-            |b, refs| {
-                let mut out = Vec::new();
-                b.iter(|| phy.modulate_batch(refs, &mut out))
-            },
-        );
-        let slices: Vec<&[tinysdr_dsp::complex::Complex]> =
-            waves.iter().map(|w| w.as_slice()).collect();
-        g.bench_with_input(
-            BenchmarkId::new("demodulate_x8", phy.label()),
-            &slices,
-            |b, slices| b.iter(|| phy.demodulate_batch(slices)),
-        );
-    }
-    g.finish();
-}
-
 fn bench_lvds(c: &mut Criterion) {
     let mut g = c.benchmark_group("lvds");
     g.sample_size(20);
@@ -166,7 +122,6 @@ criterion_group!(
     bench_lora_demod,
     bench_concurrent,
     bench_ble_mod,
-    bench_phy_batch,
     bench_lvds
 );
 criterion_main!(benches);

@@ -47,8 +47,8 @@
 //! asserted), the flat-report-memory check, and the
 //! `BENCH_campaign.json` trajectory point (`--quick`: 20k nodes — the
 //! third CI smoke step; full: 1M nodes). `perf` runs the hot-path
-//! bit-identity gates (`apply` == its recorded digest, prepared-pass
-//! replay == `apply`, batch == scalar), times the modem workloads and the
+//! bit-identity gate (`apply` == its recorded digest, prepared-pass
+//! replay == `apply`), times the modem workloads and the
 //! quick waterfall grid, and writes the `BENCH_modem.json` /
 //! `BENCH_waterfall.json` trajectory points next to the recorded
 //! pre-refactor reference (`--quick`: CI-sized reps, no wall-clock
@@ -356,7 +356,7 @@ fn main() {
         tinysdr_bench::campaign::campaign(nodes, 42, quick, label.as_deref());
     }
     if wanted.contains(&"perf") {
-        // hot-path bit-identity gates (asserted) + timed modem and
+        // hot-path bit-identity gate (asserted) + timed modem and
         // quick-grid waterfall runs; writes the BENCH_modem.json and
         // BENCH_waterfall.json trajectory points uploaded by the CI
         // perf-smoke job. The wall-clock speedup floor is enforced only

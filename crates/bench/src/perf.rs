@@ -2,18 +2,16 @@
 //!
 //! Three things happen here, mirroring `repro campaign`:
 //!
-//! 1. **Contract gates** — the allocation-free hot paths must be
-//!    bit-identical to the allocating reference they replaced:
-//!    [`ImpairmentChain::apply`] against its recorded digest, the
-//!    prepared-pass replay against `apply`, and every modem's
-//!    `modulate_batch` / `demodulate_batch` against the scalar loop.
-//!    The gates `assert!`,
-//!    so a contract violation aborts the binary — the CI perf-smoke
-//!    step relies on that.
+//! 1. **Contract gate** — the impairment chain's hot path must be
+//!    bit-identical to the reference it replaced:
+//!    [`ImpairmentChain::apply`] against its recorded digest and the
+//!    prepared-pass replay against `apply`. The gate `assert!`s, so a
+//!    contract violation aborts the binary — the CI perf-smoke step
+//!    relies on that.
 //! 2. **Timed runs** — the quick waterfall grid (the sweep the
 //!    curve-major engine was restructured for) and the three modem
-//!    modulate/demodulate workloads, measured with the scratch-reusing
-//!    APIs in steady state.
+//!    families' modulate/demodulate workloads, timed through their
+//!    scratch-reusing `_into` forms in steady state.
 //! 3. **Trajectory points** — the measurements are appended to
 //!    `BENCH_waterfall.json` and `BENCH_modem.json` through
 //!    [`crate::trajectory::record`]. The `pre-batching` points in those
@@ -21,18 +19,15 @@
 //!    the waterfall speedup against the recorded `wall_ms`.
 
 use tinysdr_ble::gfsk::{GfskDemodulator, GfskModulator, GfskScratch};
-use tinysdr_ble::modem::BleBerPhy;
-use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::nco::ideal_tone;
 use tinysdr_lora::demodulator::Demodulator;
-use tinysdr_lora::modem::LoraSerPhy;
 use tinysdr_lora::modulator::Modulator;
 use tinysdr_lora::packet::Frame;
 use tinysdr_ota::checkpoint::checksum;
 use tinysdr_ota::json::Value;
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
-use tinysdr_rf::phy::PhyModem;
-use tinysdr_zigbee::modem::ZigbeePhy;
+use tinysdr_zigbee::modem::bytes_to_symbols;
+use tinysdr_zigbee::oqpsk::{OqpskDemodulator, OqpskModulator, OqpskScratch};
 
 use crate::trajectory::{labelled, record};
 use crate::waterfall::{run_waterfall, WaterfallConfig};
@@ -60,16 +55,16 @@ fn pre_batching_wall_ms(path: &str) -> Option<f64> {
         .filter(|ms| ms.is_finite())
 }
 
-/// Checksum of every `apply` capture gate 1a makes (both seeds, three
-/// RSSI points each, in that order), recorded from `apply` (one prepare
-/// and one replay) with the sine-free windowed-sinc taps of
+/// Checksum of every `apply` capture the chain gate makes (both seeds,
+/// three RSSI points each, in that order), recorded from `apply` (one
+/// prepare and one replay) with the sine-free windowed-sinc taps of
 /// `tinysdr_dsp::delay` in the timing and drift stages.
 const CHAIN_GOLDEN: u64 = 0xbba0_c179_833f_88fe;
 
-/// Gate 1a: across a chain stacking every stage, `apply` reproduces
-/// the recorded digest, and the prepared-pass replay that the sweep
-/// engine leans on — one prepare, many RSSI points, one reused output
-/// buffer — is bit-identical to it.
+/// The chain gate: across a chain stacking every stage, `apply`
+/// reproduces the recorded digest, and the prepared-pass replay that
+/// the sweep engine leans on — one prepare, many RSSI points, one
+/// reused output buffer — is bit-identical to it.
 fn gate_chain_bit_identity() {
     let fs = 1e6;
     let tx = ideal_tone(30e3, fs, 4096);
@@ -99,35 +94,6 @@ fn gate_chain_bit_identity() {
     }
     let digest = checksum(&bytes);
     assert_eq!(digest, CHAIN_GOLDEN, "apply digest {digest:#018x}");
-}
-
-/// Gate 1b: every modem's batch overrides are bit-identical to the
-/// scalar loop they amortize.
-fn gate_batch_bit_identity() {
-    let phys: Vec<Box<dyn PhyModem>> = vec![
-        Box::new(LoraSerPhy::new(8, 125e3)),
-        Box::new(BleBerPhy::new(4)),
-        Box::new(ZigbeePhy::new(2)),
-    ];
-    for phy in &phys {
-        let frames: Vec<Vec<u8>> = (0..4u8)
-            .map(|f| {
-                (0..24u32)
-                    .map(|i| (i * 131 + 7 + u32::from(f)) as u8)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut waves = Vec::new();
-        phy.modulate_batch(&refs, &mut waves);
-        for (frame, wave) in refs.iter().zip(&waves) {
-            assert_eq!(*wave, phy.modulate(frame), "{} modulate_batch", phy.label());
-        }
-        let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-        for (iq, rx) in slices.iter().zip(phy.demodulate_batch(&slices)) {
-            assert_eq!(rx, phy.demodulate(iq), "{} demodulate_batch", phy.label());
-        }
-    }
 }
 
 /// Time `reps` calls of `f` after one warm-up call and return the best
@@ -295,20 +261,23 @@ fn measure_ble(reps: u32) -> ModemPoint {
     }
 }
 
-/// 802.15.4 O-QPSK, a 16-byte frame through the batch overrides (no
-/// pre-refactor bench exists; this starts the trajectory).
+/// 802.15.4 O-QPSK, a 16-byte frame through the scratch-reusing
+/// `_into` paths (no pre-refactor bench exists; this starts the
+/// trajectory).
 fn measure_zigbee(reps: u32) -> ModemPoint {
-    let phy = ZigbeePhy::new(2);
+    let m = OqpskModulator::new(2);
+    let d = OqpskDemodulator::new(2);
     let frame: Vec<u8> = (0..16).map(|i| (i * 97 + 13) as u8).collect();
-    let refs: Vec<&[u8]> = vec![frame.as_slice()];
-    let mut waves = Vec::new();
-    phy.modulate_batch(&refs, &mut waves);
-    let n = waves[0].len() as f64;
-    let t_mod = time_per_call(reps, || phy.modulate_batch(&refs, &mut waves));
-    let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-    let t_demod = time_per_call(reps, || {
-        phy.demodulate_batch(&slices);
+    let symbols = bytes_to_symbols(&frame);
+    let mut scratch = OqpskScratch::new();
+    let mut wave = Vec::new();
+    m.modulate_symbols_into(&symbols, &mut scratch, &mut wave);
+    let n = wave.len() as f64;
+    let t_mod = time_per_call(reps, || {
+        m.modulate_symbols_into(&symbols, &mut scratch, &mut wave)
     });
+    let mut rx_symbols = Vec::new();
+    let t_demod = time_per_call(reps, || d.demodulate_symbols_into(&wave, &mut rx_symbols));
     ModemPoint {
         mod_msps: n / t_mod / 1e6,
         demod_msps: n / t_demod / 1e6,
@@ -332,17 +301,16 @@ fn measure_waterfall(iters: u32) -> (usize, f64) {
     (points, best)
 }
 
-/// Run the bit-identity gates and the timed workloads, returning the
+/// Run the bit-identity gate and the timed workloads, returning the
 /// measurements without printing anything — the shared engine behind
 /// `repro perf`, `repro perf --json`, and the testbed daemon's `perf`
 /// jobs. `quick` keeps the repetition counts CI-sized.
 ///
 /// # Panics
-/// The gates `assert!`: a hot path diverging bit-wise from its
+/// The gate `assert!`s: a hot path diverging bit-wise from its
 /// reference aborts the run rather than report timings for wrong code.
 pub fn measure_perf(quick: bool) -> PerfReport {
     gate_chain_bit_identity();
-    gate_batch_bit_identity();
     // short bursts: long sustained loops depress clocks on small
     // machines and skew the best-sample estimate downward
     let reps = if quick { 10 } else { 20 };
@@ -359,7 +327,7 @@ pub fn measure_perf(quick: bool) -> PerfReport {
     }
 }
 
-/// The `repro perf` entry point: bit-identity gates, timed modem and
+/// The `repro perf` entry point: the bit-identity gate, timed modem and
 /// waterfall runs, and one point appended to each of the two
 /// trajectory files, both carrying the caller's `label` (for example a
 /// revision or change name) when one is given. `quick` keeps the
@@ -381,7 +349,6 @@ pub fn perf(quick: bool, label: Option<&str>) {
     let pre_ms = pre_ms.unwrap_or(f64::NAN);
     let report = measure_perf(quick);
     println!("gate: apply == recorded digest == prepared replay, bit-identical (all nine stages)");
-    println!("gate: modulate_batch/demodulate_batch == scalar loops, bit-identical (3 PHYs)");
 
     let (lora, ble, zigbee) = (&report.lora, &report.ble, &report.zigbee);
     println!(

@@ -15,7 +15,7 @@ use tinysdr_ota::blocks::BlockedUpdate;
 use tinysdr_ota::image::FirmwareImage;
 use tinysdr_power::domains::{Component, ALL_DOMAINS};
 
-use crate::{bench_shards, print_facts, print_series, Series};
+use crate::{bench_shards, print_facts, Series};
 
 /// The `repro energy` experiment: the paper's power/energy numbers
 /// reproduced through the shared `tinysdr_power` model — the
@@ -762,24 +762,6 @@ pub fn ablation(seed: u64) -> Vec<(String, String)> {
         ),
     ));
     rows
-}
-
-/// Print every system-level experiment.
-pub fn print_all_system() {
-    print_facts("Table 1: SDR platform comparison", &table1());
-    print_facts("Fig 2: radio module power", &fig2());
-    print_facts("Table 2: I/Q radio modules", &table2());
-    print_facts("Table 3: power domains", &table3());
-    print_facts("Table 4: operation timing", &table4());
-    print_facts("Table 5: cost breakdown (1000 units)", &table5());
-    print_facts("Table 6: FPGA utilization for LoRa", &table6());
-    print_series("Fig 9: TX power consumption", "dBm out", &fig9());
-    let (rows, _env) = fig13();
-    print_facts("Fig 13: BLE beacon hopping", &rows);
-    print_facts("Sec 5.1: benchmarks", &sec51());
-    print_facts("Sec 5.2: case studies", &sec52());
-    print_facts("Sec 5.3: OTA programming", &sec53());
-    print_facts("Sec 6: concurrent reception", &sec6());
 }
 
 #[cfg(test)]

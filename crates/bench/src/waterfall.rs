@@ -865,7 +865,7 @@ mod tests {
 
     #[test]
     fn engine_is_bit_identical_to_naive_reference() {
-        // stream scenario (single pass, batch demod) …
+        // stream scenario (single pass) …
         let mut cfg = tiny();
         assert_eq!(run_waterfall(&cfg), naive_reference(&cfg));
         // … and a multi-pass packet scenario (pass-major accumulation),

@@ -11,9 +11,7 @@ use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverS
 
 /// Re-exported from [`crate::gfsk`], the crate's bit-order authority.
 pub use crate::gfsk::{bits_to_bytes, bytes_to_bits};
-use crate::gfsk::{
-    center_bit, GfskDemodulator, GfskModulator, GfskScratch, CC2650_NOISE_FIGURE_DB,
-};
+use crate::gfsk::{center_bit, GfskDemodulator, GfskModulator, CC2650_NOISE_FIGURE_DB};
 
 /// BLE advertising channel 38's carrier — the middle of the three
 /// advertising channels.
@@ -94,33 +92,6 @@ impl PhyModem for BleBerPhy {
         unit_errors_between(&tx_bits, &rx.units)
     }
 
-    /// Batch override: the Gaussian-shaper scratch (NRZ mapping +
-    /// frequency trajectory) is shared across the batch. Bit-identical
-    /// to the default.
-    fn modulate_batch(&self, frames: &[&[u8]], out: &mut Vec<Vec<Complex>>) {
-        let mut scratch = GfskScratch::new();
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, wave) in frames.iter().zip(out.iter_mut()) {
-            self.modulator
-                .modulate_into(&bytes_to_bits(frame), &mut scratch, wave);
-        }
-    }
-
-    /// Batch override: one bit buffer reused across captures.
-    /// Bit-identical to looping `demodulate`.
-    fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
-        let mut bits = Vec::new();
-        waveforms
-            .iter()
-            .map(|iq| {
-                self.demod.demodulate_into(iq, &mut bits);
-                let bytes = bits_to_bytes(&bits);
-                let units = bits.iter().map(|&b| u16::from(b)).collect();
-                DemodResult::stream(bytes, units)
-            })
-            .collect()
-    }
-
     /// The template correlator bank is linear up to its per-bit argmax.
     fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
         Some(self)
@@ -186,27 +157,6 @@ mod tests {
         assert_eq!(phy.noise_figure_db(), CC2650_NOISE_FIGURE_DB);
         assert_eq!(phy.sensitivity_anchor_dbm(), -96.0);
         assert_eq!(phy.center_frequency_hz(), 2.426e9);
-    }
-
-    #[test]
-    fn batch_overrides_are_bit_identical_to_scalar_paths() {
-        let phy = BleBerPhy::new(4);
-        let frames: Vec<Vec<u8>> = vec![
-            (0..48).map(|i| (i * 29 + 7) as u8).collect(),
-            vec![0xC3; 8],
-            (0..5).map(|i| (i * 91) as u8).collect(),
-        ];
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut waves = Vec::new();
-        phy.modulate_batch(&refs, &mut waves);
-        for (frame, wave) in refs.iter().zip(&waves) {
-            assert_eq!(*wave, phy.modulate(frame));
-        }
-        let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-        let batch = phy.demodulate_batch(&slices);
-        for (iq, rx) in slices.iter().zip(&batch) {
-            assert_eq!(*rx, phy.demodulate(iq));
-        }
     }
 
     #[test]

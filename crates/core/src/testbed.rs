@@ -40,7 +40,7 @@
 //! Campaign payload air time is priced through the workspace-wide
 //! [`tinysdr_rf::phy::PhyModem`] seam: every session asks the OTA
 //! link's modem (`LinkModel::phy()`, the framed LoRa implementor) for
-//! [`tinysdr_rf::phy::PhyModem::airtime_s`] rather than keeping a
+//! [`tinysdr_rf::phy::PhyModem::airtime_len_s`] rather than keeping a
 //! parallel formula.
 
 use std::collections::BTreeMap;

@@ -73,12 +73,6 @@ impl ChirpConfig {
         self.bw * self.osr as f64
     }
 
-    /// Symbol duration `2^SF / BW` in seconds.
-    #[inline]
-    pub fn symbol_duration_s(&self) -> f64 {
-        self.n_chips() as f64 / self.bw
-    }
-
     /// Chirp slope `BW² / 2^SF` in Hz/s — the quantity that must differ for
     /// two transmissions to be orthogonal (paper §6).
     #[inline]

@@ -116,11 +116,6 @@ impl Nco {
         self.step = (frac * (u32::MAX as f64 + 1.0)).round() as i64 as u32;
     }
 
-    /// Reset the accumulated phase to a given 32-bit phase word.
-    pub fn set_phase(&mut self, phase: u32) {
-        self.phase = phase;
-    }
-
     /// Produce the next sample and advance the accumulator.
     #[inline]
     pub fn next_sample(&mut self) -> Complex {

@@ -24,8 +24,6 @@ pub mod timing {
     pub const PAGE_PROGRAM_NS: u64 = 800_000; // 0.8 ms
     /// 4 KB sector erase time.
     pub const SECTOR_ERASE_NS: u64 = 40_000_000; // 40 ms
-    /// SPI write clock (MCU side), Hz.
-    pub const SPI_WRITE_CLOCK_HZ: f64 = 24e6;
     /// Quad-SPI read clock (FPGA configuration), Hz.
     pub const QSPI_READ_CLOCK_HZ: f64 = 62e6;
 }
@@ -205,12 +203,6 @@ impl Flash {
     /// clock, nanoseconds.
     pub fn qspi_read_time_ns(len: usize) -> u64 {
         ((len * 8) as f64 / (4.0 * timing::QSPI_READ_CLOCK_HZ) * 1e9) as u64
-    }
-
-    /// Time to clock `len` bytes in over single-bit SPI at the MCU write
-    /// clock, nanoseconds (excludes page-program busy time).
-    pub fn spi_write_time_ns(len: usize) -> u64 {
-        ((len * 8) as f64 / timing::SPI_WRITE_CLOCK_HZ * 1e9) as u64
     }
 }
 

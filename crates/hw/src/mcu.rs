@@ -189,11 +189,6 @@ impl Mcu {
         self.sram_allocs.iter().map(|(_, b)| *b).sum()
     }
 
-    /// Bytes of SRAM free.
-    pub fn sram_free(&self) -> usize {
-        SRAM_BYTES - self.sram_used()
-    }
-
     /// Load a program image of `bytes` into MCU flash.
     ///
     /// # Errors

@@ -404,11 +404,6 @@ impl NetSim {
         }
     }
 
-    /// Replace the event budget (see [`DEFAULT_MAX_EVENTS`]).
-    pub fn set_max_events(&mut self, max_events: u64) {
-        self.max_events = max_events;
-    }
-
     /// Add a node; returns its index. Jitter streams are derived from
     /// `(seed, node index)`, so co-located stations never share one.
     pub fn add_node(&mut self, label: &str, role: Role) -> usize {

@@ -94,7 +94,7 @@ mod tests {
         let phy = TestPhy::new();
         for len in [0usize, 1, 9, 64, 130] {
             let closed = phy.airtime_len_s(len);
-            let derived = phy.airtime_s(&vec![0u8; len]);
+            let derived = phy.modulate(&vec![0u8; len]).len() as f64 / phy.sample_rate_hz();
             assert!((closed - derived).abs() < 1e-12, "len {len}");
         }
     }

@@ -71,14 +71,6 @@ impl FileCtx {
         self.tokens[i].text(&self.src)
     }
 
-    /// Is token `i` a non-doc, non-comment code token?
-    pub fn is_code(&self, i: usize) -> bool {
-        !matches!(
-            self.tokens[i].kind,
-            TokenKind::LineComment { .. } | TokenKind::BlockComment { .. } | TokenKind::Shebang
-        )
-    }
-
     /// True when `line` (or the line it annotates) is covered by an
     /// allow comment for `rule` carrying a non-empty reason.
     pub fn allowed(&self, rule: &str, line: u32) -> bool {

@@ -6,7 +6,7 @@
 //!   chirp symbols on a fixed grid, error unit = chirp symbol.
 //! * [`LoraPerPhy`] — the *framed* modem behind Fig. 10 and the §3.4
 //!   OTA link: full frames (preamble, sync, SFD, coded payload), error
-//!   unit = packet. Its [`PhyModem::airtime_s`] override uses the
+//!   unit = packet. Its [`PhyModem::airtime_len_s`] override uses the
 //!   Semtech AN1200.13 closed form, which is what the OTA campaign
 //!   engine charges for air time.
 //!
@@ -140,31 +140,6 @@ impl PhyModem for LoraSerPhy {
     /// count as errors; surplus detected windows are ignored.
     fn count_errors(&self, tx_frame: &[u8], rx: &DemodResult) -> ErrorCount {
         unit_errors_between(&frame_to_symbols(tx_frame, self.sf), &rx.units)
-    }
-
-    /// Batch override: one chirp-append buffer strategy per frame, no
-    /// intermediate per-symbol vectors. Bit-identical to the default.
-    fn modulate_batch(&self, frames: &[&[u8]], out: &mut Vec<Vec<Complex>>) {
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, wave) in frames.iter().zip(out.iter_mut()) {
-            self.modulator
-                .modulate_symbols_into(&frame_to_symbols(frame, self.sf), wave);
-        }
-    }
-
-    /// Batch override: one FIR + dechirp/FFT scratch shared across the
-    /// whole batch. Bit-identical to looping `demodulate`.
-    fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
-        let mut scratch = self.demod.scratch();
-        waveforms
-            .iter()
-            .map(|iq| {
-                let mut units = Vec::new();
-                self.demod.detect_aligned_with(iq, &mut scratch, &mut units);
-                let bytes = symbols_to_frame(&units, self.sf);
-                DemodResult::stream(bytes, units)
-            })
-            .collect()
     }
 
     /// The stream receiver is FIR → dechirp → FFT → argmax at one
@@ -341,39 +316,10 @@ impl PhyModem for LoraPerPhy {
         ErrorCount::new(u64::from(!ok), 1)
     }
 
-    /// The Semtech AN1200.13 closed form — authoritative for LoRa, and
-    /// what the OTA campaign engine has always charged for air time.
-    fn airtime_s(&self, frame: &[u8]) -> f64 {
-        self.airtime_len_s(frame.len())
-    }
-
-    /// Length-only closed form, allocation-free (the OTA session engine
-    /// prices every packet through this).
+    /// The Semtech AN1200.13 closed form, allocation-free: authoritative
+    /// for LoRa, and what the OTA session engine prices every packet by.
     fn airtime_len_s(&self, frame_len: usize) -> f64 {
         self.lora_params().airtime_s(frame_len)
-    }
-
-    /// Batch override: frames modulate straight into the reused output
-    /// buffers via the chirp-append path. Bit-identical to the default.
-    fn modulate_batch(&self, frames: &[&[u8]], out: &mut Vec<Vec<Complex>>) {
-        let (m, _) = self.modem();
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, wave) in frames.iter().zip(out.iter_mut()) {
-            let f = crate::packet::Frame::from_payload(frame, self.frame_params);
-            m.modulate_frame_into(&f, wave);
-        }
-    }
-
-    /// Batch override: one demodulator scratch (FIR state, filtered
-    /// capture, dechirp/FFT buffer) shared across all captures.
-    /// Bit-identical to looping `demodulate`.
-    fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
-        let (_, d) = self.modem();
-        let mut scratch = d.scratch();
-        waveforms
-            .iter()
-            .map(|iq| framed_result(d.demodulate_with(iq, &mut scratch)))
-            .collect()
     }
 
     /// The framed receiver's searches are comparisons of FIR → dechirp
@@ -519,38 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_overrides_are_bit_identical_to_scalar_paths() {
-        let frames: Vec<Vec<u8>> = vec![
-            (0..24).map(|i| (i * 73) as u8).collect(),
-            vec![0x5A; 14],
-            (0..32).map(|i| (i * 7 + 3) as u8).collect(),
-        ];
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let ser = LoraSerPhy::new(8, 125e3);
-        let per = LoraPerPhy::new(8, 125e3, 4);
-        for phy in [&ser as &dyn PhyModem, &per as &dyn PhyModem] {
-            let mut waves = Vec::new();
-            phy.modulate_batch(&refs, &mut waves);
-            assert_eq!(waves.len(), refs.len());
-            for (frame, wave) in refs.iter().zip(&waves) {
-                assert_eq!(*wave, phy.modulate(frame), "{}", phy.label());
-            }
-            let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-            let batch = phy.demodulate_batch(&slices);
-            for (iq, rx) in slices.iter().zip(&batch) {
-                assert_eq!(*rx, phy.demodulate(iq), "{}", phy.label());
-            }
-        }
-    }
-
-    #[test]
     fn per_phy_airtime_matches_the_semtech_closed_form() {
         let phy = LoraPerPhy::ota_link();
         let params = sx1276::LoRaParams::ota_link();
         for len in [1usize, 10, 60, 69] {
-            let frame = vec![0u8; len];
             assert!(
-                (phy.airtime_s(&frame) - params.airtime_s(len)).abs() < 1e-12,
+                (phy.airtime_len_s(len) - params.airtime_s(len)).abs() < 1e-12,
                 "airtime diverged at {len} bytes"
             );
         }
@@ -563,7 +483,7 @@ mod tests {
         let phy = LoraPerPhy::ota_link();
         let frame = vec![0xA5u8; 60];
         let wf = phy.modulate(&frame).len() as f64 / phy.sample_rate_hz();
-        let an = phy.airtime_s(&frame);
+        let an = phy.airtime_len_s(frame.len());
         assert!(
             (wf - an).abs() / an < 0.15,
             "waveform {wf:.4}s vs analytic {an:.4}s"

@@ -76,11 +76,6 @@ impl Modulator {
         Modulator::new(chirp, FrameParams::new(code))
     }
 
-    /// The chirp configuration.
-    pub fn chirp_config(&self) -> &ChirpConfig {
-        &self.chirp_cfg
-    }
-
     /// Frame parameters.
     pub fn frame_params(&self) -> &FrameParams {
         &self.frame_params

@@ -381,11 +381,6 @@ impl NodeAggregate {
             .collect()
     }
 
-    /// Per-tag `(energy, dwell-time)` totals.
-    pub fn tag_totals(&self) -> &BTreeMap<String, TagTotal> {
-        &self.by_tag
-    }
-
     /// Bytes of state currently held — the quantity `repro campaign`
     /// proves independent of node count in sketch mode.
     pub fn memory_bytes(&self) -> usize {

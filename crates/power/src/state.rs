@@ -145,11 +145,6 @@ impl PowerState {
                 | (FlashWrite, Idle)
         )
     }
-
-    /// `true` for the two gated sleep states.
-    pub fn is_sleep(self) -> bool {
-        matches!(self, PowerState::DeepSleep | PowerState::Sleep)
-    }
 }
 
 /// The price of taking one edge of the graph.
@@ -393,12 +388,6 @@ impl PowerStateMachine {
     /// The accumulated ledger.
     pub fn ledger(&self) -> &EnergyLedger {
         &self.ledger
-    }
-
-    /// Mutable ledger access, for callers recording component-level
-    /// extras (e.g. a flash burst priced in mJ).
-    pub fn ledger_mut(&mut self) -> &mut EnergyLedger {
-        &mut self.ledger
     }
 
     /// Total energy recorded so far, mJ.

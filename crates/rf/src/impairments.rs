@@ -275,18 +275,21 @@ impl ImpairmentChain {
         scratch: &mut ChainScratch,
     ) {
         let out = front;
-        // 1. sample-timing offset
-        if self.timing_offset_samples > 0.0 {
-            fractional_delay_into(tx, self.timing_offset_samples, &mut scratch.delay, out);
-        } else {
-            out.clear();
-            out.extend_from_slice(tx);
-        }
-        // 2. sample-clock drift (ping-pong through the scratch buffer:
-        // the resampler cannot run in place)
-        if self.clock_drift_ppm != 0.0 {
-            std::mem::swap(out, &mut scratch.tmp);
-            resample_drift_into(&scratch.tmp, self.clock_drift_ppm, &mut scratch.delay, out);
+        // 1. sample-timing offset, 2. sample-clock drift. The resampler
+        // cannot run in place, so only a chain with both stages goes
+        // through the scratch buffer; drift alone resamples `tx` itself.
+        let (mu, ppm) = (self.timing_offset_samples, self.clock_drift_ppm);
+        match (mu > 0.0, ppm != 0.0) {
+            (true, true) => {
+                fractional_delay_into(tx, mu, &mut scratch.delay, &mut scratch.tmp);
+                resample_drift_into(&scratch.tmp, ppm, &mut scratch.delay, out);
+            }
+            (true, false) => fractional_delay_into(tx, mu, &mut scratch.delay, out),
+            (false, true) => resample_drift_into(tx, ppm, &mut scratch.delay, out),
+            (false, false) => {
+                out.clear();
+                out.extend_from_slice(tx);
+            }
         }
         // 3. I/Q imbalance: y = μ·x + ν·conj(x) with g the linear gain
         // ratio and φ the quadrature error
@@ -507,8 +510,8 @@ fn rail(z: Complex) -> f64 {
 
 /// Reusable scratch buffers for the chain's front half
 /// ([`ImpairmentChain::prepare_front_into`]): the interpolation
-/// window/kernel plus a ping-pong buffer for the resampling stage. One
-/// per worker thread is enough.
+/// window/kernel plus the timing stage's output, which the drift stage
+/// then resamples. One per worker thread is enough.
 #[derive(Debug, Clone, Default)]
 pub struct ChainScratch {
     delay: DelayScratch,

@@ -173,40 +173,21 @@ pub trait PhyModem: std::fmt::Debug + Send + Sync {
         bit_errors_between(tx_frame, &rx.bytes)
     }
 
-    /// Time on air of a byte frame, seconds. The default derives it
-    /// from the modulated waveform length — exact for any implementor —
-    /// but a PHY with an authoritative closed form (LoRa's AN1200.13
-    /// airtime formula) may override.
-    fn airtime_s(&self, frame: &[u8]) -> f64 {
-        self.modulate(frame).len() as f64 / self.sample_rate_hz()
-    }
-
-    /// Time on air of a `frame_len`-byte frame, seconds — for callers
-    /// (like the OTA session engine) that price packets by length
-    /// without a concrete payload. Air time is content-independent for
-    /// every constant-envelope PHY here; the default modulates a zero
-    /// frame, and closed-form implementors override allocation-free.
+    /// Time on air of a `frame_len`-byte frame, seconds. Air time is
+    /// content-independent for every constant-envelope PHY here, so
+    /// the default modulates a zero frame and divides its length by the
+    /// sample rate — exact for any implementor. A PHY with an
+    /// authoritative closed form (LoRa's AN1200.13 airtime formula)
+    /// overrides it allocation-free.
     fn airtime_len_s(&self, frame_len: usize) -> f64 {
-        self.airtime_s(&vec![0u8; frame_len])
+        self.modulate(&vec![0u8; frame_len]).len() as f64 / self.sample_rate_hz()
     }
 
-    /// Modulate a batch of frames into `out` (resized to match;
-    /// existing inner vectors keep their capacity). The default simply
-    /// loops `modulate`; modems with per-call setup cost (chirp tables,
-    /// pulse-shaping filters, FFT plans) override to share scratch
-    /// buffers across the batch. Overrides must stay **bit-identical**
-    /// to the default: batching is a performance seam, never a
-    /// semantics seam.
-    fn modulate_batch(&self, frames: &[&[u8]], out: &mut Vec<Vec<Complex>>) {
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, wave) in frames.iter().zip(out.iter_mut()) {
-            *wave = self.modulate(frame);
-        }
-    }
-
-    /// Demodulate a batch of captures. The default loops `demodulate`;
-    /// overrides reuse demodulator scratch across the batch and must be
-    /// bit-identical to the default.
+    /// Demodulate a batch of captures by looping
+    /// [`demodulate`](PhyModem::demodulate). No engine calls it and no
+    /// modem overrides it: it stays only for perfbench's traced replay
+    /// and probes, and goes once perfbench traces the real engines
+    /// (ROADMAP item 14).
     fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
         waveforms.iter().map(|iq| self.demodulate(iq)).collect()
     }
@@ -216,7 +197,7 @@ pub trait PhyModem: std::fmt::Debug + Send + Sync {
     /// over a chain without ADC stage then decides every RSSI point of
     /// a pass from projections of its signal and noise
     /// ([`crate::superpose::demodulate_pass`]). The default, `None`,
-    /// keeps every point on `demodulate_batch`.
+    /// keeps every point on `demodulate`.
     fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
         None
     }
@@ -392,8 +373,6 @@ mod tests {
     fn default_airtime_is_waveform_length_over_fs() {
         let phy = TestPhy { name: "bpsk" };
         // 2 bytes = 16 samples at 8 S/s
-        assert!((phy.airtime_s(&[0u8; 2]) - 2.0).abs() < 1e-12);
-        // the length-only route agrees with the frame route by default
         assert!((phy.airtime_len_s(2) - 2.0).abs() < 1e-12);
     }
 
@@ -462,15 +441,13 @@ mod tests {
     #[test]
     fn batch_defaults_match_scalar_paths() {
         let phy = TestPhy { name: "bpsk" };
-        let frames: Vec<&[u8]> = vec![&[0xA5, 0x3C], &[0x00], &[0xFF, 0x01, 0x80]];
-        let mut waves = vec![Vec::new(); 7]; // deliberately wrong length
-        phy.modulate_batch(&frames, &mut waves);
-        assert_eq!(waves.len(), frames.len());
-        for (frame, wave) in frames.iter().zip(&waves) {
-            assert_eq!(*wave, phy.modulate(frame));
-        }
+        let waves: Vec<Vec<Complex>> = [&[0xA5u8, 0x3C][..], &[0x00], &[0xFF, 0x01, 0x80]]
+            .iter()
+            .map(|frame| phy.modulate(frame))
+            .collect();
         let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
         let batch = phy.demodulate_batch(&slices);
+        assert_eq!(batch.len(), slices.len());
         for (iq, rx) in slices.iter().zip(&batch) {
             assert_eq!(*rx, phy.demodulate(iq));
         }

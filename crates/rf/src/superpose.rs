@@ -16,7 +16,7 @@
 //! bounded, by `R·ρ` per bin.
 //!
 //! The superposition rounds differently from the exact path
-//! (`apply_prepared_into` → `demodulate_batch`) and leaves the residual
+//! (`apply_prepared_into` → `demodulate`) and leaves the residual
 //! out, so a point is decided only when every decision it takes is
 //! **certified**: the two sides of each comparison differ by more than
 //! the bounds they carry, a few [`WindowProjection::delta`] each, on
@@ -373,7 +373,7 @@ impl std::ops::AddAssign for PathCensus {
 /// chain's residual bounds; every other point — and every point of a
 /// modem without one — runs the exact path,
 /// [`ImpairmentChain::apply_prepared_into`] into `capture` and then
-/// [`PhyModem::demodulate_batch`]. Either way each result equals the
+/// [`PhyModem::demodulate`]. Either way each result equals the
 /// exact path's. `capture` is scratch (it also holds a fading pass's
 /// faded signal while the pass is decided); `receiver` is the linear
 /// receiver's, reused across the passes of a curve. Starts no threads.
@@ -417,9 +417,7 @@ pub fn demodulate_pass(
             census.exact += 1;
         }
         chain.apply_prepared_into(prep, rssi_dbm, capture);
-        for res in phy.demodulate_batch(&[capture.as_slice()]) {
-            each(i, res);
-        }
+        each(i, phy.demodulate(capture));
     }
     census
 }

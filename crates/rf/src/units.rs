@@ -62,12 +62,6 @@ pub fn noise_floor_dbm(bw_hz: f64, noise_figure_db: f64) -> f64 {
     thermal_noise_dbm(bw_hz) + noise_figure_db
 }
 
-/// Milliwatts → watts.
-#[inline]
-pub fn mw_to_w(mw: f64) -> f64 {
-    mw / 1000.0
-}
-
 /// Energy in millijoules from power in milliwatts over `seconds`.
 #[inline]
 pub fn mj_from_mw(mw: f64, seconds: f64) -> f64 {

@@ -12,7 +12,7 @@ use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
 use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
 
 use crate::chips::CHIP_RATE;
-use crate::oqpsk::{OqpskDemodulator, OqpskModulator, OqpskScratch};
+use crate::oqpsk::{OqpskDemodulator, OqpskModulator};
 
 /// 802.15.4 channel 19's carrier, Hz (2405 + 5·(19−11) MHz).
 pub const ZIGBEE_CENTER_HZ: f64 = 2.445e9;
@@ -127,32 +127,6 @@ impl PhyModem for ZigbeePhy {
         unit_errors_between(&tx, &rx.units)
     }
 
-    /// Batch override: the chip-expansion and I/Q-rail scratch is
-    /// shared across the batch. Bit-identical to the default.
-    fn modulate_batch(&self, frames: &[&[u8]], out: &mut Vec<Vec<Complex>>) {
-        let mut scratch = OqpskScratch::new();
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, wave) in frames.iter().zip(out.iter_mut()) {
-            self.modulator
-                .modulate_symbols_into(&bytes_to_symbols(frame), &mut scratch, wave);
-        }
-    }
-
-    /// Batch override: one symbol buffer reused across captures.
-    /// Bit-identical to looping `demodulate`.
-    fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
-        let mut syms = Vec::new();
-        waveforms
-            .iter()
-            .map(|iq| {
-                self.demod.demodulate_symbols_into(iq, &mut syms);
-                let bytes = symbols_to_bytes(&syms);
-                let units = syms.iter().map(|&s| u16::from(s)).collect();
-                DemodResult::stream(bytes, units)
-            })
-            .collect()
-    }
-
     /// The chip-correlator bank is linear up to its argmax.
     fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
         Some(self)
@@ -239,31 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_overrides_are_bit_identical_to_scalar_paths() {
-        let phy = ZigbeePhy::new(2);
-        let frames: Vec<Vec<u8>> = vec![
-            (0..32).map(|i| (i * 97 + 13) as u8).collect(),
-            vec![0x3C; 10],
-            vec![0xA5],
-        ];
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut waves = Vec::new();
-        phy.modulate_batch(&refs, &mut waves);
-        for (frame, wave) in refs.iter().zip(&waves) {
-            assert_eq!(*wave, phy.modulate(frame));
-        }
-        let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-        let batch = phy.demodulate_batch(&slices);
-        for (iq, rx) in slices.iter().zip(&batch) {
-            assert_eq!(*rx, phy.demodulate(iq));
-        }
-    }
-
-    #[test]
     fn airtime_reflects_the_250kbps_rate() {
         // 25 bytes = 50 symbols at 62.5 ksym/s = 0.8 ms
         let phy = ZigbeePhy::new(2);
-        let t = phy.airtime_s(&[0u8; 25]);
+        let t = phy.airtime_len_s(25);
         assert!((t - 0.8e-3).abs() < 0.05e-3, "airtime {t} s");
     }
 }

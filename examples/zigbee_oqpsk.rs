@@ -43,7 +43,7 @@ fn main() {
         frame.len(),
         frame.len() * 2,
         frame.len() * 2 * 32,
-        phy.airtime_s(frame) * 1e3
+        phy.airtime_len_s(frame.len()) * 1e3
     );
 
     // --- clean loopback through the trait object ---

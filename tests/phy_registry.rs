@@ -1,10 +1,14 @@
 //! Registry-level properties of the `PhyModem` seam: every modem the
 //! workspace registers must round-trip a random frame losslessly
-//! through a clean channel, and the registry must preserve the keyed /
-//! ordered contracts the sweep engine relies on.
+//! through a clean channel and survive hostile captures, and the
+//! registry must preserve the keyed / ordered contracts the sweep
+//! engine relies on.
 
 use proptest::prelude::*;
 use tinysdr_bench::waterfall::standard_registry;
+use tinysdr_dsp::complex::Complex;
+use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
+use tinysdr_rf::superpose::{demodulate_pass, ReceiverScratch};
 
 proptest! {
     /// The core `PhyModem` contract, per registered PHY: for any
@@ -44,8 +48,8 @@ proptest! {
             prop_assert!(phy.occupied_bw_hz() <= phy.sample_rate_hz() + 1e-9);
             prop_assert!((-150.0..=-50.0).contains(&phy.sensitivity_anchor_dbm()));
             prop_assert!(phy.center_frequency_hz() > 100e6);
-            let short = phy.airtime_s(&vec![0u8; len]);
-            let long = phy.airtime_s(&vec![0u8; len * 4]);
+            let short = phy.airtime_len_s(len);
+            let long = phy.airtime_len_s(len * 4);
             prop_assert!(short > 0.0);
             prop_assert!(long > short, "{}: airtime must grow", phy.label());
         }
@@ -66,4 +70,73 @@ fn registry_lookup_is_keyed_and_ordered() {
     assert!(labels.iter().any(|l| l.starts_with("LoRa")));
     assert!(labels.iter().any(|l| l.starts_with("BLE")));
     assert!(labels.iter().any(|l| l.starts_with("802.15.4")));
+}
+
+/// Raw I/Q is a trust boundary. No registered modem may panic on an
+/// empty, a 1-sample, a silent or a non-finite capture. And a pass
+/// whose signal and noise are non-finite — a NaN or infinite transmit
+/// waveform, a NaN or infinite noise figure, with and without fading
+/// and ADC stages — must still yield, at every point, exactly what the
+/// exact path (`apply_prepared_into` + `demodulate`) yields.
+#[test]
+fn every_registered_phy_survives_hostile_captures() {
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let frame = [0xA5u8; 4];
+    let rssis = [-140.0, -100.0, -60.0];
+    for phy in standard_registry().iter() {
+        let clean = phy.modulate(&frame);
+        let n = clean.len();
+        let captures = [
+            Vec::new(),
+            vec![Complex::new(1.0, -1.0)],
+            vec![Complex::ZERO; n],
+            vec![Complex::new(nan, nan); n],
+            vec![Complex::new(inf, -inf); n],
+            vec![Complex::new(-inf, inf); n],
+        ];
+        for iq in &captures {
+            let rx = phy.demodulate(iq);
+            phy.count_errors(&frame, &rx);
+        }
+
+        let mut poisoned = clean.clone();
+        poisoned[n / 2] = Complex::new(nan, 0.0);
+        let blown: Vec<Complex> = [Complex::new(inf, 0.0), Complex::new(0.0, -inf)]
+            .into_iter()
+            .cycle()
+            .take(n)
+            .collect();
+        for (tx, noise_figure_db) in [(&clean, nan), (&poisoned, inf), (&blown, nan)] {
+            let plain = ImpairmentChain::new(noise_figure_db);
+            let stacked = plain
+                .clone()
+                .with_block_fading(64)
+                .with_adc_quantization(13);
+            for chain in [plain, stacked] {
+                let mut prep = PreparedPass::new();
+                let fs = phy.sample_rate_hz();
+                chain.prepare_pass_into(tx, fs, 7, &mut prep, &mut ChainScratch::new());
+                let mut got = vec![None; rssis.len()];
+                let mut capture = Vec::new();
+                demodulate_pass(
+                    phy,
+                    &chain,
+                    &prep,
+                    &rssis,
+                    &mut capture,
+                    &mut ReceiverScratch::default(),
+                    |i, res| got[i] = Some(res),
+                );
+                for (&rssi_dbm, got) in rssis.iter().zip(&got) {
+                    chain.apply_prepared_into(&prep, rssi_dbm, &mut capture);
+                    assert_eq!(
+                        got.as_ref(),
+                        Some(&phy.demodulate(&capture)),
+                        "{} at {rssi_dbm} dBm, noise figure {noise_figure_db}",
+                        phy.label()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Property-based bit-identity contracts for the allocation-free hot
 //! paths: for random configurations, seeds and signals, every
-//! `_into` / batch / prepared-pass variant must reproduce its
+//! `_into` / prepared-pass variant must reproduce its
 //! allocating reference **bit for bit** — buffer reuse is a
 //! performance seam, never a semantics seam. Plus steady-state
 //! no-allocation smoke checks on the sweep loop's buffers.
@@ -8,17 +8,13 @@
 use proptest::prelude::*;
 
 use tinysdr_ble::gfsk::{GfskModulator, GfskScratch};
-use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpDirection, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::delay::{fractional_delay_into, resample_drift_into, DelayScratch};
 use tinysdr_dsp::fft::FftPlan;
 use tinysdr_dsp::fir::demod_frontend;
 use tinysdr_dsp::gaussian::GaussianFilter;
-use tinysdr_lora::modem::LoraSerPhy;
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
-use tinysdr_rf::phy::PhyModem;
-use tinysdr_zigbee::modem::ZigbeePhy;
 
 /// Deterministic pseudo-random I/Q signal from a seed (content-keyed,
 /// no ambient RNG — the workspace determinism rule).
@@ -145,31 +141,6 @@ proptest! {
             let manual: Vec<Complex> =
                 allocating.iter().zip(&reference).map(|(&a, &b)| a * b).collect();
             prop_assert_eq!(manual, out.clone());
-        }
-    }
-
-    /// `modulate_batch` / `demodulate_batch` are bit-identical to the
-    /// scalar loops for random frames across all three modem families.
-    #[test]
-    fn modem_batch_matches_scalar_loops(
-        family in 0usize..3,
-        frame_a in prop::collection::vec(any::<u8>(), 3..12),
-        frame_b in prop::collection::vec(any::<u8>(), 3..12),
-    ) {
-        let phy: Box<dyn PhyModem> = match family {
-            0 => Box::new(LoraSerPhy::new(7, 125e3)),
-            1 => Box::new(BleBerPhy::new(4)),
-            _ => Box::new(ZigbeePhy::new(2)),
-        };
-        let refs: Vec<&[u8]> = vec![&frame_a, &frame_b];
-        let mut waves = Vec::new();
-        phy.modulate_batch(&refs, &mut waves);
-        for (frame, wave) in refs.iter().zip(&waves) {
-            prop_assert_eq!(wave, &phy.modulate(frame));
-        }
-        let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
-        for (iq, rx) in slices.iter().zip(phy.demodulate_batch(&slices)) {
-            prop_assert_eq!(rx, phy.demodulate(iq));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Superposed linear receivers against the exact path: for random
 //! chains (quantizing ones included), modems, seeds and RSSI grids,
 //! every point `demodulate_pass` decides equals `apply_prepared_into` +
-//! `demodulate_batch` — for the stream receivers (LoRa SER, 802.15.4,
+//! `demodulate` — for the stream receivers (LoRa SER, 802.15.4,
 //! BLE) and the framed LoRa PER receiver — and exact ties are refused
 //! and handed to the exact path. (The framed receiver's individual
 //! decisions are tie-tested next to it, in `tinysdr_lora`; which curves
@@ -46,7 +46,7 @@ fn both_paths(
         .iter()
         .map(|&rssi_dbm| {
             chain.apply_prepared_into(prep, rssi_dbm, &mut capture);
-            phy.demodulate_batch(&[capture.as_slice()]).remove(0)
+            phy.demodulate(&capture)
         })
         .collect();
     (got, exact, census)
