@@ -597,9 +597,10 @@ impl Demodulator {
         self.demodulate_with(rx, &mut self.scratch())
     }
 
-    /// [`Demodulator::demodulate`] against caller-owned scratch: the
-    /// batch path reuses the FIR state and the filtered/dechirp buffers
-    /// across captures. Bit-identical to the allocating route.
+    /// [`Demodulator::demodulate`] against caller-owned scratch, so a
+    /// caller (`repro perf`'s timed loop) reuses the FIR state and the
+    /// filtered/dechirp buffers across captures. Bit-identical to the
+    /// allocating route.
     pub fn demodulate_with(
         &self,
         rx: &[Complex],
