@@ -16,7 +16,7 @@ use tinysdr_lora::modulator::{single_tone, Modulator, Transmitter};
 use tinysdr_lora::packet::FrameParams;
 use tinysdr_lora::phy::CodeParams;
 use tinysdr_rf::at86rf215;
-use tinysdr_rf::channel::{set_rssi, superpose, AwgnChannel};
+use tinysdr_rf::channel::{measure_rssi_dbm, set_rssi, superpose};
 use tinysdr_rf::impairments::ImpairmentChain;
 
 use crate::waterfall::{
@@ -199,9 +199,13 @@ fn concurrent_point(rssi_125: f64, rssi_250: f64, symbols: usize, seed: u64) -> 
     let mut sigb = mb.modulate_symbols(&sb);
     set_rssi(&mut siga, rssi_125);
     set_rssi(&mut sigb, rssi_250);
-    let mut rx = superpose(&siga, &sigb);
-    let mut ch = AwgnChannel::new(at86rf215::NOISE_FIGURE_DB, seed ^ 0xCC);
-    ch.add_noise(&mut rx, 500e3);
+    let sum = superpose(&siga, &sigb);
+    let rx = ImpairmentChain::new(at86rf215::NOISE_FIGURE_DB).apply(
+        &sum,
+        measure_rssi_dbm(&sum),
+        500e3,
+        seed ^ 0xCC,
+    );
     let rcv = ConcurrentReceiver::paper_pair();
     let sers = rcv.symbol_error_rates(&rx, &[sa, sb]);
     (sers[0], sers[1])

@@ -314,7 +314,7 @@ pub fn count_bit_errors(tx: &[u8], rx: &[u8]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tinysdr_rf::channel::AwgnChannel;
+    use tinysdr_rf::impairments::ImpairmentChain;
 
     fn prbs(n: usize, seed: u64) -> Vec<u8> {
         let mut s = seed | 1;
@@ -419,12 +419,8 @@ mod tests {
             let bits = prbs(300, sps as u64);
             let clean = m.modulate(&bits);
             for (k, rssi) in [-80.0, -94.0, -100.0, -110.0].into_iter().enumerate() {
-                let mut sig = clean.clone();
-                AwgnChannel::new(CC2650_NOISE_FIGURE_DB, 40 + k as u64).apply(
-                    &mut sig,
-                    rssi,
-                    m.fs(),
-                );
+                let chain = ImpairmentChain::new(CC2650_NOISE_FIGURE_DB);
+                let sig = chain.apply(&clean, rssi, m.fs(), 40 + k as u64);
                 for len in [0, 1, sps, sps + 1, 2 * sps - 1, 7 * sps + 3, sig.len()] {
                     let x = &sig[..len];
                     assert_eq!(
@@ -466,9 +462,8 @@ mod tests {
         let m = GfskModulator::new(sps);
         let d = GfskDemodulator::new(sps);
         let bits = prbs(512, 3);
-        let mut sig = m.modulate(&bits);
-        let mut ch = AwgnChannel::new(4.5, 13);
-        ch.apply(&mut sig, -70.0, m.fs()); // very strong signal
+        // very strong signal
+        let sig = ImpairmentChain::new(4.5).apply(&m.modulate(&bits), -70.0, m.fs(), 13);
         let rx = d.demodulate(&sig);
         let (errs, _) = count_bit_errors(&bits, &rx);
         assert_eq!(errs, 0);
@@ -484,9 +479,7 @@ mod tests {
         let bits = prbs(4000, 17);
         let base = m.modulate(&bits);
         let ber = |rssi: f64, seed: u64| {
-            let mut sig = base.clone();
-            let mut ch = AwgnChannel::new(4.5, seed);
-            ch.apply(&mut sig, rssi, m.fs());
+            let sig = ImpairmentChain::new(4.5).apply(&base, rssi, m.fs(), seed);
             let rx = d.demodulate(&sig);
             let (e, n) = count_bit_errors(&bits, &rx);
             e as f64 / n as f64
@@ -550,9 +543,7 @@ mod tests {
         let d = GfskDemodulator::new(sps);
         let pkt = crate::packet::AdvPacket::beacon([9, 8, 7, 6, 5, 4], b"e2e").unwrap();
         let bits = pkt.to_bits(38);
-        let mut sig = m.modulate(&bits);
-        let mut ch = AwgnChannel::new(4.5, 4);
-        ch.apply(&mut sig, -80.0, m.fs());
+        let sig = ImpairmentChain::new(4.5).apply(&m.modulate(&bits), -80.0, m.fs(), 4);
         let rx_bits = d.demodulate(&sig);
         let back = crate::packet::AdvPacket::from_bits(&rx_bits, 38).expect("packet");
         assert_eq!(back.adv_data, b"e2e");

@@ -104,26 +104,6 @@ impl FftPlan {
         buf
     }
 
-    /// Forward transform of `x` into the caller-owned buffer `out`
-    /// (resized to the plan length). Bit-identical to [`FftPlan::forward`]
-    /// on a copy of `x`, with zero allocation once `out` has capacity.
-    pub fn forward_into(&self, x: &[Complex], out: &mut Vec<Complex>) {
-        assert_eq!(x.len(), self.n, "FFT input length mismatch");
-        out.clear();
-        out.extend_from_slice(x);
-        self.forward(out);
-    }
-
-    /// Inverse transform of `x` into the caller-owned buffer `out`
-    /// (resized to the plan length). Bit-identical to [`FftPlan::inverse`]
-    /// on a copy of `x`, with zero allocation once `out` has capacity.
-    pub fn inverse_into(&self, x: &[Complex], out: &mut Vec<Complex>) {
-        assert_eq!(x.len(), self.n, "FFT input length mismatch");
-        out.clear();
-        out.extend_from_slice(x);
-        self.inverse(out);
-    }
-
     fn permute(&self, buf: &mut [Complex]) {
         for i in 0..self.n {
             let j = self.rev[i] as usize;
@@ -350,37 +330,6 @@ mod tests {
     fn peak_bin_of_empty_is_none() {
         // regression: used to return (0, sqrt(f64::MIN)) = NaN
         assert_eq!(peak_bin(&[]), None);
-    }
-
-    #[test]
-    fn forward_into_matches_forward_bitwise() {
-        let n = 256;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.23).cos()))
-            .collect();
-        let plan = FftPlan::new(n);
-        let mut reference = x.clone();
-        plan.forward(&mut reference);
-        let mut out = Vec::new();
-        plan.forward_into(&x, &mut out);
-        assert_eq!(out, reference);
-        // and reusing the same buffer stays bit-identical
-        plan.forward_into(&x, &mut out);
-        assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn inverse_into_matches_inverse_bitwise() {
-        let n = 128;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 1.1).cos(), (i as f64 * 0.4).sin()))
-            .collect();
-        let plan = FftPlan::new(n);
-        let mut reference = x.clone();
-        plan.inverse(&mut reference);
-        let mut out = Vec::new();
-        plan.inverse_into(&x, &mut out);
-        assert_eq!(out, reference);
     }
 
     #[test]

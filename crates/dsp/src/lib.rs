@@ -29,7 +29,6 @@
 //! * [`delay`] — windowed-sinc fractional-delay interpolation and
 //!   sample-clock drift, the timing impairments of the conformance
 //!   harness.
-//! * [`resample`] — integer-factor upsampling/decimation.
 //! * [`spectrum`] — Welch periodogram used to regenerate Fig. 8.
 //! * [`stats`] — error-rate counters and empirical CDFs used throughout
 //!   the evaluation harness, plus the [`stats::Distribution`] trait the
@@ -69,7 +68,6 @@ pub mod fixed;
 pub mod gaussian;
 pub mod math;
 pub mod nco;
-pub mod resample;
 pub mod sketch;
 pub mod spectrum;
 pub mod stats;

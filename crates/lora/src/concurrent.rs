@@ -156,7 +156,8 @@ mod tests {
     use crate::packet::FrameParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tinysdr_rf::channel::{set_rssi, superpose, AwgnChannel};
+    use tinysdr_rf::channel::{measure_rssi_dbm, set_rssi, superpose};
+    use tinysdr_rf::impairments::ImpairmentChain;
 
     fn random_syms(n: usize, sf: u8, seed: u64) -> Vec<u16> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -182,9 +183,8 @@ mod tests {
         let mut sigb = mb.modulate_symbols(&sb);
         set_rssi(&mut siga, rssi_a_dbm);
         set_rssi(&mut sigb, rssi_b_dbm);
-        let mut rx = superpose(&siga, &sigb);
-        let mut ch = AwgnChannel::new(4.5, seed + 2);
-        ch.add_noise(&mut rx, 500e3);
+        let sum = superpose(&siga, &sigb);
+        let rx = ImpairmentChain::new(4.5).apply(&sum, measure_rssi_dbm(&sum), 500e3, seed + 2);
         (rx, sa, sb)
     }
 
@@ -236,9 +236,7 @@ mod tests {
         let cfg_a = ChirpConfig::new(8, 125e3, 4);
         let ma = Modulator::new(cfg_a, FrameParams::new(CodeParams::new(8, 1)));
         let sa = random_syms(50, 8, 7);
-        let mut sig = ma.modulate_symbols(&sa);
-        let mut ch = AwgnChannel::new(4.5, 9);
-        ch.apply(&mut sig, -110.0, 500e3);
+        let sig = ImpairmentChain::new(4.5).apply(&ma.modulate_symbols(&sa), -110.0, 500e3, 9);
         let rcv = ConcurrentReceiver::paper_pair();
         let sers = rcv.symbol_error_rates(&sig, &[sa, vec![]]);
         assert_eq!(sers[0], 0.0);

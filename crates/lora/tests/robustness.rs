@@ -7,7 +7,8 @@ use tinysdr_lora::demodulator::Demodulator;
 use tinysdr_lora::modulator::Modulator;
 use tinysdr_lora::packet::FrameParams;
 use tinysdr_lora::phy::CodeParams;
-use tinysdr_rf::channel::{apply_cfo, apply_delay, AwgnChannel};
+use tinysdr_rf::channel::apply_delay;
+use tinysdr_rf::impairments::ImpairmentChain;
 
 fn modem() -> (Modulator, Demodulator, ChirpConfig) {
     let chirp = ChirpConfig::new(8, 125e3, 1);
@@ -28,10 +29,12 @@ fn tolerates_residual_cfo() {
     let (m, d, chirp) = modem();
     let bin_hz = chirp.bw / chirp.n_chips() as f64;
     for frac in [-0.3, -0.15, 0.15, 0.3] {
-        let mut sig = m.modulate(b"cfo test");
-        apply_cfo(&mut sig, frac * bin_hz, chirp.fs());
-        let mut ch = AwgnChannel::new(4.5, 3);
-        ch.apply(&mut sig, -115.0, chirp.fs());
+        let sig = ImpairmentChain::new(4.5).with_cfo_hz(frac * bin_hz).apply(
+            &m.modulate(b"cfo test"),
+            -115.0,
+            chirp.fs(),
+            3,
+        );
         let f = d
             .demodulate(&sig)
             .unwrap_or_else(|| panic!("CFO {frac} bins"));
@@ -47,10 +50,12 @@ fn tolerates_integer_bin_cfo() {
     let (m, d, chirp) = modem();
     let bin_hz = chirp.bw / chirp.n_chips() as f64;
     for bins in [-2.0f64, 1.0, 3.0] {
-        let mut sig = m.modulate(b"int cfo");
-        apply_cfo(&mut sig, bins * bin_hz, chirp.fs());
-        let mut ch = AwgnChannel::new(4.5, 5);
-        ch.apply(&mut sig, -110.0, chirp.fs());
+        let sig = ImpairmentChain::new(4.5).with_cfo_hz(bins * bin_hz).apply(
+            &m.modulate(b"int cfo"),
+            -110.0,
+            chirp.fs(),
+            5,
+        );
         if let Some(f) = d.demodulate(&sig) {
             // integer-bin offsets alias timing: either decoded clean or
             // rejected — never a silent wrong payload
@@ -78,9 +83,7 @@ fn radio_in_the_loop() {
     let rf = tx.transmit(&baseband).unwrap();
 
     // a weak link
-    let mut ch = AwgnChannel::new(4.5, 9);
-    let mut sig = rf;
-    ch.apply(&mut sig, -112.0, chirp.fs());
+    let sig = ImpairmentChain::new(4.5).apply(&rf, -112.0, chirp.fs(), 9);
 
     // RX through AGC + ADC
     let mut rx = At86Rf215::new();
@@ -110,8 +113,7 @@ fn back_to_back_frames() {
     let (m, d, chirp) = modem();
     let mut capture = m.modulate(b"frame one");
     capture.extend(apply_delay(&m.modulate(b"frame two!"), 500));
-    let mut ch = AwgnChannel::new(4.5, 11);
-    ch.apply(&mut capture, -110.0, chirp.fs());
+    let capture = ImpairmentChain::new(4.5).apply(&capture, -110.0, chirp.fs(), 11);
 
     let f1 = d.demodulate(&capture).expect("first frame");
     assert_eq!(f1.payload, b"frame one");
@@ -126,9 +128,8 @@ fn payload_size_sweep() {
     let (m, d, chirp) = modem();
     for len in [0usize, 1, 13, 64, 255] {
         let payload: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
-        let mut sig = m.modulate(&payload);
-        let mut ch = AwgnChannel::new(4.5, len as u64);
-        ch.apply(&mut sig, -105.0, chirp.fs());
+        let sig =
+            ImpairmentChain::new(4.5).apply(&m.modulate(&payload), -105.0, chirp.fs(), len as u64);
         let f = d.demodulate(&sig).unwrap_or_else(|| panic!("len {len}"));
         assert_eq!(f.payload, payload, "len {len}");
     }

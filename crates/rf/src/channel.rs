@@ -1,108 +1,14 @@
-//! Channel models: calibrated AWGN and carrier/timing offsets.
+//! Channel helpers: RSSI scaling and measurement, carrier and integer
+//! timing offsets, and the two-transmitter sum.
 //!
-//! The paper's sensitivity sweeps (Figs. 10–12, 15) step the received
-//! signal strength while the receiver's noise stays fixed by physics:
-//! `N = −174 dBm/Hz + 10·log10(fs) + NF`. [`AwgnChannel`] reproduces
-//! exactly that: it scales the transmit waveform to the wanted RSSI and
-//! adds complex white Gaussian noise of the correct power for the
-//! simulation bandwidth.
+//! Receiver noise lives in one place, stage 8 of
+//! [`crate::impairments::ImpairmentChain`]: the paper's sensitivity
+//! sweeps (Figs. 10–12, 15) step the received signal strength while the
+//! noise stays fixed by physics, `N = −174 dBm/Hz + 10·log10(fs) + NF`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tinysdr_dsp::complex::{mean_power, normalize_power, Complex};
 
-use crate::units::{dbm_to_mw, noise_floor_dbm};
-
-/// One pair of independent standard Gaussian samples via Box–Muller —
-/// the statistical kernel behind [`AwgnChannel`] and the randomized
-/// stages of [`crate::impairments::ImpairmentChain`] (one shared
-/// implementation so the two can never drift apart).
-#[inline]
-pub(crate) fn gauss_pair(rng: &mut StdRng) -> (f64, f64) {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = std::f64::consts::TAU * u2;
-    (r * theta.cos(), r * theta.sin())
-}
-
-/// Complex AWGN generator with physical noise power.
-#[derive(Debug)]
-pub struct AwgnChannel {
-    /// Receiver noise figure in dB (AT86RF215: 3–5 dB per the paper; the
-    /// SX1276 comparator uses 7 dB).
-    pub noise_figure_db: f64,
-    rng: StdRng,
-}
-
-impl AwgnChannel {
-    /// Create a channel with a given receiver noise figure and RNG seed.
-    pub fn new(noise_figure_db: f64, seed: u64) -> Self {
-        AwgnChannel {
-            noise_figure_db,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// One sample of zero-mean complex Gaussian noise with total power
-    /// `p_mw` (split across I and Q).
-    #[inline]
-    fn noise_sample(&mut self, p_mw: f64) -> Complex {
-        let sigma = (p_mw / 2.0).sqrt();
-        let (i, q) = gauss_pair(&mut self.rng);
-        Complex::new(sigma * i, sigma * q)
-    }
-
-    /// Scale `sig` to `rssi_dbm` and add receiver noise for a simulation
-    /// (sampling) bandwidth of `fs` Hz. Returns the actual noise power in
-    /// mW that was injected.
-    ///
-    /// The *occupied* bandwidth of the signal does not matter here — a
-    /// narrowband signal inside a wide `fs` sees proportionally more total
-    /// noise, and the receiver's filtering/processing gain then recovers
-    /// the SNR, exactly as in hardware.
-    pub fn apply(&mut self, sig: &mut [Complex], rssi_dbm: f64, fs: f64) -> f64 {
-        normalize_power(sig, dbm_to_mw(rssi_dbm));
-        let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
-        for s in sig.iter_mut() {
-            *s += self.noise_sample(n_mw);
-        }
-        n_mw
-    }
-
-    /// Generate `n` samples of pure receiver noise (no signal present),
-    /// for noise-only occupancy tests.
-    pub fn noise_only(&mut self, n: usize, fs: f64) -> Vec<Complex> {
-        let mut out = Vec::with_capacity(n);
-        self.noise_only_into(n, fs, &mut out);
-        out
-    }
-
-    /// [`AwgnChannel::noise_only`] into a caller-owned buffer (cleared
-    /// first). The draws are exactly the sequence [`AwgnChannel::add_noise`]
-    /// would add to a signal of length `n`, so a precomputed noise vector
-    /// added sample-by-sample is bit-identical to calling `add_noise`.
-    pub fn noise_only_into(&mut self, n: usize, fs: f64, out: &mut Vec<Complex>) {
-        let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            let s = self.noise_sample(n_mw);
-            out.push(s);
-        }
-    }
-
-    /// Add noise to a pre-scaled signal without renormalizing it — used
-    /// when several transmitters are summed first (the concurrent
-    /// reception study, §6).
-    pub fn add_noise(&mut self, sig: &mut [Complex], fs: f64) -> f64 {
-        let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
-        for s in sig.iter_mut() {
-            *s += self.noise_sample(n_mw);
-        }
-        n_mw
-    }
-}
+use crate::units::dbm_to_mw;
 
 /// Scale a signal buffer so its mean power equals `rssi_dbm` (no noise).
 pub fn set_rssi(sig: &mut [Complex], rssi_dbm: f64) {
@@ -145,8 +51,15 @@ pub fn superpose(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{mw_to_dbm, thermal_noise_dbm};
+    use crate::impairments::ImpairmentChain;
+    use crate::units::{mw_to_dbm, noise_floor_dbm, thermal_noise_dbm};
     use tinysdr_dsp::nco::ideal_tone;
+
+    /// `n` samples of the chain's stage-8 noise: a silent waveform has no
+    /// RSSI gain, so its capture is the noise alone.
+    fn chain_noise(nf: f64, n: usize, fs: f64, seed: u64) -> Vec<Complex> {
+        ImpairmentChain::new(nf).apply(&vec![Complex::ZERO; n], 0.0, fs, seed)
+    }
 
     #[test]
     fn rssi_scaling_is_exact() {
@@ -157,9 +70,8 @@ mod tests {
 
     #[test]
     fn noise_power_matches_physics() {
-        let mut ch = AwgnChannel::new(6.0, 42);
         let fs = 1e6;
-        let noise = ch.noise_only(200_000, fs);
+        let noise = chain_noise(6.0, 200_000, fs, 42);
         let p_dbm = mw_to_dbm(mean_power(&noise));
         let expect = thermal_noise_dbm(fs) + 6.0;
         assert!((p_dbm - expect).abs() < 0.1, "noise {p_dbm} vs {expect}");
@@ -172,8 +84,7 @@ mod tests {
         // sweeps use — LoRa 125/500 kHz, BLE 4 MHz, both front ends
         for (i, &fs) in [125e3, 500e3, 4e6].iter().enumerate() {
             for (j, &nf) in [3.0, 4.5, 6.7, 7.0].iter().enumerate() {
-                let mut ch = AwgnChannel::new(nf, 1000 + (i * 7 + j) as u64);
-                let noise = ch.noise_only(150_000, fs);
+                let noise = chain_noise(nf, 150_000, fs, 1000 + (i * 7 + j) as u64);
                 let got = mw_to_dbm(mean_power(&noise));
                 let want = noise_floor_dbm(fs, nf);
                 assert!(
@@ -189,8 +100,7 @@ mod tests {
         // the x-axis of every waterfall: scaling to a target RSSI and
         // reading it back must agree over the full sweep span, for both
         // a tone and a noise-like waveform
-        let mut ch = AwgnChannel::new(0.0, 55);
-        let noise_like = ch.noise_only(8192, 1e6);
+        let noise_like = chain_noise(0.0, 8192, 1e6, 55);
         let tone = ideal_tone(3000.0, 1e6, 8192);
         for rssi in [-140.0, -126.0, -109.0, -94.0, -60.0, 0.0] {
             for base in [&tone, &noise_like] {
@@ -203,38 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn apply_returns_the_injected_noise_power() {
-        // the n_mw return value is documented as the actual injected
-        // noise power; pin it to the calibrated floor
-        let fs = 250e3;
-        let nf = 4.5;
-        let mut ch = AwgnChannel::new(nf, 77);
-        let mut sig = ideal_tone(10e3, fs, 1024);
-        let n_mw = ch.apply(&mut sig, -120.0, fs);
-        assert!(
-            (mw_to_dbm(n_mw) - noise_floor_dbm(fs, nf)).abs() < 1e-9,
-            "reported noise power off the calibrated floor"
-        );
-    }
-
-    #[test]
-    fn snr_after_apply_is_rssi_minus_floor() {
-        let fs = 500e3;
-        let nf = 4.5;
-        let rssi = -110.0;
-        let mut ch = AwgnChannel::new(nf, 7);
-        let mut sig = ideal_tone(10e3, fs, 100_000);
-        let n_mw = ch.apply(&mut sig, rssi, fs);
-        let total_dbm = measure_rssi_dbm(&sig);
-        // total power ≈ signal + noise
-        let expect_mw = dbm_to_mw(rssi) + n_mw;
-        assert!((dbm_to_mw(total_dbm) - expect_mw).abs() / expect_mw < 0.05);
-    }
-
-    #[test]
     fn noise_is_complex_circular() {
-        let mut ch = AwgnChannel::new(0.0, 9);
-        let noise = ch.noise_only(100_000, 1e6);
+        let noise = chain_noise(0.0, 100_000, 1e6, 9);
         let mean: Complex = noise.iter().copied().sum::<Complex>() / noise.len() as f64;
         assert!(mean.abs() < 0.001 * mean_power(&noise).sqrt() * 100.0);
         // I and Q power split equally
@@ -275,8 +155,6 @@ mod tests {
 
     #[test]
     fn deterministic_with_same_seed() {
-        let mut a = AwgnChannel::new(5.0, 99);
-        let mut b = AwgnChannel::new(5.0, 99);
-        assert_eq!(a.noise_only(16, 1e6), b.noise_only(16, 1e6));
+        assert_eq!(chain_noise(5.0, 16, 1e6, 99), chain_noise(5.0, 16, 1e6, 99));
     }
 }

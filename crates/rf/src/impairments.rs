@@ -4,11 +4,12 @@
 //! through a calibrated AWGN channel. Real links add more than noise:
 //! LO offset and phase noise, sampling-clock error, I/Q path mismatch,
 //! multipath fading, and the ADC's finite word width. [`ImpairmentChain`]
-//! stacks those effects in their physical order and ends in the existing
-//! calibrated AWGN stage ([`crate::channel::AwgnChannel`]), so a
-//! conformance sweep can ask "what does the SF8 waterfall look like with
-//! 2 ppm clock drift and a 1 dB I/Q gain error?" and get a reproducible
-//! answer.
+//! stacks those effects in their physical order and ends in calibrated
+//! AWGN at the receiver's thermal floor, so a conformance sweep can ask
+//! "what does the SF8 waterfall look like with 2 ppm clock drift and a
+//! 1 dB I/Q gain error?" and get a reproducible answer. It is the
+//! workspace's one noise model: every noisy capture goes through
+//! [`ImpairmentChain::apply`] or a prepared pass.
 //!
 //! The chain is **stateless and deterministic**: [`ImpairmentChain::apply`]
 //! takes an explicit seed and derives one independent splitmix64 stream
@@ -44,13 +45,12 @@
 //! 9. ADC quantization at the LVDS word width (AGC'd to full scale)
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tinysdr_dsp::complex::{mean_power, Complex};
 use tinysdr_dsp::delay::{fractional_delay_into, resample_drift_into, DelayScratch};
 use tinysdr_dsp::fixed::Quantizer;
 
-use crate::channel::{gauss_pair, AwgnChannel};
-use crate::units::{db_to_lin, dbm_to_mw};
+use crate::units::{db_to_lin, dbm_to_mw, noise_floor_dbm};
 
 /// splitmix64 finalizer (same avalanche the OTA seed derivation uses);
 /// kept local so the RF substrate stays below the OTA layer.
@@ -74,6 +74,18 @@ const TAG_PHASE_NOISE: u64 = 0x7A5E_0001;
 const TAG_FADING: u64 = 0xFADE_0002;
 /// Stream tag for the AWGN stage.
 const TAG_NOISE: u64 = 0xA36A_0003;
+
+/// One pair of independent standard Gaussian samples via Box–Muller:
+/// the statistical kernel behind every randomized stage (phase noise,
+/// fading, AWGN).
+#[inline]
+fn gauss_pair(rng: &mut StdRng) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = std::f64::consts::TAU * u2;
+    (r * theta.cos(), r * theta.sin())
+}
 
 /// The fraction of full scale the AGC maps a capture's peak rail to
 /// before stage 9 quantizes it. Below 1, so no rail clips: every
@@ -104,8 +116,9 @@ pub struct ImpairmentChain {
 
 impl ImpairmentChain {
     /// A chain with no impairments beyond calibrated AWGN at the given
-    /// receiver noise figure — behaviourally the plain
-    /// [`AwgnChannel`] sweep the paper's figures use.
+    /// receiver noise figure: the plain noisy channel the paper's
+    /// sensitivity figures sweep. A silent `tx` (mean power 0) is left
+    /// unscaled, so its capture is the noise alone.
     pub fn new(noise_figure_db: f64) -> Self {
         ImpairmentChain {
             noise_figure_db,
@@ -407,8 +420,26 @@ impl ImpairmentChain {
                 i += block;
             }
         }
-        let mut awgn = AwgnChannel::new(self.noise_figure_db, stage_seed(seed, TAG_NOISE));
-        awgn.noise_only_into(prep.front.len(), fs, &mut prep.noise);
+        self.awgn_into(prep.front.len(), fs, seed, &mut prep.noise);
+    }
+
+    /// Stage 8's draws, `n` samples into `out` (cleared first): complex
+    /// white Gaussian noise at the receiver's thermal floor
+    /// `N = −174 dBm/Hz + 10·log10(fs) + NF`, split equally across I and
+    /// Q. `fs` is the simulation (sampling) bandwidth, not the signal's
+    /// occupied one: a narrowband signal in a wide `fs` sees more total
+    /// noise, and the receiver's filtering recovers the SNR, as in
+    /// hardware.
+    fn awgn_into(&self, n: usize, fs: f64, seed: u64, out: &mut Vec<Complex>) {
+        let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
+        let mut rng = StdRng::seed_from_u64(stage_seed(seed, TAG_NOISE));
+        out.clear();
+        out.reserve(n);
+        for _ in 0..n {
+            let sigma = (n_mw / 2.0).sqrt();
+            let (i, q) = gauss_pair(&mut rng);
+            out.push(Complex::new(sigma * i, sigma * q));
+        }
     }
 
     /// Replay a prepared pass at one RSSI point: copy the front half,

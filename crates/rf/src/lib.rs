@@ -15,9 +15,8 @@
 //! Modules:
 //!
 //! * [`units`] — dBm/dB/milliwatt conversions and the thermal noise floor.
-//! * [`channel`] — calibrated AWGN at a target RSSI, carrier frequency
-//!   offset, timing offset, and smoltcp-style fault injection for
-//!   packet-level links.
+//! * [`channel`] — RSSI scaling and measurement, carrier frequency
+//!   offset, integer timing offset, and the two-transmitter sum.
 //! * [`impairments`] — composable impairment chain (CFO, fractional
 //!   timing offset, clock drift, I/Q imbalance, phase noise, block
 //!   Rayleigh fading, ADC quantization) ending in calibrated AWGN —

@@ -69,10 +69,10 @@ proptest! {
         nf in 0.0f64..10.0,
         seed in any::<u64>(),
     ) {
-        use tinysdr_rf::channel::AwgnChannel;
+        use tinysdr_rf::impairments::ImpairmentChain;
         use tinysdr_rf::units::noise_floor_dbm;
-        let mut ch = AwgnChannel::new(nf, seed);
-        let noise = ch.noise_only(30_000, fs);
+        // a silent waveform's capture is the chain's stage-8 noise alone
+        let noise = ImpairmentChain::new(nf).apply(&[Complex::ZERO; 30_000], 0.0, fs, seed);
         let p_mw: f64 =
             noise.iter().map(|z| z.norm_sqr()).sum::<f64>() / noise.len() as f64;
         let got = mw_to_dbm(p_mw);

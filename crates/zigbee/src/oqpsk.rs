@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tinysdr_rf::channel::AwgnChannel;
+    use tinysdr_rf::impairments::ImpairmentChain;
 
     fn random_symbols(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -340,8 +340,7 @@ mod tests {
             let ns = d.samples_per_symbol();
             let clean = m.modulate_symbols(&random_symbols(24, spc as u64));
             for (k, rssi) in [-90.0, -100.0, -106.0, -115.0].into_iter().enumerate() {
-                let mut sig = clean.clone();
-                AwgnChannel::new(10.0, 50 + k as u64).apply(&mut sig, rssi, m.fs());
+                let sig = ImpairmentChain::new(10.0).apply(&clean, rssi, m.fs(), 50 + k as u64);
                 // every window, with its spill-over, without it (the
                 // capture ends on the symbol boundary) and part of it
                 for i in 0..24 {
@@ -372,9 +371,15 @@ mod tests {
         let m = OqpskModulator::new(2);
         let d = OqpskDemodulator::new(2);
         let ns = d.samples_per_symbol();
-        let mut signal = m.modulate_symbols(&random_symbols(6, 21));
-        AwgnChannel::new(10.0, 3).apply(&mut signal, -104.0, m.fs());
-        let noise = AwgnChannel::new(10.0, 4).noise_only(signal.len(), m.fs());
+        let chain = ImpairmentChain::new(10.0);
+        let signal = chain.apply(
+            &m.modulate_symbols(&random_symbols(6, 21)),
+            -104.0,
+            m.fs(),
+            3,
+        );
+        // a silent waveform's capture is the noise alone
+        let noise = chain.apply(&vec![Complex::ZERO; signal.len()], 0.0, m.fs(), 4);
         // with and without the final spill-over, and a short capture
         for len in [ns - 1, 3 * ns, 3 * ns + 1, signal.len()] {
             let (x, n) = (&signal[..len], &noise[..len]);
@@ -425,9 +430,7 @@ mod tests {
         let m = OqpskModulator::new(2);
         let d = OqpskDemodulator::new(2);
         let syms = random_symbols(128, 11);
-        let mut sig = m.modulate_symbols(&syms);
-        let mut ch = AwgnChannel::new(4.5, 5);
-        ch.apply(&mut sig, -70.0, m.fs());
+        let sig = ImpairmentChain::new(4.5).apply(&m.modulate_symbols(&syms), -70.0, m.fs(), 5);
         assert_eq!(d.demodulate_symbols(&sig), syms);
     }
 
@@ -440,9 +443,7 @@ mod tests {
         let syms = random_symbols(256, 13);
         let base = m.modulate_symbols(&syms);
         let ser = |rssi: f64, seed: u64| {
-            let mut sig = base.clone();
-            let mut ch = AwgnChannel::new(10.0, seed);
-            ch.apply(&mut sig, rssi, m.fs());
+            let sig = ImpairmentChain::new(10.0).apply(&base, rssi, m.fs(), seed);
             let rx = d.demodulate_symbols(&sig);
             rx.iter().zip(&syms).filter(|(a, b)| a != b).count() as f64 / syms.len() as f64
         };

@@ -2,7 +2,7 @@
 //! the LoRa/GFSK modem properties from the conformance-harness PR.
 
 use proptest::prelude::*;
-use tinysdr_rf::channel::AwgnChannel;
+use tinysdr_rf::impairments::ImpairmentChain;
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::chips::{chip_sequence, CHIPS_PER_SYMBOL};
 use tinysdr_zigbee::modem::{bytes_to_symbols, symbols_to_bytes, ZigbeePhy};
@@ -41,9 +41,9 @@ proptest! {
     ) {
         let phy = ZigbeePhy::new(2);
         let rot = tinysdr_dsp::complex::Complex::from_angle(phase);
-        let mut sig: Vec<_> = phy.modulate(&frame).into_iter().map(|z| z * rot).collect();
-        let mut ch = AwgnChannel::new(phy.noise_figure_db(), seed);
-        ch.apply(&mut sig, -75.0, phy.sample_rate_hz());
+        let sig: Vec<_> = phy.modulate(&frame).into_iter().map(|z| z * rot).collect();
+        let chain = ImpairmentChain::new(phy.noise_figure_db());
+        let sig = chain.apply(&sig, -75.0, phy.sample_rate_hz(), seed);
         let c = phy.count_errors(&frame, &phy.demodulate(&sig));
         prop_assert!(c.is_clean(), "{} errors at -75 dBm", c.errors);
     }

@@ -12,7 +12,7 @@ use tinysdr::ble::beacon;
 use tinysdr::ble::gfsk::{count_bit_errors, GfskDemodulator, GfskModulator};
 use tinysdr::ble::packet::AdvPacket;
 use tinysdr::platform::profile::{ble_beacon_battery_years, platform_power_mw, OperatingPoint};
-use tinysdr::rf::channel::AwgnChannel;
+use tinysdr::rf::impairments::ImpairmentChain;
 
 fn main() {
     println!("=== BLE beacon case study ===\n");
@@ -51,9 +51,7 @@ fn main() {
     let modulator = GfskModulator::new(sps);
     let demodulator = GfskDemodulator::new(sps);
     let bits = pkt.to_bits(38);
-    let mut sig = modulator.modulate(&bits);
-    let mut ch = AwgnChannel::new(6.7, 7);
-    ch.apply(&mut sig, -80.0, modulator.fs());
+    let sig = ImpairmentChain::new(6.7).apply(&modulator.modulate(&bits), -80.0, modulator.fs(), 7);
     let rx_bits = demodulator.demodulate(&sig);
     let (errs, n) = count_bit_errors(&bits, &rx_bits);
     println!("\nreceived at -80 dBm: {errs} bit errors over {n} bits");

@@ -11,7 +11,8 @@ use rand::{Rng, SeedableRng};
 
 use tinysdr::lora::ChirpConfig;
 use tinysdr::platform::profile::{platform_power_mw, OperatingPoint};
-use tinysdr::rf::channel::{set_rssi, superpose, AwgnChannel};
+use tinysdr::rf::channel::{measure_rssi_dbm, set_rssi, superpose};
+use tinysdr::rf::impairments::ImpairmentChain;
 use tinysdr_fpga::resources::paper_percent;
 use tinysdr_lora::concurrent::ConcurrentReceiver;
 use tinysdr_lora::fpga_map;
@@ -59,9 +60,8 @@ fn main() {
         let mut sig_b = tx_b.modulate_symbols(&syms_b);
         set_rssi(&mut sig_a, rssi_a);
         set_rssi(&mut sig_b, rssi_b);
-        let mut rx = superpose(&sig_a, &sig_b);
-        let mut ch = AwgnChannel::new(4.5, 7);
-        ch.add_noise(&mut rx, 500e3);
+        let sum = superpose(&sig_a, &sig_b);
+        let rx = ImpairmentChain::new(4.5).apply(&sum, measure_rssi_dbm(&sum), 500e3, 7);
 
         let sers = receiver.symbol_error_rates(&rx, &[syms_a.clone(), syms_b.clone()]);
         println!(

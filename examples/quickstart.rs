@@ -13,7 +13,7 @@
 use tinysdr::lora::ChirpConfig;
 use tinysdr::platform::device::{DeviceState, TinySdr};
 use tinysdr::rf::at86rf215::RadioState;
-use tinysdr::rf::channel::AwgnChannel;
+use tinysdr::rf::impairments::ImpairmentChain;
 use tinysdr_fpga::bitstream::Bitstream;
 use tinysdr_hw::flash::ImageSlot;
 use tinysdr_lora::demodulator::Demodulator;
@@ -54,7 +54,7 @@ fn main() {
     let frame = FrameParams::new(CodeParams::new(8, 4));
     let modulator = Modulator::new(chirp, frame);
     let payload = b"hello from tinySDR";
-    let mut signal = modulator.modulate(payload);
+    let signal = modulator.modulate(payload);
     println!(
         "\nmodulated {} bytes -> {} I/Q samples ({:.1} ms of air time)",
         payload.len(),
@@ -64,8 +64,7 @@ fn main() {
     println!("TX platform power: {:.0} mW", tx_node.platform_power_mw());
 
     // --- the channel: -120 dBm at the receiver, AT86RF215 noise figure ---
-    let mut channel = AwgnChannel::new(4.5, 42);
-    channel.apply(&mut signal, -120.0, chirp.fs());
+    let signal = ImpairmentChain::new(4.5).apply(&signal, -120.0, chirp.fs(), 42);
 
     // --- demodulate on the receiving node ---
     let demodulator = Demodulator::new(chirp, frame);

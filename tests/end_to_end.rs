@@ -4,7 +4,7 @@
 use tinysdr::lora::ChirpConfig;
 use tinysdr::platform::device::{DeviceState, TinySdr};
 use tinysdr::rf::at86rf215::RadioState;
-use tinysdr::rf::channel::AwgnChannel;
+use tinysdr::rf::impairments::ImpairmentChain;
 use tinysdr_fpga::bitstream::Bitstream;
 use tinysdr_hw::flash::ImageSlot;
 use tinysdr_lora::demodulator::Demodulator;
@@ -35,9 +35,8 @@ fn full_link_between_two_devices() {
     let chirp = ChirpConfig::new(8, 125e3, 1);
     let fp = FrameParams::new(CodeParams::new(8, 4));
     let payload = b"integration";
-    let mut sig = Modulator::new(chirp, fp).modulate(payload);
-    let mut ch = AwgnChannel::new(4.5, 77);
-    ch.apply(&mut sig, -118.0, chirp.fs());
+    let sig = Modulator::new(chirp, fp).modulate(payload);
+    let sig = ImpairmentChain::new(4.5).apply(&sig, -118.0, chirp.fs(), 77);
     let frame = Demodulator::new(chirp, fp)
         .demodulate(&sig)
         .expect("decodes");
@@ -67,9 +66,8 @@ fn lorawan_frame_over_the_air() {
     let modem_tx = Modulator::new(chirp, fp);
     let modem_rx = Demodulator::new(chirp, fp);
     let fly = |bytes: &[u8], seed: u64| -> Vec<u8> {
-        let mut sig = modem_tx.modulate(bytes);
-        let mut ch = AwgnChannel::new(4.5, seed);
-        ch.apply(&mut sig, -115.0, chirp.fs());
+        let sig =
+            ImpairmentChain::new(4.5).apply(&modem_tx.modulate(bytes), -115.0, chirp.fs(), seed);
         let f = modem_rx.demodulate(&sig).expect("PHY decodes");
         assert!(f.crc_ok);
         f.payload
@@ -159,9 +157,9 @@ fn statistical_model_matches_sample_level_demod() {
 
     for snr_db in [-14.0, -11.0, -8.0] {
         let rssi = noise_floor_dbm(125e3, 4.5) + snr_db;
-        let mut sig = modem.modulate_symbols(&syms);
-        let mut ch = AwgnChannel::new(4.5, (1000 + snr_db as i64) as u64);
-        ch.apply(&mut sig, rssi, chirp.fs());
+        let sig = modem.modulate_symbols(&syms);
+        let seed = (1000 + snr_db as i64) as u64;
+        let sig = ImpairmentChain::new(4.5).apply(&sig, rssi, chirp.fs(), seed);
         let measured = demod.symbol_error_rate(&sig, &syms);
         let model = sx1276::symbol_error_prob(snr_db, 8);
         assert!(
