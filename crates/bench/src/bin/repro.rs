@@ -6,6 +6,7 @@
 //! repro fig2 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15a fig15b
 //! repro sec51 sec52 sec53 sec6
 //! repro waterfall           # PHY conformance waterfalls (not in `all`)
+//! repro waterfall --columns # median one-thread CPU time per impairment column
 //! repro energy              # power-state/energy axis (not in `all`)
 //! repro campaign            # million-node campaign scaling (not in `all`)
 //! repro perf                # hot-path perf gates + trajectories (not in `all`)
@@ -82,7 +83,7 @@ const QUICK: Effort = Effort {
     bits: 20_000,
 };
 
-const USAGE: &str = "usage: repro [--quick] [--json] [--label <text>] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
+const USAGE: &str = "usage: repro [--quick] [--json] [--columns] [--label <text>] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
 
 /// Every experiment name `repro` accepts.
 const EXPERIMENTS: &[&str] = &[
@@ -186,7 +187,7 @@ fn main() {
         .iter()
         .map(|s| s.as_str())
         .filter(|a| match a.strip_prefix("--") {
-            Some(flag) => !["quick", "json"].contains(&flag),
+            Some(flag) => !["quick", "json", "columns"].contains(&flag),
             None => !EXPERIMENTS.contains(a),
         })
         .collect();
@@ -206,8 +207,19 @@ fn main() {
         );
         std::process::exit(2);
     }
+    let columns = args.iter().any(|a| a == "--columns");
+    if columns && (json || wanted != ["waterfall"]) {
+        eprintln!(
+            "repro: --columns times the columns of `waterfall` alone (never --json)\n{USAGE}"
+        );
+        std::process::exit(2);
+    }
     if json {
         run_json(&wanted, quick);
+        return;
+    }
+    if columns {
+        run_columns_cmd(quick);
         return;
     }
     let all = wanted.contains(&"all");
@@ -313,6 +325,12 @@ fn main() {
             "RSSI dBm",
             &curves,
         );
+        for (lane, loss) in phy::fig15a_loss_db(&curves, effort.symbols / 2, seed) {
+            let loss = loss
+                .map(|db| format!("{db:.2} dB"))
+                .unwrap_or_else(|| "no crossing".into());
+            println!("  {lane} loss vs solo 10%-SER sensitivity: {loss}");
+        }
         println!("  paper: ~2 dB (BW125) / ~0.5 dB (BW250) loss vs solo sensitivity");
     }
     if want("fig15b") {
@@ -425,6 +443,31 @@ fn run_json(wanted: &[&str], quick: bool) {
         }
     };
     print!("{}", doc.write_pretty());
+}
+
+/// `waterfall --columns`: the median one-thread CPU time of each
+/// impairment column over the grid (`--quick`: the quick grid, three
+/// runs a column; full: the full grid, five). Seed 1, the benchmark's
+/// waterfall seed, so the table splits the time that benchmark reads.
+fn run_columns_cmd(quick: bool) {
+    use tinysdr_bench::waterfall::{column_cpu_s, WaterfallConfig};
+    let (cfg, reps) = if quick {
+        (WaterfallConfig::quick(1), 3)
+    } else {
+        (WaterfallConfig::full(1), 5)
+    };
+    let grid = if quick { "quick" } else { "full" };
+    println!("\n== One-thread CPU per column: {grid} grid, seed 1, median of {reps} runs ==");
+    let columns = column_cpu_s(&cfg, reps);
+    let ms = |s: Option<f64>| match s {
+        Some(s) => format!("{:>8.0} ms", s * 1e3),
+        None => format!("{:>11}", "n/a"),
+    };
+    for (label, s) in &columns {
+        println!("  {label:<12} {}", ms(*s));
+    }
+    let total: Option<f64> = columns.iter().map(|(_, s)| *s).sum();
+    println!("  {:<12} {}", "total", ms(total));
 }
 
 /// The PHY conformance waterfalls: sharded sweep, per-scenario curves,

@@ -10,6 +10,7 @@
 use tinysdr_dsp::chirp::ChirpConfig;
 use tinysdr_dsp::executor::map_in_order;
 use tinysdr_dsp::spectrum::{welch, WelchConfig};
+use tinysdr_dsp::stats::threshold_crossing;
 use tinysdr_lora::concurrent::ConcurrentReceiver;
 use tinysdr_lora::modem::{LoraPerPhy, LoraSerPhy};
 use tinysdr_lora::modulator::{single_tone, Modulator, Transmitter};
@@ -169,6 +170,34 @@ pub fn fig15a(symbols: usize, seed: u64) -> Vec<Series> {
     vec![s125, s250]
 }
 
+/// The §6 concurrency loss of Fig. 15a's `concurrent` lanes: each
+/// lane's 10 %-SER sensitivity minus the same SF8 stream's solo one
+/// (Fig. 11's curves at the same `symbols` and `seed`), in dB, BW125
+/// then BW250. `None` where either curve does not cross.
+pub fn fig15a_loss_db(
+    concurrent: &[Series],
+    symbols: usize,
+    seed: u64,
+) -> Vec<(String, Option<f64>)> {
+    let solo = fig11(symbols, seed);
+    ["SF8 BW125", "SF8 BW250"]
+        .into_iter()
+        .map(|lane| {
+            let sens_conc = concurrent
+                .iter()
+                .find(|s| s.label.starts_with(lane))
+                .and_then(|s| {
+                    let rates: Vec<(f64, f64)> =
+                        s.points.iter().map(|&(x, y)| (x, y / 100.0)).collect();
+                    threshold_crossing(&rates, LORA_THRESHOLD)
+                });
+            let sens_solo = solo.iter().find(|(s, _)| s.label == lane).and_then(|c| c.1);
+            let loss = sens_conc.zip(sens_solo).map(|(c, s)| c - s);
+            (lane.to_string(), loss)
+        })
+        .collect()
+}
+
 /// Fig. 15b: BW125 lane fixed near sensitivity (−123 dBm), interferer
 /// power swept. Returns the BW125 lane SER (percent) vs interferer
 /// power.
@@ -215,7 +244,6 @@ fn concurrent_point(rssi_125: f64, rssi_250: f64, symbols: usize, seed: u64) -> 
 mod tests {
     use super::*;
     use tinysdr_ble::modem::CC2650_SENSITIVITY_DBM;
-    use tinysdr_dsp::stats::threshold_crossing;
 
     /// The curve labelled `label` among `curves`.
     fn find<'a>(curves: &'a [(Series, Option<f64>)], label: &str) -> &'a (Series, Option<f64>) {
@@ -294,12 +322,9 @@ mod tests {
     fn fig15a_loses_couple_db() {
         // concurrent BW125 sensitivity vs solo Fig. 11: ≈2 dB worse
         let conc = fig15a(80, 11);
-        let c125 = conc.iter().find(|s| s.label.contains("BW125")).unwrap();
-        let rates: Vec<(f64, f64)> = c125.points.iter().map(|&(x, y)| (x, y / 100.0)).collect();
-        let sens_conc = threshold_crossing(&rates, LORA_THRESHOLD).expect("crossing");
-        let solo = fig11(80, 11);
-        let sens_solo = find(&solo, "SF8 BW125").1.expect("crossing");
-        let loss = sens_conc - sens_solo;
+        let losses = fig15a_loss_db(&conc, 80, 11);
+        assert_eq!(losses[0].0, "SF8 BW125");
+        let loss = losses[0].1.expect("crossing");
         assert!(loss > -0.5 && loss < 4.5, "concurrency loss {loss} dB");
     }
 

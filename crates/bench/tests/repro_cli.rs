@@ -57,6 +57,30 @@ fn a_label_needs_a_value_and_perf() {
     }
 }
 
+#[test]
+fn columns_time_the_waterfall_alone() {
+    for args in [
+        &["--columns", "table1"][..],
+        &["--columns", "waterfall", "fig15a"],
+        &["--json", "--columns", "waterfall"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
+            "{args:?}"
+        );
+    }
+    // one row per quick-grid column, then the total
+    let out = repro(&["--quick", "--columns", "waterfall"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for column in ["clean", "cfo30", "timing0.25", "total"] {
+        assert!(stdout.contains(column), "{column} missing from {stdout}");
+    }
+}
+
 /// The points of the trajectory file at `path`.
 fn points(path: &Path) -> Vec<Value> {
     let doc = Value::parse(&std::fs::read_to_string(path).expect("trajectory exists"))

@@ -180,20 +180,24 @@ impl GfskDemodulator {
         let n_bits = x.len() / self.sps;
         out.clear();
         out.reserve(n_bits);
-        for i in 0..n_bits {
-            // the window never outruns the 3-bit templates
-            // (`slice.len() <= 3*sps`), so every sample is correlated
-            // lint: allow(unchecked-index, window() clamps to x.len())
-            let (p, _) = self.templates.best(&x[self.window(i, x.len())]);
-            out.push(center_bit(i, p));
-        }
+        out.extend((0..n_bits).map(|i| self.decide_bit(x, i)));
+    }
+
+    /// Bit `i` of an aligned stream `x`: the center bit of the template
+    /// that correlates strongest with its window.
+    pub(crate) fn decide_bit(&self, x: &[Complex], i: usize) -> u8 {
+        // the window never outruns the 3-bit templates
+        // (`slice.len() <= 3*sps`), so every sample is correlated
+        // lint: allow(unchecked-index, window() clamps to x.len())
+        let (p, _) = self.templates.best(&x[self.window(i, x.len())]);
+        center_bit(i, p)
     }
 
     /// Samples of bit `i`'s window in a capture of `len` samples: the
     /// 3-bit window centered on bit `i`, clamped at the edges (the first
     /// bit sits in the window's first position, and the last window may
     /// be short).
-    fn window(&self, i: usize, len: usize) -> Range<usize> {
+    pub(crate) fn window(&self, i: usize, len: usize) -> Range<usize> {
         let start = i.saturating_sub(1) * self.sps;
         start..(start + 3 * self.sps).min(len)
     }
@@ -315,6 +319,29 @@ pub fn count_bit_errors(tx: &[u8], rx: &[u8]) -> (u64, u64) {
 mod tests {
     use super::*;
     use tinysdr_rf::impairments::ImpairmentChain;
+
+    #[test]
+    fn a_settled_bit_reads_its_window_alone() {
+        // the kernel a refused window is settled by: each bit from a
+        // capture that holds only its window (NaN elsewhere) equals the
+        // whole-capture demodulation's, truncated captures included
+        let (m, d) = (GfskModulator::new(4), GfskDemodulator::new(4));
+        let tx = m.modulate(&prbs(40, 9));
+        let rx = ImpairmentChain::new(6.0).apply(&tx, -95.0, 4e6, 9);
+        for len in [rx.len(), rx.len() - 5, 13, 8] {
+            let x = &rx[..len];
+            for (i, &bit) in d.demodulate(x).iter().enumerate() {
+                let reads = d.window(i, len);
+                let masked: Vec<Complex> = (0..len)
+                    .map(|k| match reads.contains(&k) {
+                        true => x[k],
+                        false => Complex::new(f64::NAN, f64::NAN),
+                    })
+                    .collect();
+                assert_eq!(d.decide_bit(&masked, i), bit, "{len} samples, bit {i}");
+            }
+        }
+    }
 
     fn prbs(n: usize, seed: u64) -> Vec<u8> {
         let mut s = seed | 1;

@@ -7,7 +7,9 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
-use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
+use tinysdr_rf::superpose::{
+    decide_stream, ExactCaptures, LinearPass, LinearReceiver, ReceiverScratch,
+};
 
 /// Re-exported from [`crate::gfsk`], the crate's bit-order authority.
 pub use crate::gfsk::{bits_to_bytes, bytes_to_bits};
@@ -103,20 +105,28 @@ impl PhyModem for BleBerPhy {
 }
 
 /// Superposition over the detector's own clamped 3-bit windows; window
-/// `i`'s winning template reads as its center bit.
+/// `i`'s winning template reads as its center bit, and a refused window
+/// is settled by correlating that window of the capture.
 impl LinearReceiver for BleBerPhy {
     fn decide(
         &self,
         pass: &LinearPass<'_>,
         _: &mut ReceiverScratch,
+        exact: &mut ExactCaptures<'_>,
         each: &mut dyn FnMut(usize, DemodResult),
     ) {
         decide_stream(
             pass,
-            pass.signal.len() / self.sps,
+            exact,
             each,
             |window| self.demod.project_bits(pass.signal, pass.noise, window),
             |i, p| u16::from(center_bit(i, p)),
+            |exact, point, i| {
+                let reads = self.demod.window(i, exact.len());
+                exact.settle(point, reads, |capture| {
+                    u16::from(self.demod.decide_bit(capture, i))
+                })
+            },
             |units| {
                 let bits: Vec<u8> = units.iter().map(|&u| u as u8).collect();
                 DemodResult::stream(bits_to_bytes(&bits), units)

@@ -17,8 +17,8 @@
 //! [`tinysdr_rf::phy::PhyModem`]: a modem's `demodulate` returns a
 //! best-effort byte stream, and the [`Deframer`] recovers frame
 //! boundaries from it even when leading/trailing bytes are noise.
-//! Anything that does not validate (bad escape, short body, CRC
-//! mismatch, unknown kind) is *dropped and counted* — corruption
+//! Anything that does not validate (bad escape, short or oversize body,
+//! CRC mismatch, unknown kind) is *dropped and counted* — corruption
 //! becomes loss, never a silently different frame.
 
 use tinysdr_lora::phy::crc16;
@@ -36,6 +36,11 @@ pub const TFESC: u8 = 0xDD;
 /// worst-case escaped wire image inside a 255-byte LoRa packet with
 /// headroom for header, CRC and escaping overhead.
 pub const MAX_PAYLOAD: usize = 120;
+
+/// Largest valid unescaped body, bytes: kind, sequence number,
+/// [`MAX_PAYLOAD`] bytes of payload and the CRC-16. The [`Deframer`]
+/// buffers no more than this of any envelope.
+pub const MAX_BODY: usize = 3 + MAX_PAYLOAD + 2;
 
 /// Frame types of the link layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +108,8 @@ pub enum FrameError {
     NoFrame,
     /// Unescaped body shorter than header + CRC (5 bytes).
     Truncated,
+    /// Unescaped body longer than the largest valid one ([`MAX_BODY`]).
+    Oversize,
     /// `FESC` followed by something other than `TFEND`/`TFESC`.
     BadEscape(u8),
     /// CRC-16 trailer mismatch.
@@ -116,6 +123,7 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::NoFrame => write!(f, "no complete frame envelope"),
             FrameError::Truncated => write!(f, "frame body shorter than header + CRC"),
+            FrameError::Oversize => write!(f, "frame body longer than {MAX_BODY} bytes"),
             FrameError::BadEscape(b) => write!(f, "invalid escape sequence FESC {b:#04x}"),
             FrameError::BadCrc => write!(f, "frame CRC-16 mismatch"),
             FrameError::BadKind(t) => write!(f, "unknown frame kind tag {t:#04x}"),
@@ -256,6 +264,9 @@ impl Frame {
         if body.len() < 5 {
             return Err(FrameError::Truncated);
         }
+        if body.len() > MAX_BODY {
+            return Err(FrameError::Oversize);
+        }
         let (content, crc_bytes) = body.split_at(body.len() - 2);
         let want = u16::from_be_bytes([crc_bytes[0], crc_bytes[1]]);
         if crc16(content) != want {
@@ -278,7 +289,9 @@ impl Frame {
 /// envelopes (back-to-back `FEND`s, a KISS idiom) are ignored; bodies
 /// that fail validation are counted in [`Deframer::rejected`] and
 /// dropped. An unterminated trailing frame stays buffered until its
-/// closing `FEND` arrives on a later push.
+/// closing `FEND` arrives on a later push — up to [`MAX_BODY`] bytes: a
+/// body that grows past them is rejected at once, and the bytes up to
+/// the next `FEND` are skipped as noise.
 #[derive(Debug, Default)]
 pub struct Deframer {
     body: Vec<u8>,
@@ -301,7 +314,8 @@ impl Deframer {
         self.noise_bytes
     }
 
-    /// Complete envelopes that failed validation (escape/CRC/kind).
+    /// Envelopes that failed validation (escape/CRC/kind, or a body
+    /// past [`MAX_BODY`]).
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -346,21 +360,33 @@ impl Deframer {
                 self.bad_body = false;
                 continue;
             }
-            if self.escaped {
+            let byte = if self.escaped {
                 self.escaped = false;
                 match b {
-                    TFEND => self.body.push(FEND),
-                    TFESC => self.body.push(FESC),
+                    TFEND => FEND,
+                    TFESC => FESC,
                     other => {
                         self.bad_body = true;
                         self.last_error = Some(FrameError::BadEscape(other));
+                        continue;
                     }
                 }
             } else if b == FESC {
                 self.escaped = true;
+                continue;
             } else {
-                self.body.push(b);
+                b
+            };
+            if self.body.len() == MAX_BODY {
+                // no valid frame is this long: drop it and resync at the
+                // next delimiter
+                self.rejected += 1;
+                self.last_error = Some(FrameError::Oversize);
+                self.in_frame = false;
+                self.body.clear();
+                continue;
             }
+            self.body.push(byte);
         }
     }
 }
@@ -486,6 +512,55 @@ mod tests {
         assert!(Frame::decode(&wire[..wire.len() - 1]).is_err());
         // missing the opening delimiter: body is noise, no frame
         assert!(Frame::decode(&wire[1..]).is_err());
+    }
+
+    #[test]
+    fn an_endless_body_stays_within_the_cap() {
+        // a delimiter, then 1 MiB without one: the deframer buffers at
+        // most the largest valid body and rejects the envelope once
+        let mut d = Deframer::new();
+        let mut out = Vec::new();
+        d.push_bytes(&[FEND], &mut out);
+        for _ in 0..16 {
+            d.push_bytes(&[0x5A; 1 << 16], &mut out);
+            assert!(d.body.len() <= MAX_BODY, "{} bytes buffered", d.body.len());
+        }
+        assert_eq!(d.rejected(), 1);
+        assert_eq!(d.last_error, Some(FrameError::Oversize));
+        assert!(out.is_empty());
+        // the next delimiter resyncs: a frame after it decodes
+        d.push_bytes(&Frame::ack(4).encode(), &mut out);
+        assert_eq!(out, [Frame::ack(4)]);
+        assert_eq!(d.rejected(), 1);
+    }
+
+    #[test]
+    fn a_valid_crc_over_an_oversize_payload_is_rejected() {
+        // kind, seq, MAX_PAYLOAD + 1 bytes, and a CRC that matches them
+        let mut body = vec![FrameKind::Data.tag(), 1, 0];
+        body.extend(std::iter::repeat_n(0x11, MAX_PAYLOAD + 1));
+        let crc = crc16(&body);
+        body.extend_from_slice(&crc.to_be_bytes());
+        assert_eq!(body.len(), MAX_BODY + 1);
+        assert_eq!(Frame::from_body(&body), Err(FrameError::Oversize));
+        let mut wire = vec![FEND];
+        for &b in &body {
+            match b {
+                FEND => wire.extend_from_slice(&[FESC, TFEND]),
+                FESC => wire.extend_from_slice(&[FESC, TFESC]),
+                b => wire.push(b),
+            }
+        }
+        wire.push(FEND);
+        assert_eq!(Frame::decode(&wire), Err(FrameError::Oversize));
+        let mut d = Deframer::new();
+        let mut out = Vec::new();
+        d.push_bytes(&wire, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(d.rejected(), 1);
+        // the largest valid payload still round-trips
+        let f = Frame::data(2, vec![0x11; MAX_PAYLOAD]);
+        assert_eq!(Frame::decode(&f.encode()), Ok(f));
     }
 
     #[test]

@@ -509,6 +509,82 @@ impl Demodulator {
         }
     }
 
+    /// The dechirp reference of `chirp`: the conjugate base upchirp or
+    /// downchirp.
+    fn reference(&self, chirp: Chirp) -> &[Complex] {
+        match chirp {
+            Chirp::Up => &self.up_ref,
+            Chirp::Down => &self.down_ref,
+        }
+    }
+
+    /// The spectrum of the window at `start` of `rx`'s filtered capture,
+    /// dechirped against `chirp`, into `scratch.buf`: the samples
+    /// [`Demodulator::filter`] puts at `start..start + N` (zero past the
+    /// capture, the framed path's padding), formed from the FIR inputs
+    /// those samples read alone — the window's own and the `taps − 1`
+    /// before them, zero outside the capture.
+    ///
+    /// Each FIR output is a sum over the last `taps` inputs, started at
+    /// zero and added in tap order whatever came before, so every sample
+    /// is bit-identical to the whole-capture filter's; so is the
+    /// spectrum to the stream walk's window `start / N` and to the
+    /// framed search's window at `start`. It is the kernel a refused
+    /// superposed decision is settled by.
+    ///
+    /// It reads `rx` at [`Demodulator::window_reads`] only.
+    fn exact_window_spectrum(
+        &self,
+        rx: &[Complex],
+        start: usize,
+        chirp: Chirp,
+        scratch: &mut DemodScratch,
+    ) {
+        let DemodScratch { fir, filtered, buf } = scratch;
+        let (ns, len) = (self.cfg.samples_per_symbol(), rx.len());
+        // input index of the window's first output, and of its history
+        let first = start + fir.group_delay() as usize;
+        let history = first.saturating_sub(fir.len() - 1);
+        fir.reset();
+        // lint: allow(unchecked-index, both ends are clamped to the capture)
+        fir.process_into(&rx[history.min(len)..first.min(len)], filtered);
+        for _ in history.max(len)..first {
+            fir.push(Complex::ZERO);
+        }
+        let outputs = ns.min(len.saturating_sub(start));
+        // lint: allow(unchecked-index, both ends are clamped to the capture)
+        fir.process_into(&rx[first.min(len)..(first + outputs).min(len)], filtered);
+        filtered.resize_with(outputs, || fir.push(Complex::ZERO));
+        filtered.resize(ns, Complex::ZERO);
+        self.spectrum_into(filtered, self.reference(chirp), buf);
+    }
+
+    /// The samples of a capture of `len` samples that
+    /// [`Demodulator::exact_window_spectrum`] reads for the window at
+    /// `start`: the FIR inputs of the window's samples inside the
+    /// capture, and the `taps − 1` before them.
+    pub(crate) fn window_reads(&self, len: usize, start: usize) -> Range<usize> {
+        let ns = self.cfg.samples_per_symbol();
+        let first = start + self.fir.group_delay() as usize;
+        let history = first.saturating_sub(self.fir.len() - 1);
+        let outputs = ns.min(len.saturating_sub(start));
+        history.min(len)..(first + outputs).min(len)
+    }
+
+    /// The data symbol of the stream walk's window `k` of `rx`
+    /// ([`Demodulator::detect_aligned_with`]'s `k`-th symbol), from
+    /// that window's samples alone ([`Demodulator::exact_window_spectrum`]).
+    pub(crate) fn settle_aligned(
+        &self,
+        rx: &[Complex],
+        k: usize,
+        scratch: &mut DemodScratch,
+    ) -> u16 {
+        let start = k * self.cfg.samples_per_symbol();
+        self.exact_window_spectrum(rx, start, Chirp::Up, scratch);
+        self.data_symbol(&scratch.buf)
+    }
+
     /// `√N·‖h‖₁`: times the norm of the unfiltered samples a window's
     /// FIR outputs read, a bound on every bin and partial sum of its
     /// filter, unit-modulus dechirp and FFT.
@@ -745,38 +821,90 @@ enum Chirp {
 }
 
 /// A peak magnitude, or a sum of them, as a window source reports it:
-/// its value and a bound on its distance from the exact receive's value
-/// (zero on the exact path, whose values are the receive's own).
+/// its value, a bound on its distance from the exact receive's value
+/// (zero on the exact path, whose values are the receive's own), and
+/// the windows it sums, so a superposed source can re-read it from the
+/// exact capture.
 #[derive(Debug, Clone, Copy)]
 struct Level {
     value: f64,
     err: f64,
+    terms: Terms,
+}
+
+/// What a [`Level`] is a sum of.
+#[derive(Debug, Clone, Copy)]
+enum Terms {
+    /// Nothing to re-read: the value is the exact receive's own.
+    Exact,
+    /// The peak magnitudes of the first `n` windows listed, by window
+    /// key and whether it is subtracted, folded left to right as the
+    /// search combined them.
+    Windows([(usize, bool); 4], usize),
+    /// A combination no left fold of window magnitudes reproduces.
+    Opaque,
 }
 
 impl Level {
     /// A value the exact receive forms itself.
     fn exact(value: f64) -> Level {
-        Level { value, err: 0.0 }
+        Level {
+            value,
+            err: 0.0,
+            terms: Terms::Exact,
+        }
+    }
+
+    /// The superposed peak magnitude of the window under `key`, within
+    /// `err` of the exact receive's.
+    fn window(key: usize, value: f64, err: f64) -> Level {
+        Level {
+            value,
+            err,
+            terms: Terms::Windows([(key, false); 4], 1),
+        }
+    }
+
+    /// `self ± rhs`, its bound the sum of both, its terms `self`'s then
+    /// `rhs`'s when `rhs` is one window.
+    fn combine(self, rhs: Level, subtract: bool) -> Level {
+        let terms = match (self.terms, rhs.terms) {
+            (Terms::Exact, Terms::Exact) => Terms::Exact,
+            (Terms::Windows(mut keys, n), Terms::Windows([(key, minus), ..], 1)) => {
+                match keys.get_mut(n) {
+                    Some(slot) => {
+                        *slot = (key, minus != subtract);
+                        Terms::Windows(keys, n + 1)
+                    }
+                    None => Terms::Opaque,
+                }
+            }
+            _ => Terms::Opaque,
+        };
+        let value = if subtract {
+            self.value - rhs.value
+        } else {
+            self.value + rhs.value
+        };
+        Level {
+            value,
+            err: self.err + rhs.err,
+            terms,
+        }
     }
 }
 
 impl std::ops::Add for Level {
     type Output = Level;
     fn add(self, rhs: Level) -> Level {
-        Level {
-            value: self.value + rhs.value,
-            err: self.err + rhs.err,
-        }
+        self.combine(rhs, false)
     }
 }
 
 impl std::ops::Sub for Level {
     type Output = Level;
     fn sub(self, rhs: Level) -> Level {
-        Level {
-            value: self.value - rhs.value,
-            err: self.err + rhs.err,
-        }
+        self.combine(rhs, true)
     }
 }
 
@@ -784,8 +912,9 @@ impl std::ops::Sub for Level {
 /// takes on a window's spectrum goes through one of these methods, so
 /// the search has one copy: [`ExactWindows`] answers each from the
 /// filtered capture with the receiver's own kernels, bit for bit, and a
-/// superposed source answers from `g·S + N` or refuses a decision it
-/// cannot certify (`Err`), which abandons the whole receive.
+/// superposed source answers from `g·S + N`, settling a decision it
+/// cannot certify on the exact capture's window, or abandons the whole
+/// receive (`Err`).
 ///
 /// `start` is a sample index of the filtered, padded capture; the
 /// search only asks for windows that lie inside [`FrameWindows::len`].
@@ -807,7 +936,7 @@ trait FrameWindows {
     /// ([`Demodulator::data_symbol`]).
     fn data_symbol(&mut self, start: usize) -> Result<u16, Self::Refusal>;
     /// `a.value > b.value` as the exact receive decides it.
-    fn greater(&self, a: Level, b: Level) -> Result<bool, Self::Refusal>;
+    fn greater(&mut self, a: Level, b: Level) -> Result<bool, Self::Refusal>;
 }
 
 /// The exact window source: one filtered capture, each window dechirped
@@ -823,13 +952,10 @@ impl ExactWindows<'_> {
     /// Dechirp → FFT of the window at `start` into `buf`.
     fn spectrum(&mut self, start: usize, chirp: Chirp) -> &[Complex] {
         let d = self.demod;
-        let reference = match chirp {
-            Chirp::Up => &d.up_ref,
-            Chirp::Down => &d.down_ref,
-        };
         let ns = d.cfg.samples_per_symbol();
         // lint: allow(unchecked-index, the search asks only for windows inside len())
-        d.spectrum_into(&self.filtered[start..start + ns], reference, self.buf);
+        let window = &self.filtered[start..start + ns];
+        d.spectrum_into(window, d.reference(chirp), self.buf);
         self.buf
     }
 }
@@ -862,7 +988,7 @@ impl FrameWindows for ExactWindows<'_> {
         Ok(d.data_symbol(self.spectrum(start, Chirp::Up)))
     }
 
-    fn greater(&self, a: Level, b: Level) -> Result<bool, Self::Refusal> {
+    fn greater(&mut self, a: Level, b: Level) -> Result<bool, Self::Refusal> {
         Ok(a.value > b.value)
     }
 }
@@ -1264,6 +1390,72 @@ mod tests {
                     ((lost + flipped) as u64, syms.len() as u64),
                     "SF{sf} OSR{osr}, {len} samples"
                 );
+            }
+        }
+    }
+
+    fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    #[test]
+    fn settled_windows_are_the_exact_paths_windows_bit_for_bit() {
+        // the window kernel a refused decision settles by, against the
+        // whole-capture paths: every window of the stream walk, and the
+        // framed search's windows at every offset against both chirps
+        // (partial and all-padding windows included), on captures of
+        // every length class
+        for sf in [7u8, 8] {
+            let m = Modulator::standard(sf, 125e3, 1, 1);
+            let d = Demodulator::standard(sf, 125e3, 1, 1);
+            let ns = d.config().samples_per_symbol();
+            let syms: Vec<u16> = (0..5u16).map(|k| (53 * k + 9) % (1 << sf)).collect();
+            let tx = m.modulate_symbols(&syms);
+            let rx = ImpairmentChain::new(4.5).apply(&tx, -121.0, 125e3, sf as u64);
+            let mut scratch = d.scratch();
+            for len in [1, 6, 13, ns - 1, ns, ns + 9, 3 * ns + 5, 5 * ns] {
+                let x = &rx[..len];
+                // the stream walk, window by window
+                let (mut fir, mut walk) = (d.fir.clone(), Vec::new());
+                let windows = d.start_walk(x, &mut fir, &mut walk);
+                for k in 0..windows {
+                    d.aligned_spectrum(x, k, &mut fir, &mut walk);
+                    d.exact_window_spectrum(x, k * ns, Chirp::Up, &mut scratch);
+                    assert!(
+                        same_bits(&scratch.buf, &walk),
+                        "SF{sf}, {len} samples, window {k}"
+                    );
+                    assert_eq!(d.settle_aligned(x, k, &mut scratch), d.data_symbol(&walk));
+                }
+                // the framed search's windows
+                let (mut filtered, mut buf) = (Vec::new(), Vec::new());
+                d.filter_padded(x, &mut d.fir.clone(), &mut filtered);
+                let mut exact = ExactWindows {
+                    demod: &d,
+                    filtered: &filtered,
+                    buf: &mut buf,
+                };
+                for start in (0..=len).step_by(5).chain([len.saturating_sub(1), len]) {
+                    // the kernel reads the capture at window_reads alone
+                    let reads = d.window_reads(len, start);
+                    let masked: Vec<Complex> = (0..len)
+                        .map(|i| match reads.contains(&i) {
+                            true => x[i],
+                            false => Complex::new(f64::NAN, f64::NAN),
+                        })
+                        .collect();
+                    for chirp in [Chirp::Up, Chirp::Down] {
+                        let want = exact.spectrum(start, chirp).to_vec();
+                        d.exact_window_spectrum(&masked, start, chirp, &mut scratch);
+                        assert!(
+                            same_bits(&scratch.buf, &want),
+                            "SF{sf}, {len} samples, {chirp:?} window at {start}"
+                        );
+                    }
+                }
             }
         }
     }

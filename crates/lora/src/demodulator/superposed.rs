@@ -3,27 +3,59 @@
 //! Per pass, the faded signal `s` and the noise `n` are filtered once
 //! each, and each `(start, chirp)` window's signal and noise spectra are
 //! formed the first time any point visits it, into the worker's
-//! [`WindowCache`]. Per point, the receiver's own search
-//! ([`Demodulator::receive`]) runs over `g·S + N`; every decision it
-//! takes — the preamble gate, the peak symbols, the refine and SFD
-//! magnitude comparisons, the SFD score's sign, the data symbols — is a
-//! comparison whose two sides carry bounds of a few
-//! `δ = MARGIN·(g·A_s + A_n + R·ρ) + R·ρ` ([`WindowProjection::delta`]),
-//! certified as the stream receivers' argmax is, or refused.
+//! [`WindowCache`]; on a chain that keeps the signal across passes the
+//! filtered signal and the signal spectra are formed once per curve.
+//! Per point, the receiver's own search ([`Demodulator::receive`]) runs
+//! over `g·S + N`; every decision it takes — the preamble gate, the peak
+//! symbols, the refine and SFD magnitude comparisons, the SFD score's
+//! sign, the data symbols — is a comparison whose two sides carry bounds
+//! of a few `δ = MARGIN·(g·A_s + A_n + R·ρ) + R·ρ`
+//! ([`WindowProjection::delta`]), certified as the stream receivers'
+//! argmax is. A decision it cannot certify is settled: the windows it
+//! reads are re-read from the point's exact capture
+//! ([`Demodulator::exact_window_spectrum`]) and decided as the exact
+//! receive decides them.
 
 use tinysdr_dsp::complex::{l2_norm, Complex};
 use tinysdr_rf::superpose::{
-    certified_argmax, LinearPass, Ranking, ReceiverScratch, WindowCache, WindowProjection,
+    ExactCaptures, LinearPass, PeakSummary, Ranking, ReceiverScratch, WindowCache, WindowProjection,
 };
 
-use super::{Chirp, DemodFrame, Demodulator, FrameWindows, Level};
+use super::{Chirp, DemodFrame, DemodScratch, Demodulator, FrameWindows, Level, Terms};
 
-/// A decision the superposed source could not certify.
+/// Why the superposed source took no decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// The decision lies within its bounds: settle it on the exact
+    /// capture.
+    Uncertain,
+    /// A bound is not finite: the point goes whole to the exact path.
+    Abandon,
+}
+
+/// The point was abandoned to the exact path: a non-finite bound, or a
+/// level no re-read of window magnitudes reproduces.
 #[derive(Debug, Clone, Copy)]
-struct Uncertain;
+struct Abandon;
+
+/// The [`WindowCache`] key of the window at `start` against `chirp`.
+fn key(start: usize, chirp: Chirp) -> usize {
+    2 * start + usize::from(chirp == Chirp::Down)
+}
+
+/// The window under a [`key`].
+fn window_of(key: usize) -> (usize, Chirp) {
+    let chirp = if key.is_multiple_of(2) {
+        Chirp::Up
+    } else {
+        Chirp::Down
+    };
+    (key / 2, chirp)
+}
 
 /// The superposed window source of one point: the pass's filtered
-/// signal and noise, the window memo, and the point's gain `g`.
+/// signal and noise, the window memo, and the point's gain `g`. It
+/// refuses what it cannot certify.
 struct SuperposedWindows<'a> {
     demod: &'a Demodulator,
     /// The filtered, padded signal and noise.
@@ -39,44 +71,53 @@ struct SuperposedWindows<'a> {
 }
 
 impl SuperposedWindows<'_> {
-    /// The projections of the window at `start` against `chirp`, formed
-    /// on the pass's first visit. Each bound is `√N·‖h‖₁·‖x‖₂` over the
-    /// unfiltered samples the window's FIR outputs read, its history
-    /// included, and the residual gain `√N·‖h‖₁·√L` for the `L` samples
-    /// read; padding reads nothing.
-    fn window(&mut self, start: usize, chirp: Chirp) -> WindowProjection<'_> {
+    /// The projections of the window at `start` against `chirp` and
+    /// their peaks, formed on the first visit (the signal half on the
+    /// curve's, the noise half on the pass's). Each bound is
+    /// `√N·‖h‖₁·‖x‖₂` over the unfiltered samples the window's FIR
+    /// outputs read, its history included, and the residual gain
+    /// `√N·‖h‖₁·√L` for the `L` samples read; padding reads nothing.
+    fn window(
+        &mut self,
+        start: usize,
+        chirp: Chirp,
+    ) -> (WindowProjection<'_>, Option<PeakSummary>) {
         let d = self.demod;
         let ns = d.cfg.samples_per_symbol();
-        let (reference, key) = match chirp {
-            Chirp::Up => (&d.up_ref, 2 * start),
-            Chirp::Down => (&d.down_ref, 2 * start + 1),
-        };
+        let reference = d.reference(chirp);
         let ([signal_in, noise_in], [signal_raw, noise_raw]) = (self.filtered, self.raw);
         let gain = self.window_gain;
-        self.windows.window(key, |signal, noise| {
-            for (out, x) in [(signal, signal_in), (noise, noise_in)] {
-                // lint: allow(unchecked-index, the search asks only for windows inside len())
-                let window = &x[start..start + ns];
-                for ((o, &z), &r) in out.iter_mut().zip(window).zip(reference) {
-                    *o = z * r;
-                }
-                d.plan.forward(out);
+        let delay = d.fir.group_delay() as usize;
+        let len = signal_raw.len();
+        let read =
+            (start + delay).saturating_sub(d.fir.len() - 1).min(len)..(start + ns + delay).min(len);
+        let project = |out: &mut [Complex], x: &[Complex]| {
+            // lint: allow(unchecked-index, the search asks only for windows inside len())
+            let window = &x[start..start + ns];
+            for ((o, &z), &r) in out.iter_mut().zip(window).zip(reference) {
+                *o = z * r;
             }
-            let delay = d.fir.group_delay() as usize;
-            let history = d.fir.len() - 1;
-            let len = signal_raw.len();
-            let read =
-                (start + delay).saturating_sub(history).min(len)..(start + ns + delay).min(len);
-            // lint: allow(unchecked-index, both ends are clamped to the equal lengths)
-            let (s, n) = (&signal_raw[read.clone()], &noise_raw[read]);
-            let residual = gain * (s.len() as f64).sqrt();
-            (gain * l2_norm(s), gain * l2_norm(n), residual)
-        })
+            d.plan.forward(out);
+        };
+        self.windows.window(
+            key(start, chirp),
+            |out| {
+                project(out, signal_in);
+                // lint: allow(unchecked-index, both ends are clamped to the equal lengths)
+                let s = &signal_raw[read.clone()];
+                (gain * l2_norm(s), gain * (s.len() as f64).sqrt())
+            },
+            |out| {
+                project(out, noise_in);
+                // lint: allow(unchecked-index, both ends are clamped to the equal lengths)
+                gain * l2_norm(&noise_raw[read.clone()])
+            },
+        )
     }
 }
 
 impl FrameWindows for SuperposedWindows<'_> {
-    type Refusal = Uncertain;
+    type Refusal = Refusal;
 
     fn len(&self) -> usize {
         let [signal, _] = self.filtered;
@@ -86,87 +127,222 @@ impl FrameWindows for SuperposedWindows<'_> {
     /// The gate `M ≥ gate·μ` (peak over mean magnitude) with `M` and `μ`
     /// each within δ of the exact receive's, so the lead `M − gate·μ`
     /// within `(1 + |gate|)·δ`; a passing window also needs a certified
-    /// peak bin. A mean within δ of zero (silence) is refused, since the
-    /// exact gate reads quality 0 there.
-    fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Uncertain> {
+    /// peak bin. A mean within δ of zero (silence) is uncertain, since
+    /// the exact gate reads quality 0 there. The mean needs every bin,
+    /// so this decision always scans.
+    fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Refusal> {
         let (g, rho, gate) = (self.g, self.rho, self.demod.preamble_quality);
-        let w = self.window(start, Chirp::Up);
+        let (w, _) = self.window(start, Chirp::Up);
         let delta = w.delta(g, rho);
         let mut sum = 0.0;
         let rank = Ranking::of(w.powers(g).inspect(|p| sum += p.sqrt()));
         let mean = sum / w.signal.len() as f64;
         let tol = (1.0 + gate.abs()) * delta;
         let lead = rank.top - gate * mean;
-        if !(tol.is_finite() && mean > delta) {
-            Err(Uncertain)
+        if !tol.is_finite() {
+            Err(Refusal::Abandon)
+        } else if mean.is_nan() || mean <= delta {
+            Err(Refusal::Uncertain)
         } else if lead > tol {
-            let bin = rank.certified(delta).ok_or(Uncertain)?;
+            let bin = rank.certified(delta).ok_or(Refusal::Uncertain)?;
             Ok(Some(bin as u16))
         } else if -lead > tol {
             Ok(None)
         } else {
-            Err(Uncertain)
+            Err(Refusal::Uncertain)
         }
     }
 
     /// Symbol 0 is certified when bin 0 beats every other bin by more
     /// than 2δ, and ruled out when some bin beats bin 0 by more than 2δ.
-    fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Uncertain> {
+    fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Refusal> {
         let (g, rho) = (self.g, self.rho);
-        let w = self.window(start, Chirp::Up);
+        let (w, peaks) = self.window(start, Chirp::Up);
         let delta = w.delta(g, rho);
+        if !delta.is_finite() {
+            return Err(Refusal::Abandon);
+        }
+        let level = |top| Level::window(key(start, Chirp::Up), top, delta);
+        if let Some(lead) = peaks.and_then(|p| p.lead(&w, g, 2.0 * delta)) {
+            // bin 0 wins, or the winner beats it as it beats every bin
+            return Ok((lead.bin == 0).then(|| level(lead.top)));
+        }
         let rank = Ranking::of(w.powers(g));
         if rank.certified(delta) == Some(0) {
-            return Ok(Some(Level {
-                value: rank.top,
-                err: delta,
-            }));
+            return Ok(Some(level(rank.top)));
         }
         let zero = w.powers(g).next().unwrap_or(0.0).sqrt();
-        if delta.is_finite() && rank.top - zero > 2.0 * delta {
+        if rank.top - zero > 2.0 * delta {
             return Ok(None);
         }
-        Err(Uncertain)
+        Err(Refusal::Uncertain)
     }
 
     fn magnitude(&mut self, start: usize, chirp: Chirp) -> Level {
         let (g, rho) = (self.g, self.rho);
-        let w = self.window(start, chirp);
-        Level {
-            value: w.powers(g).fold(0.0, f64::max).sqrt(),
-            err: w.delta(g, rho),
-        }
+        let (w, peaks) = self.window(start, chirp);
+        let value = match peaks.and_then(|p| p.lead(&w, g, 0.0)) {
+            // the lead's bin holds the largest power
+            Some(lead) => lead.top,
+            None => w.powers(g).fold(0.0, f64::max).sqrt(),
+        };
+        Level::window(key(start, chirp), value, w.delta(g, rho))
     }
 
-    fn data_symbol(&mut self, start: usize) -> Result<u16, Uncertain> {
+    fn data_symbol(&mut self, start: usize) -> Result<u16, Refusal> {
         let (g, rho) = (self.g, self.rho);
-        let w = self.window(start, Chirp::Up);
-        certified_argmax(&w, g, rho)
+        let (w, peaks) = self.window(start, Chirp::Up);
+        let delta = w.delta(g, rho);
+        if !delta.is_finite() {
+            return Err(Refusal::Abandon);
+        }
+        w.certified(peaks.as_ref(), g, delta)
             .map(|bin| bin as u16)
-            .ok_or(Uncertain)
+            .ok_or(Refusal::Uncertain)
     }
 
     /// Decided when the two values differ by more than their bounds
-    /// together; ties and non-finite bounds are refused.
-    fn greater(&self, a: Level, b: Level) -> Result<bool, Uncertain> {
+    /// together; ties are uncertain, non-finite bounds abandon.
+    fn greater(&mut self, a: Level, b: Level) -> Result<bool, Refusal> {
         let (lead, err) = (a.value - b.value, a.err + b.err);
-        if lead > err {
+        if !err.is_finite() {
+            Err(Refusal::Abandon)
+        } else if lead > err {
             Ok(true)
         } else if -lead > err {
             Ok(false)
         } else {
-            Err(Uncertain)
+            Err(Refusal::Uncertain)
+        }
+    }
+}
+
+/// The window source of one point that decides everything the exact
+/// receive decides: the superposed source's certified decisions, and
+/// every uncertain one settled on the point's exact capture.
+struct SettledWindows<'a, 'c> {
+    fast: SuperposedWindows<'a>,
+    exact: &'a mut ExactCaptures<'c>,
+    point: usize,
+    /// The exact window kernel's FIR and buffers.
+    scratch: &'a mut DemodScratch,
+    /// The exact peaks `(symbol, magnitude)` of the windows settled for
+    /// this point so far, by key.
+    peaks: &'a mut Vec<(usize, (u16, f64))>,
+}
+
+impl SettledWindows<'_, '_> {
+    /// The exact spectrum of the window at `start` against `chirp`.
+    fn settle(&mut self, start: usize, chirp: Chirp) -> &[Complex] {
+        let (d, scratch) = (self.fast.demod, &mut *self.scratch);
+        let reads = d.window_reads(self.exact.len(), start);
+        self.exact.settle(self.point, reads, |capture| {
+            d.exact_window_spectrum(capture, start, chirp, scratch)
+        });
+        &self.scratch.buf
+    }
+
+    /// The exact peak of the window under `key`, settled once per point.
+    fn exact_peak(&mut self, key: usize) -> (u16, f64) {
+        if let Some(&(_, peak)) = self.peaks.iter().find(|(k, _)| *k == key) {
+            return peak;
+        }
+        let d = self.fast.demod;
+        let (start, chirp) = window_of(key);
+        let peak = d.peak(self.settle(start, chirp));
+        self.peaks.push((key, peak));
+        peak
+    }
+
+    /// The exact receive's value of `level`: its terms' exact peak
+    /// magnitudes folded in the search's order.
+    fn exact_value(&mut self, level: Level) -> Option<f64> {
+        let (keys, n) = match level.terms {
+            Terms::Exact => return Some(level.value),
+            Terms::Windows(keys, n) => (keys, n),
+            Terms::Opaque => return None,
+        };
+        let mut sum: Option<f64> = None;
+        for &(key, subtract) in keys.get(..n)? {
+            let m = self.exact_peak(key).1;
+            sum = Some(match sum {
+                None => m,
+                Some(s) if subtract => s - m,
+                Some(s) => s + m,
+            });
+        }
+        sum
+    }
+}
+
+impl FrameWindows for SettledWindows<'_, '_> {
+    type Refusal = Abandon;
+
+    fn len(&self) -> usize {
+        self.fast.len()
+    }
+
+    fn preamble_symbol(&mut self, start: usize) -> Result<Option<u16>, Abandon> {
+        match self.fast.preamble_symbol(start) {
+            Ok(symbol) => Ok(symbol),
+            Err(Refusal::Uncertain) => {
+                let d = self.fast.demod;
+                Ok(d.preamble_symbol(self.settle(start, Chirp::Up)))
+            }
+            Err(Refusal::Abandon) => Err(Abandon),
+        }
+    }
+
+    fn zero_peak(&mut self, start: usize) -> Result<Option<Level>, Abandon> {
+        match self.fast.zero_peak(start) {
+            Ok(level) => Ok(level),
+            Err(Refusal::Uncertain) => {
+                let (symbol, magnitude) = self.exact_peak(key(start, Chirp::Up));
+                Ok((symbol == 0).then_some(Level::exact(magnitude)))
+            }
+            Err(Refusal::Abandon) => Err(Abandon),
+        }
+    }
+
+    fn magnitude(&mut self, start: usize, chirp: Chirp) -> Level {
+        self.fast.magnitude(start, chirp)
+    }
+
+    fn data_symbol(&mut self, start: usize) -> Result<u16, Abandon> {
+        match self.fast.data_symbol(start) {
+            Ok(symbol) => Ok(symbol),
+            Err(Refusal::Uncertain) => {
+                let d = self.fast.demod;
+                Ok(d.data_symbol(self.settle(start, Chirp::Up)))
+            }
+            Err(Refusal::Abandon) => Err(Abandon),
+        }
+    }
+
+    fn greater(&mut self, a: Level, b: Level) -> Result<bool, Abandon> {
+        match self.fast.greater(a, b) {
+            Ok(more) => Ok(more),
+            Err(Refusal::Uncertain) => match (self.exact_value(a), self.exact_value(b)) {
+                (Some(a), Some(b)) => Ok(a > b),
+                _ => Err(Abandon),
+            },
+            Err(Refusal::Abandon) => Err(Abandon),
         }
     }
 }
 
 impl Demodulator {
     /// Run the framed receive at every point of a superposed pass,
-    /// handing `each(point, frame)` the receive of every point whose
-    /// decisions were all certified — [`Demodulator::demodulate`]'s
-    /// result on the capture `g·signal + noise + q`, `q` the point's
-    /// quantization residual. Points without a gain and refused points
-    /// get no call.
+    /// handing `each(point, frame)` [`Demodulator::demodulate`]'s result
+    /// on the capture `g·signal + noise + q` (`q` the point's
+    /// quantization residual): certified decisions from the
+    /// superposition, uncertain ones settled on the point's exact
+    /// capture through `exact`. Points without a gain and points with a
+    /// non-finite bound get no call.
+    ///
+    /// `scratch` keeps the filtered signal and the windows' signal
+    /// halves across the passes of a curve whose chain leaves the signal
+    /// unchanged ([`ReceiverScratch::keeps_signal`]).
     ///
     /// # Panics
     /// Panics if the signal and noise lengths differ or the demodulator
@@ -175,6 +351,7 @@ impl Demodulator {
         &self,
         pass: &LinearPass<'_>,
         scratch: &mut ReceiverScratch,
+        exact: &mut ExactCaptures<'_>,
         mut each: impl FnMut(usize, Option<DemodFrame>),
     ) {
         assert_eq!(
@@ -183,27 +360,43 @@ impl Demodulator {
             "signal and noise must align"
         );
         assert_eq!(self.cfg.osr, 1, "superposition needs one sample per chip");
+        let ns = self.cfg.samples_per_symbol();
+        let kept = scratch.keeps_signal(pass) && scratch.windows.width() == ns;
         let ReceiverScratch {
             front: [signal, noise],
             windows,
+            ..
         } = scratch;
         let mut fir = self.fir.clone();
-        self.filter_padded(pass.signal, &mut fir, signal);
+        if kept {
+            windows.clear_noise();
+        } else {
+            self.filter_padded(pass.signal, &mut fir, signal);
+            windows.clear(ns);
+        }
         self.filter_padded(pass.noise, &mut fir, noise);
-        windows.clear(self.cfg.samples_per_symbol());
         let window_gain = self.window_gain();
+        let mut settle = self.scratch();
+        let mut peaks = Vec::new();
         for (i, (gain, &rho)) in pass.gains.iter().zip(pass.residuals).enumerate() {
             let Some(g) = *gain else {
                 continue;
             };
-            let mut source = SuperposedWindows {
-                demod: self,
-                filtered: [signal, noise],
-                raw: [pass.signal, pass.noise],
-                windows: &mut *windows,
-                window_gain,
-                g,
-                rho,
+            peaks.clear();
+            let mut source = SettledWindows {
+                fast: SuperposedWindows {
+                    demod: self,
+                    filtered: [signal, noise],
+                    raw: [pass.signal, pass.noise],
+                    windows: &mut *windows,
+                    window_gain,
+                    g,
+                    rho,
+                },
+                exact: &mut *exact,
+                point: i,
+                scratch: &mut settle,
+                peaks: &mut peaks,
             };
             if let Ok(frame) = self.receive(&mut source) {
                 each(i, frame);
@@ -217,6 +410,7 @@ mod tests {
     use super::*;
     use crate::demodulator::ExactWindows;
     use std::convert::Infallible;
+    use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 
     /// SF8 at one sample per chip: 256-sample windows and bins.
     const N: usize = 256;
@@ -311,7 +505,7 @@ mod tests {
     fn cover(fast: &mut SuperposedWindows<'_>, windows: &[(usize, Chirp)], gap: f64) {
         let r = windows
             .iter()
-            .map(|&(start, chirp)| fast.window(start, chirp).residual_gain)
+            .map(|&(start, chirp)| fast.window(start, chirp).0.residual_gain)
             .fold(f64::INFINITY, f64::min);
         fast.rho = G * gap.abs() / r;
     }
@@ -514,21 +708,44 @@ mod tests {
             assert_eq!(exact(ex.data_symbol(N)), 0);
         });
         // a whole pass that reaches the padding window without a
-        // preamble is left to the exact path at every point
+        // preamble settles those decisions on the exact capture at every
+        // point, and decides every point as the exact path does
         let d = demod();
-        let signal: Vec<Complex> = (0..4 * N)
+        let tx: Vec<Complex> = (0..4 * N)
             .map(|i| Complex::from_angle(0.37 * (i * i) as f64).scale(1e-3))
             .collect();
-        let noise = vec![Complex::ZERO; signal.len()];
-        let gains = [Some(0.5), Some(2.0)];
+        let chain = ImpairmentChain::new(6.0);
+        let mut prep = PreparedPass::new();
+        // a zero bandwidth draws exactly zero noise
+        chain.prepare_pass_into(&tx, 0.0, 3, &mut prep, &mut ChainScratch::new());
+        let rssis = [-120.0, -90.0];
+        let gains = rssis.map(|r| prep.rssi_gain(r));
+        let mut faded = Vec::new();
         let pass = LinearPass {
-            signal: &signal,
-            noise: &noise,
+            signal: prep.faded_signal(&mut faded),
+            noise: prep.noise(),
             gains: &gains,
             residuals: &[0.0; 2],
+            invariant_signal: true,
         };
-        let mut decided = 0;
-        d.decide_superposed(&pass, &mut ReceiverScratch::default(), |_, _| decided += 1);
-        assert_eq!(decided, 0);
+        let mut capture = Vec::new();
+        let mut exact_captures = ExactCaptures::new(&chain, &prep, &rssis, &mut capture);
+        let mut got = vec![None; 2];
+        d.decide_superposed(
+            &pass,
+            &mut ReceiverScratch::default(),
+            &mut exact_captures,
+            |i, frame| got[i] = Some(frame),
+        );
+        assert!(
+            exact_captures.settled() >= 2,
+            "{}",
+            exact_captures.settled()
+        );
+        for (i, &rssi) in rssis.iter().enumerate() {
+            let mut capture = Vec::new();
+            chain.apply_prepared_into(&prep, rssi, &mut capture);
+            assert_eq!(got[i], Some(d.demodulate(&capture)), "{rssi} dBm");
+        }
     }
 }

@@ -18,7 +18,9 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
-use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
+use tinysdr_rf::superpose::{
+    decide_stream, ExactCaptures, LinearPass, LinearReceiver, ReceiverScratch,
+};
 use tinysdr_rf::{at86rf215, sx1276};
 
 use crate::demodulator::{DemodFrame, Demodulator};
@@ -156,20 +158,31 @@ impl PhyModem for LoraSerPhy {
 /// Superposition over the stream receiver's own streamed window walk
 /// (group delay, zero flush): a capture shorter than the symbol stream
 /// projects fewer windows, and `count_errors` charges the lost symbols
-/// as it does for a demodulated capture.
+/// as it does for a demodulated capture. A refused window is settled by
+/// filtering, dechirping and transforming that window of the capture
+/// alone.
 impl LinearReceiver for LoraSerPhy {
     fn decide(
         &self,
         pass: &LinearPass<'_>,
         _: &mut ReceiverScratch,
+        exact: &mut ExactCaptures<'_>,
         each: &mut dyn FnMut(usize, DemodResult),
     ) {
+        let d = &self.demod;
+        let mut scratch = d.scratch();
         decide_stream(
             pass,
-            pass.signal.len() / self.demod.config().samples_per_symbol(),
+            exact,
             each,
-            |window| self.demod.project_aligned(pass.signal, pass.noise, window),
+            |window| d.project_aligned(pass.signal, pass.noise, window),
             |_, bin| bin as u16,
+            |exact, point, k| {
+                let reads = d.window_reads(exact.len(), k * d.config().samples_per_symbol());
+                exact.settle(point, reads, |capture| {
+                    d.settle_aligned(capture, k, &mut scratch)
+                })
+            },
             |units| DemodResult::stream(symbols_to_frame(&units, self.sf), units),
         );
     }
@@ -335,17 +348,21 @@ impl PhyModem for LoraPerPhy {
 
 /// The framed receiver decides each point of a pass itself: it filters
 /// the signal and the noise once, projects each window it visits once,
-/// and runs its own search over the superposition at every point.
+/// and runs its own search over the superposition at every point,
+/// settling uncertain decisions on the point's exact capture.
 impl LinearReceiver for LoraPerPhy {
     fn decide(
         &self,
         pass: &LinearPass<'_>,
         scratch: &mut ReceiverScratch,
+        exact: &mut ExactCaptures<'_>,
         each: &mut dyn FnMut(usize, DemodResult),
     ) {
         self.modem()
             .1
-            .decide_superposed(pass, scratch, |i, frame| each(i, framed_result(frame)));
+            .decide_superposed(pass, scratch, exact, |i, frame| {
+                each(i, framed_result(frame))
+            });
     }
 }
 

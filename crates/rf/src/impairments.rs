@@ -258,6 +258,14 @@ impl ImpairmentChain {
             && self.adc_bits.is_none()
     }
 
+    /// `true` if every pass of one waveform has the same faded signal
+    /// ([`PreparedPass::faded_signal`]): no phase noise and no fading,
+    /// the two seeded stages before the gain. Only the noise (and the
+    /// quantization it feeds) then differs between passes.
+    pub fn has_pass_invariant_signal(&self) -> bool {
+        self.phase_noise_linewidth_hz == 0.0 && self.fading_block_samples.is_none()
+    }
+
     /// Run a transmit waveform through the chain: impairments in
     /// physical order, scaled to `rssi_dbm`, noise for a simulation
     /// bandwidth of `fs` Hz, and (optionally) ADC quantization.
@@ -266,14 +274,16 @@ impl ImpairmentChain {
     /// fs, seed)` — never on threads, shards or call order.
     ///
     /// This is [`ImpairmentChain::prepare_pass_into`] followed by
-    /// [`ImpairmentChain::apply_prepared_into`] with fresh buffers; a
+    /// [`ImpairmentChain::apply_prepared_into`], with the replay run in
+    /// place over the prepared front half: two capture-sized buffers
+    /// (front half and noise), the first returned as the capture. A
     /// sweep over many RSSI points prepares once and replays per point.
     pub fn apply(&self, tx: &[Complex], rssi_dbm: f64, fs: f64, seed: u64) -> Vec<Complex> {
         let mut prep = PreparedPass::new();
         self.prepare_pass_into(tx, fs, seed, &mut prep, &mut ChainScratch::new());
-        let mut out = Vec::new();
-        self.apply_prepared_into(&prep, rssi_dbm, &mut out);
-        out
+        let mut capture = std::mem::take(&mut prep.front);
+        self.replay_in_place(&prep, rssi_dbm, &mut capture);
+        capture
     }
 
     /// Stages 1–4 of the chain (timing, drift, I/Q imbalance, CFO) into
@@ -449,46 +459,80 @@ impl ImpairmentChain {
     /// [`ImpairmentChain::apply`] returns at the same `(tx, rssi_dbm, fs,
     /// seed)`.
     ///
-    /// Stages 6–8 and the AGC peak run as one pass over the capture,
-    /// each sample taking the stages in chain order; stage 9 is a second
-    /// pass, only when the chain quantizes.
+    /// The front half is copied into `out` and replayed there in place.
     pub fn apply_prepared_into(&self, prep: &PreparedPass, rssi_dbm: f64, out: &mut Vec<Complex>) {
-        // 6. scale to the wanted RSSI
+        out.clear();
+        out.extend_from_slice(&prep.front);
+        self.replay_in_place(prep, rssi_dbm, out);
+    }
+
+    /// Stages 6–9 of `prep` at `rssi_dbm` over `capture`, which holds
+    /// the pass's front half: stages 6–8 and the AGC peak in one pass,
+    /// each sample taking the stages in chain order, then stage 9 when
+    /// the chain quantizes.
+    fn replay_in_place(&self, prep: &PreparedPass, rssi_dbm: f64, capture: &mut [Complex]) {
         let gain = prep.rssi_gain(rssi_dbm);
         let agc = self.adc_bits.is_some();
         let mut peak = 0.0f64;
-        out.clear();
-        out.reserve(prep.front.len());
-        let mut pass = |front: &[Complex], noise: &[Complex], fade: Option<Complex>| {
-            out.extend(front.iter().zip(noise).map(|(&x, &n)| {
-                let mut z = x;
-                if let Some(g) = gain {
-                    z = z.scale(g);
-                }
-                // 7. fading: the block's prepared coefficient
-                if let Some(h) = fade {
-                    z *= h;
-                }
-                // 8. AWGN: the sample's prepared draw
-                z += n;
+        let block = prep.block_len();
+        let blocks = capture.chunks_mut(block).zip(prep.noise.chunks(block));
+        for (b, (samples, noise)) in blocks.enumerate() {
+            let fade = prep.fade(b);
+            for (z, &n) in samples.iter_mut().zip(noise) {
+                *z = received(*z, n, gain, fade);
                 if agc {
-                    peak = peak.max(rail(z));
-                }
-                z
-            }));
-        };
-        // the prepared noise vector and fading blocks cover the front
-        // half exactly (`prepare_pass_into` sizes them from it)
-        match prep.fading_block {
-            Some(block) => {
-                let blocks = prep.front.chunks(block).zip(prep.noise.chunks(block));
-                for ((front, noise), &h) in blocks.zip(&prep.fading) {
-                    pass(front, noise, Some(h));
+                    peak = peak.max(rail(*z));
                 }
             }
-            None => pass(&prep.front, &prep.noise, None),
         }
         // 9. ADC quantization
+        self.quantize_at_peak(capture, peak);
+    }
+
+    /// The AGC's peak rail of [`ImpairmentChain::apply_prepared_into`]'s
+    /// capture at `rssi_dbm`, without forming it: 0 without ADC stage.
+    pub(crate) fn capture_peak(&self, prep: &PreparedPass, rssi_dbm: f64) -> f64 {
+        if self.adc_bits.is_none() {
+            return 0.0;
+        }
+        let gain = prep.rssi_gain(rssi_dbm);
+        let mut peak = 0.0f64;
+        let block = prep.block_len();
+        let blocks = prep.front.chunks(block).zip(prep.noise.chunks(block));
+        for (b, (front, noise)) in blocks.enumerate() {
+            let fade = prep.fade(b);
+            for (&x, &n) in front.iter().zip(noise) {
+                peak = peak.max(rail(received(x, n, gain, fade)));
+            }
+        }
+        peak
+    }
+
+    /// Samples `span` of [`ImpairmentChain::apply_prepared_into`]'s
+    /// capture at `rssi_dbm`, written to `out[span]`, given the capture's
+    /// peak rail ([`ImpairmentChain::capture_peak`]): each sample takes
+    /// the same stages with the same arithmetic, so it is bit-identical
+    /// to the whole capture's.
+    ///
+    /// # Panics
+    /// Panics if `span` reaches past the pass or past `out`.
+    pub(crate) fn apply_prepared_span(
+        &self,
+        prep: &PreparedPass,
+        rssi_dbm: f64,
+        peak: f64,
+        span: std::ops::Range<usize>,
+        out: &mut [Complex],
+    ) {
+        let gain = prep.rssi_gain(rssi_dbm);
+        // lint: allow(unchecked-index, the caller keeps `span` inside the pass)
+        let (front, noise) = (&prep.front[span.clone()], &prep.noise[span.clone()]);
+        // lint: allow(unchecked-index, the caller keeps `span` inside `out`)
+        let out = &mut out[span.clone()];
+        for ((k, o), (&x, &n)) in span.zip(out.iter_mut()).zip(front.iter().zip(noise)) {
+            let fade = prep.fading_block.and_then(|block| prep.fade(k / block));
+            *o = received(x, n, gain, fade);
+        }
         self.quantize_at_peak(out, peak);
     }
 
@@ -531,6 +575,22 @@ impl ImpairmentChain {
             .map(|g| (g.unwrap_or(1.0) * signal_peak + noise_peak) * per_peak * (1.0 + 1e-6))
             .collect()
     }
+}
+
+/// Stages 6–8 of one sample: scale the front half's sample `x` by the
+/// stage-6 gain, apply its block's fading coefficient (stage 7), add
+/// its prepared noise draw `n` (stage 8).
+#[inline]
+fn received(x: Complex, n: Complex, gain: Option<f64>, fade: Option<Complex>) -> Complex {
+    let mut z = x;
+    if let Some(g) = gain {
+        z = z.scale(g);
+    }
+    if let Some(h) = fade {
+        z *= h;
+    }
+    z += n;
+    z
 }
 
 /// The AGC's view of one sample: its larger rail magnitude.
@@ -601,6 +661,19 @@ impl PreparedPass {
             buf.extend(front.iter().map(|&x| x * h));
         }
         buf
+    }
+
+    /// Samples per stage-7 block: the fading coherence length, or the
+    /// whole pass as one block without fading. The prepared noise vector
+    /// and fading blocks cover the front half exactly
+    /// (`prepare_pass_into` sizes them from it).
+    fn block_len(&self) -> usize {
+        self.fading_block.unwrap_or(usize::MAX)
+    }
+
+    /// Block `b`'s fading coefficient; `None` without fading.
+    fn fade(&self, b: usize) -> Option<Complex> {
+        self.fading_block.and_then(|_| self.fading.get(b).copied())
     }
 
     /// The prepared AWGN vector (stage 8), one sample per front-half
@@ -876,6 +949,14 @@ mod tests {
                             out, reference,
                             "chain #{i}, pass {pass} (from front: {from_front}) at {rssi} dBm"
                         );
+                        // any span of the capture, formed alone at the
+                        // capture's peak, is the capture's
+                        let peak = chain.capture_peak(&prep, rssi);
+                        let mut part = vec![Complex::ZERO; out.len()];
+                        for span in [0..7, 500..1037, out.len() - 9..out.len()] {
+                            chain.apply_prepared_span(&prep, rssi, peak, span.clone(), &mut part);
+                            assert_eq!(part[span.clone()], out[span], "chain #{i} at {rssi} dBm");
+                        }
                     }
                 }
             }

@@ -26,9 +26,9 @@
 //!   `zigbee`) implement it; the conformance waterfalls, the campus
 //!   testbed and the device consume `&dyn PhyModem`.
 //! * [`superpose`] — the [`superpose::LinearReceiver`] seam: a sweep
-//!   over a chain without ADC stage decides every RSSI point of a pass
-//!   from one projection of the signal and one of the noise, with a
-//!   certified margin and the exact path as fallback.
+//!   decides every RSSI point of a pass from one projection of the
+//!   signal and one of the noise, with a certified margin, and settles
+//!   each window it cannot certify on the point's exact capture.
 //! * [`pathloss`] — free-space and log-distance (shadowed) propagation for
 //!   the campus testbed of Fig. 7.
 //! * [`lvds`] — bit-exact implementation of the 32-bit I/Q word of Fig. 4

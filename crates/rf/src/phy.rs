@@ -194,10 +194,10 @@ pub trait PhyModem: std::fmt::Debug + Send + Sync {
 
     /// The modem's receiver as a [`LinearReceiver`], when it is linear
     /// in the capture up to the decisions it takes per window. A sweep
-    /// over a chain without ADC stage then decides every RSSI point of
-    /// a pass from projections of its signal and noise
-    /// ([`crate::superpose::demodulate_pass`]). The default, `None`,
-    /// keeps every point on `demodulate`.
+    /// then decides every RSSI point of a pass from projections of its
+    /// signal and noise, settling the windows it cannot certify on the
+    /// point's capture ([`crate::superpose::demodulate_pass`]). The
+    /// default, `None`, keeps every point on `demodulate`.
     fn linear_receiver(&self) -> Option<&dyn LinearReceiver> {
         None
     }

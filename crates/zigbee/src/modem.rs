@@ -9,7 +9,9 @@
 
 use tinysdr_dsp::complex::Complex;
 use tinysdr_rf::phy::{unit_errors_between, DemodResult, ErrorCount, PhyModem};
-use tinysdr_rf::superpose::{decide_stream, LinearPass, LinearReceiver, ReceiverScratch};
+use tinysdr_rf::superpose::{
+    decide_stream, ExactCaptures, LinearPass, LinearReceiver, ReceiverScratch,
+};
 
 use crate::chips::CHIP_RATE;
 use crate::oqpsk::{OqpskDemodulator, OqpskModulator};
@@ -139,20 +141,28 @@ impl PhyModem for ZigbeePhy {
 
 /// Superposition over the correlator's own windows (spill-over
 /// included); a truncated capture projects fewer windows, and
-/// `count_errors` charges the lost symbols.
+/// `count_errors` charges the lost symbols. A refused window is settled
+/// by correlating that window of the capture.
 impl LinearReceiver for ZigbeePhy {
     fn decide(
         &self,
         pass: &LinearPass<'_>,
         _: &mut ReceiverScratch,
+        exact: &mut ExactCaptures<'_>,
         each: &mut dyn FnMut(usize, DemodResult),
     ) {
         decide_stream(
             pass,
-            pass.signal.len() / self.demod.samples_per_symbol(),
+            exact,
             each,
             |window| self.demod.project_symbols(pass.signal, pass.noise, window),
             |_, bin| bin as u16,
+            |exact, point, i| {
+                let reads = self.demod.window(i, exact.len());
+                exact.settle(point, reads, |capture| {
+                    u16::from(self.demod.decide_symbol(capture, i))
+                })
+            },
             |units| {
                 let syms: Vec<u8> = units.iter().map(|&u| u as u8).collect();
                 DemodResult::stream(symbols_to_bytes(&syms), units)

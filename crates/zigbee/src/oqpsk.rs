@@ -213,14 +213,21 @@ impl OqpskDemodulator {
         let n_syms = x.len() / ns;
         out.clear();
         out.reserve(n_syms);
-        out.extend((0..n_syms).map(|i| self.detect_symbol(&x[self.window(i, x.len())]).0));
+        out.extend((0..n_syms).map(|i| self.decide_symbol(x, i)));
+    }
+
+    /// Symbol `i` of an aligned capture `x`: the chip sequence that
+    /// correlates strongest with its window.
+    pub(crate) fn decide_symbol(&self, x: &[Complex], i: usize) -> u8 {
+        // lint: allow(unchecked-index, window() clamps to x.len())
+        self.detect_symbol(&x[self.window(i, x.len())]).0
     }
 
     /// Samples of symbol window `i` in a capture of `len` samples: the
     /// symbol period plus the half-chip spill-over past it when the
     /// capture still has it — the last Q pulse carries real symbol
     /// energy.
-    fn window(&self, i: usize, len: usize) -> Range<usize> {
+    pub(crate) fn window(&self, i: usize, len: usize) -> Range<usize> {
         let ns = self.samples_per_symbol();
         i * ns..((i + 1) * ns + self.spc).min(len)
     }
@@ -262,6 +269,33 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tinysdr_rf::impairments::ImpairmentChain;
+
+    #[test]
+    fn a_settled_symbol_reads_its_window_alone() {
+        // the kernel a refused window is settled by: each symbol from a
+        // capture that holds only its window (NaN elsewhere) equals the
+        // whole-capture demodulation's, truncated captures included
+        let (m, d) = (OqpskModulator::new(2), OqpskDemodulator::new(2));
+        let tx = m.modulate_symbols(&random_symbols(12, 4));
+        let rx = ImpairmentChain::new(6.0).apply(&tx, -97.0, 4e6, 4);
+        for len in [rx.len(), rx.len() - 1, 3 * 64 + 1, 64] {
+            let x = &rx[..len];
+            for (i, &symbol) in d.demodulate_symbols(x).iter().enumerate() {
+                let reads = d.window(i, len);
+                let masked: Vec<Complex> = (0..len)
+                    .map(|k| match reads.contains(&k) {
+                        true => x[k],
+                        false => Complex::new(f64::NAN, f64::NAN),
+                    })
+                    .collect();
+                assert_eq!(
+                    d.decide_symbol(&masked, i),
+                    symbol,
+                    "{len} samples, symbol {i}"
+                );
+            }
+        }
+    }
 
     fn random_symbols(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);

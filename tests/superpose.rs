@@ -3,7 +3,8 @@
 //! every point `demodulate_pass` decides equals `apply_prepared_into` +
 //! `demodulate` — for the stream receivers (LoRa SER, 802.15.4,
 //! BLE) and the framed LoRa PER receiver — and exact ties are refused
-//! and handed to the exact path. (The framed receiver's individual
+//! and settled by the receiver's exact window kernel on the point's
+//! capture. (The framed receiver's individual
 //! decisions are tie-tested next to it, in `tinysdr_lora`; which curves
 //! the waterfall engine superposes is tested in
 //! `tinysdr_bench::waterfall`.)
@@ -231,9 +232,15 @@ fn lora_exact_ties_fall_back_to_the_exact_path() {
         assert!(prep.noise().iter().all(|z| z.norm_sqr() == 0.0));
         let rssis = [-131.0, -120.0, -100.0, -80.0, -37.5];
         let (got, exact, census) = both_paths(&phy, &chain, &prep, &rssis);
-        assert_eq!(census.fallback, rssis.len() as u64, "SF{sf}: {census:?}");
+        // the tied window is settled on each point's exact capture
+        let settled = PathCensus {
+            superposed: rssis.len() as u64,
+            settled: rssis.len() as u64,
+            ..PathCensus::default()
+        };
+        assert_eq!(census, settled, "SF{sf}");
         assert_eq!(got, exact, "SF{sf}");
-        // the exact path settles the tie on one of the two bins
+        // the exact kernel settles the tie on one of the two bins
         let pair = [k0 as u16, (k0 + 1) as u16];
         assert!(got.iter().all(|r| pair.contains(&r.units[0])), "SF{sf}");
     }
@@ -254,9 +261,14 @@ fn zigbee_exact_ties_fall_back_to_the_exact_path() {
         let prep = prepare(&chain, &tx, NOISELESS_FS, 5);
         let rssis = [-110.0, -97.0, -83.0, -60.0, -41.5];
         let (got, exact, census) = both_paths(&phy, &chain, &prep, &rssis);
-        assert_eq!(census.fallback, rssis.len() as u64, "{a}/{b}: {census:?}");
+        let settled = PathCensus {
+            superposed: rssis.len() as u64,
+            settled: rssis.len() as u64,
+            ..PathCensus::default()
+        };
+        assert_eq!(census, settled, "{a}/{b}");
         assert_eq!(got, exact, "{a}/{b}");
-        // the exact path settles the tie on one of the two templates
+        // the exact kernel settles the tie on one of the two templates
         assert!(got
             .iter()
             .all(|r| r.units == [a as u16] || r.units == [b as u16]));
@@ -282,7 +294,15 @@ fn ble_exact_ties_fall_back_to_the_exact_path() {
         let prep = prepare(&chain, &tx, NOISELESS_FS, 7);
         let rssis = [-100.0, -94.0, -81.0, -60.0, -33.5];
         let (got, exact, census) = both_paths(&phy, &chain, &prep, &rssis);
-        assert_eq!(census.fallback, rssis.len() as u64, "{a}/{b}: {census:?}");
+        // bits 0 and 1 tie (bit 2's clamped window may too), and each
+        // tied window is settled on every point's exact capture
+        let points = rssis.len() as u64;
+        assert_eq!(census.superposed, points, "{a}/{b}: {census:?}");
+        assert_eq!(census.fallback, 0, "{a}/{b}: {census:?}");
+        assert!(
+            (2 * points..=3 * points).contains(&census.settled),
+            "{a}/{b}: {census:?}"
+        );
         assert_eq!(got, exact, "{a}/{b}");
         assert!(got.iter().all(|r| r.units.len() == 3), "{a}/{b}");
     }
