@@ -42,11 +42,22 @@ impl Quantizer {
     }
 
     /// Quantize a real value in `[-1, 1]` to an integer code, saturating
-    /// outside full scale.
+    /// outside full scale; NaN maps to code 0.
+    ///
+    /// Rounds half away from zero, as `f64::round` does, from a
+    /// truncating cast and a test of the fraction it drops: the baseline
+    /// x86-64 target has no rounding instruction, so `round` would be a
+    /// library call per rail.
     #[inline]
     pub fn quantize(self, x: f64) -> i32 {
         let fs = self.max_code() as f64;
-        (x * fs).round().clamp(-(fs + 1.0), fs) as i32
+        // clamping before rounding moves no code: a value past a rail
+        // rounds to that rail's code or past it
+        let y = (x * fs).clamp(-(fs + 1.0), fs);
+        let t = y as i32;
+        // exact: a float minus its integer part loses no bits
+        let frac = y - f64::from(t);
+        t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
     }
 
     /// Map an integer code back to a real value in `[-1, 1]`.
@@ -113,6 +124,69 @@ mod tests {
         // saturation
         assert_eq!(q.quantize(2.0), 4095);
         assert_eq!(q.quantize(-2.0), -4096);
+    }
+
+    /// The codes the quantizer gave when it rounded with `f64::round`.
+    fn round_codes(q: Quantizer, x: f64) -> i32 {
+        let fs = q.max_code() as f64;
+        (x * fs).round().clamp(-(fs + 1.0), fs) as i32
+    }
+
+    #[test]
+    fn codes_are_those_of_round_half_away_from_zero() {
+        let mut ties = 0;
+        for bits in 2..=24 {
+            let q = Quantizer::new(bits);
+            let fs = q.max_code() as f64;
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE / 4.0,
+                -f64::MIN_POSITIVE / 4.0,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                -1e300,
+                1.0,
+                -1.0,
+            ];
+            // the rails and one step past them, at and beside a half code
+            for edge in [fs, fs + 1.0] {
+                for d in [-0.5, 0.0, 0.5] {
+                    xs.extend([(edge + d) / fs, -(edge + d) / fs]);
+                }
+            }
+            // every half code `k ± 0.5` near zero and near full scale,
+            // with the values one and two ulps either side
+            let near = (-40..=40).chain((fs as i64 - 40).max(41)..=fs as i64 + 1);
+            for k in near {
+                for half in [-0.5, 0.5] {
+                    let x = (k as f64 + half) / fs;
+                    let (up, down) = (x.next_up(), x.next_down());
+                    xs.extend([x, up, down, up.next_up(), down.next_down()]);
+                    xs.extend([-x, -up, -down]);
+                }
+            }
+            // random rails across and beyond full scale
+            let mut s = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(bits);
+            for _ in 0..2000 {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let u = (s >> 11) as f64 / (1u64 << 53) as f64;
+                xs.push(2.5 * (2.0 * u - 1.0));
+            }
+            for x in xs {
+                let y = x * fs;
+                if y.fract().abs() == 0.5 {
+                    ties += 1;
+                }
+                assert_eq!(q.quantize(x), round_codes(q, x), "{bits} bits, x = {x:e}");
+            }
+        }
+        // the half-code cases really hit exact ties
+        assert!(ties > 1000, "{ties} exact ties");
     }
 
     #[test]
