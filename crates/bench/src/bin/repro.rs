@@ -13,6 +13,9 @@
 //! repro perf --label <text> # the same, naming both trajectory points
 //!                           # (also for campaign and link)
 //! repro link                # packet data plane: ARQ + multi-hop (not in `all`)
+//! repro waterfall --equivalence <baseline.json>
+//!                           # hold the full grid against a parent's report
+//!                           # (also for link)
 //! repro --quick all         # reduced trial counts for smoke runs
 //! repro --json waterfall    # canonical JSON report on stdout
 //! ```
@@ -60,6 +63,13 @@
 //! `--quick` — the fifth CI smoke step), then the goodput-vs-RSSI
 //! curve and the multi-hop OTA dissemination table, and writes the
 //! `BENCH_link.json` trajectory point.
+//!
+//! `--equivalence <baseline.json>` runs `waterfall` (the full grid) or
+//! `link` (full effort) at the sweep seed, as `--json` does, and holds
+//! every point against the same point of the baseline, a parent's `repro
+//! --json` report, with `tinysdr_bench::equivalence`'s gate. It prints
+//! the rejected points and exits 1 if there are any; a baseline that
+//! cannot be read or describes other points exits 2.
 
 use tinysdr_bench::phy_experiments as phy;
 use tinysdr_bench::system_experiments as sys;
@@ -83,7 +93,7 @@ const QUICK: Effort = Effort {
     bits: 20_000,
 };
 
-const USAGE: &str = "usage: repro [--quick] [--json] [--columns] [--label <text>] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
+const USAGE: &str = "usage: repro [--quick] [--json] [--columns] [--label <text>] [--equivalence <baseline.json>] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...";
 
 /// Every experiment name `repro` accepts.
 const EXPERIMENTS: &[&str] = &[
@@ -148,19 +158,22 @@ fn exit_quietly_on_closed_stdout() {
 /// names.
 const LABELLED: [&str; 3] = ["perf", "campaign", "link"];
 
-/// Remove `--label <text>` from `args` and return the text: `None`
+/// The experiments `--equivalence` holds against a baseline.
+const GATED: [&str; 2] = ["waterfall", "link"];
+
+/// Remove `flag <value>` from `args` and return the value: `None`
 /// without the flag, an error when it has no value or comes twice.
-fn take_label(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    let Some(at) = args.iter().position(|a| a == "--label") else {
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
     let value = args.get(at + 1).filter(|v| !v.starts_with("--")).cloned();
     let Some(value) = value else {
-        return Err("--label needs a value".into());
+        return Err(format!("{flag} needs a value"));
     };
     args.drain(at..at + 2);
-    if args.iter().any(|a| a == "--label") {
-        return Err("--label given twice".into());
+    if args.iter().any(|a| a == flag) {
+        return Err(format!("{flag} given twice"));
     }
     Ok(Some(value))
 }
@@ -169,11 +182,14 @@ fn main() {
     exit_quietly_on_closed_stdout();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--label <text>` names the trajectory points of the experiments
-    // that record them: its value is not an experiment name
-    let label = take_label(&mut args).unwrap_or_else(|msg| {
-        eprintln!("repro: {msg}\n{USAGE}");
-        std::process::exit(2);
-    });
+    // that record them, `--equivalence <path>` names a baseline report:
+    // neither value is an experiment name
+    let (label, baseline) = take_value(&mut args, "--label")
+        .and_then(|label| Ok((label, take_value(&mut args, "--equivalence")?)))
+        .unwrap_or_else(|msg| {
+            eprintln!("repro: {msg}\n{USAGE}");
+            std::process::exit(2);
+        });
     let quick = args.iter().any(|a| a == "--quick");
     let effort = if quick { QUICK } else { FULL };
     let wanted: Vec<&str> = args
@@ -208,6 +224,22 @@ fn main() {
         std::process::exit(2);
     }
     let columns = args.iter().any(|a| a == "--columns");
+    if let Some(path) = baseline {
+        if quick
+            || json
+            || columns
+            || label.is_some()
+            || wanted.len() != 1
+            || !GATED.contains(&wanted[0])
+        {
+            eprintln!(
+                "repro: --equivalence holds one full run of {} against a baseline (never with --quick, --json, --columns or --label)\n{USAGE}",
+                GATED.join(" or ")
+            );
+            std::process::exit(2);
+        }
+        std::process::exit(run_equivalence(wanted[0], &path));
+    }
     if columns && (json || wanted != ["waterfall"]) {
         eprintln!(
             "repro: --columns times the columns of `waterfall` alone (never --json)\n{USAGE}"
@@ -443,6 +475,78 @@ fn run_json(wanted: &[&str], quick: bool) {
         }
     };
     print!("{}", doc.write_pretty());
+}
+
+/// `--equivalence`: run `experiment` (`waterfall` or `link`) as `--json`
+/// does and hold it against the baseline report at `path`. Returns the
+/// exit code: 0 when no point is rejected, 1 otherwise. A baseline that
+/// cannot be read, is not a report of `experiment` or describes other
+/// points ends the process with exit 2.
+fn run_equivalence(experiment: &str, path: &str) -> i32 {
+    use tinysdr_bench::equivalence::{compare, link_counts, waterfall_counts};
+    use tinysdr_bench::waterfall::{run_waterfall, WaterfallConfig, WaterfallReport};
+    use tinysdr_ota::json::Value;
+    let refuse = |msg: String| -> ! {
+        eprintln!("repro: {msg}");
+        std::process::exit(2);
+    };
+    let doc = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| Value::parse(&text).map_err(|e| format!("{path}: {e}")))
+        .unwrap_or_else(|msg| refuse(msg));
+    let foreign = || format!("{path} is not a `repro --json {experiment}` report");
+    let mut reports = None;
+    let (base, run) = if experiment == "waterfall" {
+        let base = WaterfallReport::from_json(&doc).unwrap_or_else(|| refuse(foreign()));
+        let rep = run_waterfall(&WaterfallConfig::full(0xBEEF).sharded(bench_shards()));
+        let counts = (waterfall_counts(&base), waterfall_counts(&rep));
+        reports = Some((base, rep));
+        counts
+    } else {
+        let base = link_counts(&doc).unwrap_or_else(|| refuse(foreign()));
+        let doc = tinysdr_bench::link::link_json(0xBEEF, false);
+        // lint: allow(unjustified-panic, link_json writes the document link_counts reads)
+        let run = link_counts(&doc).expect("link_json writes a link report");
+        (base, run)
+    };
+    let verdict = compare(&base, &run)
+        .unwrap_or_else(|msg| refuse(format!("{path} does not describe this run: {msg}")));
+    println!("\n== Equivalence: {experiment} at seed 0xBEEF against {path} ==");
+    println!(
+        "  {} points, Fisher's exact test at family-wise alpha {} (Bonferroni: p < {:.2e} rejects)",
+        verdict.points,
+        tinysdr_bench::equivalence::ALPHA,
+        verdict.threshold
+    );
+    if let Some((label, p)) = &verdict.smallest {
+        println!("  smallest p: {p:.2e} ({label})");
+    }
+    println!("  rejected: {}", verdict.rejected.len());
+    for r in &verdict.rejected {
+        println!(
+            "    {}: {} -> {} errors of {}, p = {:.2e}",
+            r.label, r.baseline, r.errors, r.trials, r.p
+        );
+    }
+    if let Some((base, rep)) = reports {
+        println!("\n== 1%-error sensitivity (dBm): baseline, run, shift ==");
+        for ((sc, imp, before), (_, _, after)) in base
+            .sensitivity_table(0.01)
+            .into_iter()
+            .zip(rep.sensitivity_table(0.01))
+        {
+            let dbm = |s: Option<f64>| s.map_or(format!("{:>8}", "-"), |s| format!("{s:>8.2}"));
+            let shift = before
+                .zip(after)
+                .map_or(format!("{:>7}", "-"), |(b, a)| format!("{:>+7.2}", a - b));
+            println!(
+                "  {sc:<24} {imp:<12} {} {} {shift}",
+                dbm(before),
+                dbm(after)
+            );
+        }
+    }
+    i32::from(!verdict.rejected.is_empty())
 }
 
 /// `waterfall --columns`: the median one-thread CPU time of each

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod equivalence;
 pub mod link;
 pub mod perf;
 pub mod phy_experiments;

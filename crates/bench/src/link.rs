@@ -108,6 +108,12 @@ fn effort(quick: bool) -> Effort {
     }
 }
 
+/// PER trials per frame kind and point (the goodput curve's and the
+/// multi-hop hop's).
+pub(crate) fn per_trials(quick: bool) -> u32 {
+    effort(quick).per_trials
+}
+
 /// A representative data frame (full 60-byte chunk) for PER
 /// measurement — the payload is the escape-dense splitmix64 stream, the
 /// worst case for the framing layer.

@@ -81,6 +81,52 @@ fn columns_time_the_waterfall_alone() {
     }
 }
 
+#[test]
+fn an_equivalence_gate_needs_one_full_run_and_a_report() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let (waterfall, link) = (
+        data.join("waterfall_beef.json"),
+        data.join("link_beef.json"),
+    );
+    let (waterfall, link) = (waterfall.to_str().unwrap(), link.to_str().unwrap());
+    // misuse of the flag prints the usage line
+    for args in [
+        &["waterfall", "--equivalence"][..],
+        &["--equivalence", "--quick", "waterfall"],
+        &["--equivalence", link, "--equivalence", link, "link"],
+        &["--json", "--equivalence", waterfall, "waterfall"],
+        &["--quick", "--equivalence", link, "link"],
+        &["--columns", "--equivalence", waterfall, "waterfall"],
+        &["--label", "x", "--equivalence", link, "link"],
+        &["--equivalence", waterfall, "table1"],
+        &["--equivalence", waterfall, "waterfall", "link"],
+        &["--equivalence", waterfall],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
+            "{args:?}"
+        );
+    }
+    // a baseline that cannot be read, or is not a report of the gated
+    // experiment, stops the gate before it runs anything
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+    let manifest = manifest.to_str().unwrap();
+    for args in [
+        &["waterfall", "--equivalence", "/nonexistent/baseline.json"][..],
+        &["link", "--equivalence", manifest],
+        &["waterfall", "--equivalence", link],
+        &["link", "--equivalence", waterfall],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(!out.stderr.is_empty(), "{args:?}");
+    }
+}
+
 /// The points of the trajectory file at `path`.
 fn points(path: &Path) -> Vec<Value> {
     let doc = Value::parse(&std::fs::read_to_string(path).expect("trajectory exists"))

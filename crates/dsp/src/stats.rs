@@ -105,6 +105,67 @@ impl ErrorRate {
     }
 }
 
+/// Two-sided p-value of Fisher's exact test that two counters of equal
+/// trials measure one error rate.
+///
+/// Given the `k` errors the two counters hold together, `a`'s share of
+/// them is hypergeometric under that hypothesis: `a.errors()` is the
+/// number of errors among `n` trials drawn from `2n` that hold `k`. The
+/// p-value is the probability of every split at most as likely as the
+/// observed one. The pmf is walked out from its mode by the recurrence
+/// `P(x + 1) / P(x) = (n − x)(k − x) / ((x + 1)(n − k + x + 1))` until it
+/// underflows; a split beyond that has p-value 0. Both runs carry noise,
+/// so neither is taken as the truth, as a Wilson interval around one of
+/// them would.
+///
+/// # Panics
+/// Panics if the two counters' trials differ.
+pub fn fisher_exact_p(a: &ErrorRate, b: &ErrorRate) -> f64 {
+    assert_eq!(
+        a.trials, b.trials,
+        "Fisher's exact test compares counters of equal trials"
+    );
+    let (n, k) = (a.trials, a.errors + b.errors);
+    let (lo, hi) = (k.saturating_sub(n), k.min(n));
+    let ratio = |x: u64| {
+        let (n, k, x) = (n as f64, k as f64, x as f64);
+        (n - x) * (k - x) / ((x + 1.0) * (n - k + x + 1.0))
+    };
+    // the pmf relative to its mode, `⌈k / 2⌉` at equal trials
+    let mode = k.div_ceil(2);
+    let mut weights = vec![(mode, 1.0)];
+    let mut w = 1.0;
+    for x in mode..hi {
+        w *= ratio(x);
+        if w < f64::MIN_POSITIVE {
+            break;
+        }
+        weights.push((x + 1, w));
+    }
+    w = 1.0;
+    for x in (lo..mode).rev() {
+        w /= ratio(x);
+        if w < f64::MIN_POSITIVE {
+            break;
+        }
+        weights.push((x, w));
+    }
+    let observed = weights
+        .iter()
+        .find(|&&(x, _)| x == a.errors)
+        .map_or(0.0, |&(_, w)| w);
+    // a relative slack so that rounding cannot split equal-probability
+    // splits, as the symmetric ones are
+    let cut = observed * (1.0 + 1e-7);
+    let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+    let tail: f64 = weights
+        .iter()
+        .filter(|&&(_, w)| w <= cut)
+        .map(|&(_, w)| w)
+        .sum();
+    (tail / total).min(1.0)
+}
+
 /// Count differing bits between two equal-length byte slices.
 pub fn bit_errors(a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "bit_errors: length mismatch");
@@ -458,6 +519,58 @@ mod tests {
         let (lo0, hi0) = clean.wilson_interval(3.2905);
         assert_eq!(lo0, 0.0);
         assert!(hi0 > 0.0 && hi0 < 0.02);
+    }
+
+    fn counts(errors: u64, trials: u64) -> ErrorRate {
+        let mut r = ErrorRate::new();
+        r.record_batch(errors, trials);
+        r
+    }
+
+    #[test]
+    fn fisher_exact_p_matches_the_exact_sums() {
+        // `(errors a, errors b, trials, p)`, the p-values summed over the
+        // hypergeometric pmf in exact rational arithmetic
+        let cases = [
+            (3, 9, 10, 0.019766611097880447),
+            (0, 5, 20, 0.04712404712404712),
+            (12, 30, 100, 0.002866560763284443),
+            (500, 560, 1000, 0.008193461025460338),
+            (40, 40, 100, 1.0),
+            (41, 40, 100, 1.0),
+            (10, 10, 10, 1.0),
+            (1, 0, 1, 1.0),
+            (0, 0, 5, 1.0),
+            (0, 0, 0, 1.0),
+        ];
+        for (x, y, n, want) in cases {
+            for (a, b) in [(x, y), (y, x)] {
+                let p = fisher_exact_p(&counts(a, n), &counts(b, n));
+                assert!(
+                    (p - want).abs() <= 1e-9 * want,
+                    "{a} vs {b} of {n}: p {p} against {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fisher_exact_p_reaches_the_far_tail_at_many_trials() {
+        // 100 000 bits: a 2.5σ split sits near the normal tail, and a
+        // split past the pmf's underflow reads 0
+        let (n, k) = (100_000u64, 10_000u64);
+        let sd = (k as f64 / 4.0 * (2 * n - k) as f64 / (2 * n - 1) as f64).sqrt();
+        let off = (2.5 * sd).round() as u64;
+        let p = fisher_exact_p(&counts(k / 2 + off, n), &counts(k / 2 - off, n));
+        let normal = 2.0 * crate::math::q_func((off as f64 - 0.5) / sd);
+        assert!((p / normal - 1.0).abs() < 0.05, "p {p} against {normal}");
+        assert_eq!(fisher_exact_p(&counts(k, n), &counts(0, n)), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal trials")]
+    fn fisher_exact_p_rejects_unequal_trials() {
+        fisher_exact_p(&counts(1, 10), &counts(1, 11));
     }
 
     #[test]
