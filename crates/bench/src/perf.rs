@@ -58,8 +58,9 @@ fn pre_batching_wall_ms(path: &str) -> Option<f64> {
 /// Checksum of every `apply` capture the chain gate makes (both seeds,
 /// three RSSI points each, in that order), recorded from `apply` (one
 /// prepare and one replay) with the sine-free windowed-sinc taps of
-/// `tinysdr_dsp::delay` in the timing and drift stages.
-const CHAIN_GOLDEN: u64 = 0xbba0_c179_833f_88fe;
+/// `tinysdr_dsp::delay` in the timing and drift stages and stage 8's
+/// ziggurat noise.
+const CHAIN_GOLDEN: u64 = 0xbdb2_11d0_df04_16c8;
 
 /// The chain gate: across a chain stacking every stage, `apply`
 /// reproduces the recorded digest, and the prepared-pass replay that

@@ -17,8 +17,10 @@ use tinysdr_rf::impairments::ImpairmentChain;
 
 /// `(seed, checksum of the quick-grid report)`, recorded from the
 /// strided-twiddle FFT, push-loop FIR, uncached SFD search and `abs()`
-/// peak scan the optimized kernels replaced.
-const GOLDEN: [(u64, u64); 2] = [(1, 0xac18_ba79_beed_c293), (7331, 0x0ae8_7a68_5ad6_d6b7)];
+/// peak scan the optimized kernels replaced, and re-pinned when stage 8
+/// of the impairment chain moved to ziggurat noise (held to the parent
+/// by `tests/equivalence.rs`).
+const GOLDEN: [(u64, u64); 2] = [(1, 0x0506_4403_138e_5d21), (7331, 0x3fd3_a0e7_c69d_cc69)];
 
 #[test]
 fn quick_grid_reports_match_the_golden_digests() {
@@ -35,8 +37,9 @@ fn quick_grid_reports_match_the_golden_digests() {
 }
 
 /// `(seed, checksum of the framed grid report)`, recorded from the
-/// per-bin `hypot` preamble, SFD and refine searches.
-const FRAMED_GOLDEN: [(u64, u64); 2] = [(1, 0xdd53_63be_7427_947d), (7331, 0xab60_4077_26f9_dcfb)];
+/// per-bin `hypot` preamble, SFD and refine searches, and re-pinned with
+/// [`GOLDEN`] for stage 8's ziggurat noise.
+const FRAMED_GOLDEN: [(u64, u64); 2] = [(1, 0x2b79_0a95_683f_87fa), (7331, 0xadf7_f322_7675_3db4)];
 
 /// A small framed-LoRa grid: SF8/BW125 CR 4/8 packets through the
 /// preamble, SFD and refine searches, with the RSSI window straddling

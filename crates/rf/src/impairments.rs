@@ -43,9 +43,19 @@
 //! 7. block Rayleigh fading (unit mean power)
 //! 8. calibrated AWGN at the receiver noise figure
 //! 9. ADC quantization at the LVDS word width (AGC'd to full scale)
+//!
+//! Stage 8 draws every sample of every capture, so its Gaussians come
+//! from a 128-layer ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5(8),
+//! 2000, with Doornik's disjoint layer and uniform bits, 2005): one
+//! `u64` and one multiply per draw on ~99 % of draws, against Box–Muller's
+//! `ln`, `sqrt` and `sincos` per pair. Stages 5 and 7 keep Box–Muller
+//! ([`gauss_pair`]): a curve holds as few as four fading blocks, so a new
+//! fading draw is a different channel, not a reseed.
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use tinysdr_dsp::complex::{mean_power, Complex};
 use tinysdr_dsp::delay::{fractional_delay_into, resample_drift_into, DelayScratch};
 use tinysdr_dsp::fixed::Quantizer;
@@ -76,8 +86,10 @@ const TAG_FADING: u64 = 0xFADE_0002;
 const TAG_NOISE: u64 = 0xA36A_0003;
 
 /// One pair of independent standard Gaussian samples via Box–Muller:
-/// the statistical kernel behind every randomized stage (phase noise,
-/// fading, AWGN).
+/// the draws of the phase-noise walk (stage 5) and the fading
+/// coefficients (stage 7). They draw a few values per block or per
+/// sample of a rare stage, and the grid's curves are pinned to them;
+/// stage 8 draws from [`Ziggurat`] instead.
 #[inline]
 fn gauss_pair(rng: &mut StdRng) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -85,6 +97,99 @@ fn gauss_pair(rng: &mut StdRng) -> (f64, f64) {
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = std::f64::consts::TAU * u2;
     (r * theta.cos(), r * theta.sin())
+}
+
+/// Layers of stage 8's ziggurat: the draw's low 7 bits pick one.
+const ZIGGURAT_LAYERS: usize = 128;
+/// The base strip's right edge `R` for 128 layers: the tail `|z| > R` is
+/// drawn apart (Marsaglia and Tsang 2000).
+const ZIGGURAT_R: f64 = 3.442_619_855_899;
+/// Every layer's area `V` under `f(x) = exp(−x²/2)`, the base strip's
+/// tail included, for 128 layers.
+const ZIGGURAT_V: f64 = 9.912_563_035_262_17e-3;
+
+/// The tables of stage 8's ziggurat over `f(x) = exp(−x²/2)`. Layer
+/// `i ≥ 1` is the rectangle `[0, x[i]] × [f(x[i]), f(x[i+1])]`, of
+/// area `V`; layer 0 is the base strip `[0, x[0]] × [0, f(R)]`, whose
+/// pseudo-width `x[0] = V / f(R)` stands for the tail past `x[1] = R`.
+/// The top edge is `x[128] = 0`.
+struct Ziggurat {
+    /// Each layer's right edge, `x[0..=128]`.
+    x: [f64; ZIGGURAT_LAYERS + 1],
+    /// `f(x[i])`.
+    f: [f64; ZIGGURAT_LAYERS + 1],
+    /// `x[i + 1] / x[i]`: a draw of layer `i` within this fraction of
+    /// its width lies under the curve.
+    inner: [f64; ZIGGURAT_LAYERS],
+}
+
+impl Ziggurat {
+    /// The tables, built once from the closed-form recurrence
+    /// `x[i + 1] = √(−2·ln(V / x[i] + f(x[i])))` that gives each layer
+    /// the area `V`.
+    fn tables() -> &'static Ziggurat {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let f = |x: f64| (-0.5 * x * x).exp();
+            let mut x = [0.0; ZIGGURAT_LAYERS + 1];
+            x[0] = ZIGGURAT_V / f(ZIGGURAT_R);
+            x[1] = ZIGGURAT_R;
+            for i in 2..ZIGGURAT_LAYERS {
+                x[i] = (-2.0 * (ZIGGURAT_V / x[i - 1] + f(x[i - 1])).ln()).sqrt();
+            }
+            // the recurrence lands on 0 only up to V's rounding
+            x[ZIGGURAT_LAYERS] = 0.0;
+            Ziggurat {
+                x,
+                f: x.map(f),
+                inner: std::array::from_fn(|i| x[i + 1] / x[i]),
+            }
+        })
+    }
+
+    /// One standard Gaussian draw. One `u64` gives the layer (its low 7
+    /// bits) and a uniform `u` in `(−1, 1)` (its high 52 bits), so the
+    /// two never share bits (Doornik 2005). `u·x[i]` is returned at once
+    /// when it lies under the curve; otherwise a wedge draw is accepted
+    /// under `f`, or the base strip's tail is drawn by Marsaglia's
+    /// exponential method.
+    #[inline]
+    fn draw(&self, rng: &mut StdRng) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits as usize) % ZIGGURAT_LAYERS;
+            let u = ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 51) as f64) - 1.0;
+            // lint: allow(unchecked-index, i < ZIGGURAT_LAYERS by the modulo)
+            if u.abs() < self.inner[i] {
+                return u * self.x[i];
+            }
+            if i == 0 {
+                return tail(rng, u < 0.0);
+            }
+            let z = u * self.x[i];
+            // lint: allow(unchecked-index, i + 1 <= ZIGGURAT_LAYERS)
+            let (lo, hi) = (self.f[i], self.f[i + 1]);
+            if lo + rng.gen::<f64>() * (hi - lo) < (-0.5 * z * z).exp() {
+                return z;
+            }
+        }
+    }
+}
+
+/// A standard Gaussian draw beyond the base strip, `|z| > R`, negative
+/// when `negative`: Marsaglia's exponential method (accept `R + a` for
+/// `a ~ Exp(R)` when a second `Exp(1)` draw `b` has `2b > a²`).
+#[cold]
+fn tail(rng: &mut StdRng, negative: bool) -> f64 {
+    loop {
+        // 1 − U lies in (0, 1], so both logs are finite
+        let a = -(1.0 - rng.gen::<f64>()).ln() / ZIGGURAT_R;
+        let b = -(1.0 - rng.gen::<f64>()).ln();
+        if b + b > a * a {
+            let z = ZIGGURAT_R + a;
+            return if negative { -z } else { z };
+        }
+    }
 }
 
 /// The fraction of full scale the AGC maps a capture's peak rail to
@@ -440,14 +545,19 @@ impl ImpairmentChain {
     /// occupied one: a narrowband signal in a wide `fs` sees more total
     /// noise, and the receiver's filtering recovers the SNR, as in
     /// hardware.
+    ///
+    /// Each sample takes two [`Ziggurat`] draws, I then Q, from the
+    /// stage's own stream, keyed on `seed` alone: the first `n` samples
+    /// of a longer vector are this one.
     fn awgn_into(&self, n: usize, fs: f64, seed: u64, out: &mut Vec<Complex>) {
-        let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
+        let sigma = (dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db)) / 2.0).sqrt();
         let mut rng = StdRng::seed_from_u64(stage_seed(seed, TAG_NOISE));
+        let zig = Ziggurat::tables();
         out.clear();
         out.reserve(n);
         for _ in 0..n {
-            let sigma = (n_mw / 2.0).sqrt();
-            let (i, q) = gauss_pair(&mut rng);
+            let i = zig.draw(&mut rng);
+            let q = zig.draw(&mut rng);
             out.push(Complex::new(sigma * i, sigma * q));
         }
     }
@@ -865,6 +975,67 @@ mod tests {
         );
     }
 
+    #[test]
+    fn stage_eight_draws_are_standard_normal() {
+        // 2^20 samples of stage 8 at unit variance per rail: 2^21
+        // draws, I then Q per sample. Every bound is ~5σ of its
+        // statistic, so a sound source fails with probability < 1e-5.
+        let chain = ImpairmentChain::new(3.0);
+        let sigma = (crate::units::dbm_to_mw(noise_floor_dbm(FS, 3.0)) / 2.0).sqrt();
+        let mut noise = Vec::new();
+        chain.awgn_into(1 << 20, FS, 0x5EED, &mut noise);
+        let iq: Vec<(f64, f64)> = noise.iter().map(|z| (z.re / sigma, z.im / sigma)).collect();
+        let mut z: Vec<f64> = iq.iter().flat_map(|&(i, q)| [i, q]).collect();
+        let n = z.len() as f64;
+
+        let moment = |k: i32| z.iter().map(|&x| x.powi(k)).sum::<f64>() / n;
+        let (mean, var) = (moment(1), moment(2));
+        let kurtosis = moment(4) / (var * var);
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "variance {var}");
+        assert!(
+            (kurtosis - 3.0).abs() < 5.0 * (24.0 / n).sqrt(),
+            "kurtosis {kurtosis}"
+        );
+
+        // the tail beyond 3, beyond 4 and beyond the base strip's edge
+        // R (drawn apart, by the exponential method), against 2·Q(t)
+        for t in [3.0, 3.442_619_855_899, 4.0] {
+            let p = 2.0 * tinysdr_dsp::math::q_func(t);
+            let hits = z.iter().filter(|x| x.abs() > t).count() as f64;
+            let bound = 5.0 * (n * p * (1.0 - p)).sqrt();
+            assert!(
+                (hits - n * p).abs() < bound,
+                "|z| > {t}: {hits} against {:.0}",
+                n * p
+            );
+        }
+
+        // Kolmogorov–Smirnov distance to Φ (√n·D < 2.2 at p ≈ 1e-4)
+        z.sort_by(f64::total_cmp);
+        let d = z
+            .iter()
+            .enumerate()
+            .map(|(k, &x)| {
+                let phi = 1.0 - tinysdr_dsp::math::q_func(x);
+                (phi - k as f64 / n).abs().max((k as f64 + 1.0) / n - phi)
+            })
+            .fold(0.0, f64::max);
+        assert!(d * n.sqrt() < 2.2, "KS √n·D {}", d * n.sqrt());
+
+        // no correlation between a sample's rails or between neighbours
+        let m = iq.len() as f64;
+        let corr = |pairs: &mut dyn Iterator<Item = (f64, f64)>| {
+            pairs.map(|(a, b)| a * b).sum::<f64>() / m
+        };
+        let rails = corr(&mut iq.iter().copied());
+        let lag_i = corr(&mut iq.windows(2).map(|w| (w[0].0, w[1].0)));
+        let lag_q = corr(&mut iq.windows(2).map(|w| (w[0].1, w[1].1)));
+        for (what, r) in [("I/Q", rails), ("lag-1 I", lag_i), ("lag-1 Q", lag_q)] {
+            assert!(r.abs() < 5.0 / m.sqrt(), "{what} correlation {r}");
+        }
+    }
+
     /// A grid of chains that, together, exercise every one of the nine
     /// stages (including the stage-skipping `if`s on both sides).
     fn contract_grid() -> Vec<ImpairmentChain> {
@@ -906,8 +1077,9 @@ mod tests {
 
     /// `apply` over the contract grid at three RSSI points each,
     /// recorded with the sine-free (barycentric) windowed-sinc taps of
-    /// `tinysdr_dsp::delay` in the timing and drift stages.
-    const APPLY_GOLDEN: u64 = 0x5b7f_45df_3a60_57b7;
+    /// `tinysdr_dsp::delay` in the timing and drift stages and stage 8's
+    /// ziggurat noise.
+    const APPLY_GOLDEN: u64 = 0x0ad4_12bc_56d8_4a68;
 
     #[test]
     fn apply_matches_the_golden_digest_across_the_grid() {
