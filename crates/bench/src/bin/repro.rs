@@ -495,19 +495,21 @@ fn run_equivalence(experiment: &str, path: &str) -> i32 {
         .and_then(|text| Value::parse(&text).map_err(|e| format!("{path}: {e}")))
         .unwrap_or_else(|msg| refuse(msg));
     let foreign = || format!("{path} is not a `repro --json {experiment}` report");
-    let mut reports = None;
-    let (base, run) = if experiment == "waterfall" {
+    // the two reports' counts, and for the waterfall the reports
+    let (base, run, reports) = if experiment == "waterfall" {
         let base = WaterfallReport::from_json(&doc).unwrap_or_else(|| refuse(foreign()));
         let rep = run_waterfall(&WaterfallConfig::full(0xBEEF).sharded(bench_shards()));
-        let counts = (waterfall_counts(&base), waterfall_counts(&rep));
-        reports = Some((base, rep));
-        counts
+        (
+            waterfall_counts(&base),
+            waterfall_counts(&rep),
+            Some((base, rep)),
+        )
     } else {
         let base = link_counts(&doc).unwrap_or_else(|| refuse(foreign()));
         let doc = tinysdr_bench::link::link_json(0xBEEF, false);
         // lint: allow(unjustified-panic, link_json writes the document link_counts reads)
         let run = link_counts(&doc).expect("link_json writes a link report");
-        (base, run)
+        (base, run, None)
     };
     let verdict = compare(&base, &run)
         .unwrap_or_else(|msg| refuse(format!("{path} does not describe this run: {msg}")));

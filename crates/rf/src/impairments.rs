@@ -49,7 +49,7 @@
 //! 2000, with Doornik's disjoint layer and uniform bits, 2005): one
 //! `u64` and one multiply per draw on ~99 % of draws, against Box–Muller's
 //! `ln`, `sqrt` and `sincos` per pair. Stages 5 and 7 keep Box–Muller
-//! ([`gauss_pair`]): a curve holds as few as four fading blocks, so a new
+//! (`gauss_pair`): a curve holds as few as four fading blocks, so a new
 //! fading draw is a different channel, not a reseed.
 
 use std::sync::OnceLock;
@@ -87,9 +87,9 @@ const TAG_NOISE: u64 = 0xA36A_0003;
 
 /// One pair of independent standard Gaussian samples via Box–Muller:
 /// the draws of the phase-noise walk (stage 5) and the fading
-/// coefficients (stage 7). They draw a few values per block or per
-/// sample of a rare stage, and the grid's curves are pinned to them;
-/// stage 8 draws from [`Ziggurat`] instead.
+/// coefficients (stage 7). Stage 8 draws from [`Ziggurat`] instead. A
+/// curve holds as few as four fading blocks, so new draws here would
+/// change the channel a curve sees, not just reseed its noise.
 #[inline]
 fn gauss_pair(rng: &mut StdRng) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -979,7 +979,8 @@ mod tests {
     fn stage_eight_draws_are_standard_normal() {
         // 2^20 samples of stage 8 at unit variance per rail: 2^21
         // draws, I then Q per sample. Every bound is ~5σ of its
-        // statistic, so a sound source fails with probability < 1e-5.
+        // statistic (the KS bound p ≈ 1e-4), so a sound source passes
+        // at almost every seed.
         let chain = ImpairmentChain::new(3.0);
         let sigma = (crate::units::dbm_to_mw(noise_floor_dbm(FS, 3.0)) / 2.0).sqrt();
         let mut noise = Vec::new();
